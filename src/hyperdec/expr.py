@@ -26,7 +26,7 @@ from .errors import (
     ParseError,
     UnknownIdentifier,
 )
-from .hyperfield import HyperValue, NumContext, nines, nines_hyper
+from .hyperfield import HyperValue, NumContext, _ten_power, nines, nines_hyper
 from .transfer import FuncExpr, eval_star, limit_seq
 
 # --------------------------------------------------------------------------
@@ -290,16 +290,8 @@ def _fraction_text(v: Fraction) -> str:
     same Num node); otherwise an explicit parenthesized quotient."""
     if v.denominator == 1:
         return str(v.numerator)
-    den = v.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
-    if den == 1:
-        u = max(twos, fives)
+    u = _ten_power(v.denominator)
+    if u is not None:
         scaled = v.numerator * 10**u // v.denominator
         text = f"{abs(scaled):0{u + 1}d}"
         out = f"{text[:-u]}.{text[-u:]}"
@@ -351,13 +343,7 @@ def print_command(cmd: Command) -> str:
 # evaluation
 # --------------------------------------------------------------------------
 
-_ELEMENTARY_NODES = {
-    "exp": transfer.Exp,
-    "log": transfer.Log,
-    "sin": transfer.Sin,
-    "cos": transfer.Cos,
-    "sqrt": transfer.Sqrt,
-}
+_ELEMENTARY_NODES = {name: node for node, name in transfer._ELEMENTARY.items()}
 
 _NAMED_CONSTANTS = ("pi", "e")
 

@@ -15,7 +15,7 @@ next iterate flush to 1 and silently destroy the gap.
 """
 
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -48,12 +48,8 @@ class NewtonTrace:
     all_nines_from: Optional[int]
 
     def gap(self, n: int) -> Scalar:
-        x = self.iterates[n]
-        if isinstance(x, Decimal):
-            with localcontext() as dctx:
-                dctx.prec = self.precision
-                return Decimal(1) - x
-        return Fraction(1) - x
+        with NumContext(mode=self.mode, prec=self.precision).arith():
+            return 1 - self.iterates[n]
 
 
 def calculator_display(v, digits: int) -> str:
@@ -120,11 +116,7 @@ def newton_trace(
     exact = is_arithmetic(f)
     mode = "exact" if exact else "float"
     ctx = NumContext(mode=mode, prec=precision)
-    if exact:
-        x: Scalar = start
-    else:
-        with ctx.arith():
-            x = Decimal(start.numerator) / Decimal(start.denominator)
+    x: Scalar = ctx.coeff(start)
 
     v0 = eval_real(f, x, ctx)
     if not v0 < 0:
@@ -142,13 +134,9 @@ def newton_trace(
             halt = f"iterate overshot the root at step {n}"
             break
         slope = _slope_at(f, x, ctx)
-        if exact:
+        with ctx.arith():
             x_new = x + (-v) / slope
-            gap_new = Fraction(1) - x_new
-        else:
-            with ctx.arith():
-                x_new = x + (-v) / slope
-                gap_new = Decimal(1) - x_new
+            gap_new = 1 - x_new
         if not exact and gap_new < floor_gap:
             halt = (
                 f"precision exhausted at step {n + 1}: the gap to 1 fell"
@@ -177,20 +165,14 @@ def _quadratic_constant(iterates, ctx: NumContext) -> Optional[Scalar]:
     """Largest (1 - x_{n+1}) / (1 - x_n)^2 over steps entering the
     convergence zone 1 - x_n < 1/10."""
     best = None
-    for a, b in zip(iterates, iterates[1:]):
-        if isinstance(a, Decimal):
-            with ctx.arith():
-                gap_a = Decimal(1) - a
-                if not gap_a < Decimal("0.1") or gap_a == 0:
-                    continue
-                ratio = (Decimal(1) - b) / (gap_a * gap_a)
-        else:
-            gap_a = Fraction(1) - a
+    with ctx.arith():
+        for a, b in zip(iterates, iterates[1:]):
+            gap_a = 1 - a
             if not gap_a < Fraction(1, 10) or gap_a == 0:
                 continue
-            ratio = (Fraction(1) - b) / (gap_a * gap_a)
-        if best is None or ratio > best:
-            best = ratio
+            ratio = (1 - b) / (gap_a * gap_a)
+            if best is None or ratio > best:
+                best = ratio
     return best
 
 
@@ -272,12 +254,6 @@ def theorem_check(
     negative margin raises AssertionFailed with the offending index.
     """
     trace = newton_trace(f, x0, steps, precision=precision)
-    one: Scalar
-    if trace.mode == "exact":
-        one = Fraction(1)
-    else:
-        one = Decimal(1)
-
     rows = []
     boundary = []
 
@@ -291,28 +267,20 @@ def theorem_check(
         return value
 
     xs = trace.iterates
-    for n, x in enumerate(xs):
-        if isinstance(x, Decimal):
-            with localcontext() as dctx:
-                dctx.prec = precision
-                lt1 = margin(n, "lt1", one - x)
-                if n + 1 < len(xs):
-                    mono = margin(n, "monotone", xs[n + 1] - x)
-                    mvt = margin(n, "mvt", (one - x) - (xs[n + 1] - x))
-                else:
-                    mono = mvt = None
-        else:
-            lt1 = margin(n, "lt1", one - x)
+    with NumContext(mode=trace.mode, prec=precision).arith():
+        for n, x in enumerate(xs):
+            lt1 = margin(n, "lt1", 1 - x)
             if n + 1 < len(xs):
                 mono = margin(n, "monotone", xs[n + 1] - x)
-                mvt = margin(n, "mvt", (one - x) - (xs[n + 1] - x))
+                mvt = margin(n, "mvt", (1 - x) - (xs[n + 1] - x))
             else:
                 mono = mvt = None
-        rows.append(
-            CheckRow(
-                n=n, x=x, margin_lt1=lt1, margin_monotone=mono, mvt_margin=mvt
+            rows.append(
+                CheckRow(
+                    n=n, x=x, margin_lt1=lt1, margin_monotone=mono,
+                    mvt_margin=mvt,
+                )
             )
-        )
 
     return CheckReport(
         x0=trace.x0,

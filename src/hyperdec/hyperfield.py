@@ -37,11 +37,6 @@ __all__ = [
     "Ordering",
     "Classification",
     "UNIT_PAIR",
-    "add",
-    "sub",
-    "neg",
-    "mul",
-    "div",
     "inv",
     "compare",
     "standard_part",
@@ -513,7 +508,7 @@ class HyperValue:
                 return f"mixed-scale monomial {pair}"
             if pair.b < 0:
                 den = _denominator_of(c)
-                if den is None or not _ten_smooth(den):
+                if den is None or _ten_power(den) is None:
                     return f"coefficient {c} not a power-of-ten multiple"
             else:  # pure power of H
                 if not _is_integral(c):
@@ -592,11 +587,16 @@ def _denominator_of(c: Coefficient) -> int | None:
     return None
 
 
-def _ten_smooth(n: int) -> bool:
-    for p in (2, 5):
-        while n % p == 0:
-            n //= p
-    return n == 1
+def _ten_power(den: int) -> int | None:
+    """Least u with den dividing 10**u, or None if den has another prime."""
+    twos = fives = 0
+    while den % 2 == 0:
+        den //= 2
+        twos += 1
+    while den % 5 == 0:
+        den //= 5
+        fives += 1
+    return max(twos, fives) if den == 1 else None
 
 
 def _is_integral(c: Coefficient) -> bool:
@@ -612,26 +612,6 @@ def _coeff_floor(c: Coefficient):
 
 
 # --- functional aliases mirroring the operation names -------------------------------
-
-def add(x: HyperValue, y: HyperValue) -> HyperValue:
-    return x + y
-
-
-def sub(x: HyperValue, y: HyperValue) -> HyperValue:
-    return x - y
-
-
-def neg(x: HyperValue) -> HyperValue:
-    return -x
-
-
-def mul(x: HyperValue, y: HyperValue) -> HyperValue:
-    return x * y
-
-
-def div(x: HyperValue, y: HyperValue) -> HyperValue:
-    return x / y
-
 
 def inv(x: HyperValue) -> HyperValue:
     return x.inv()

@@ -39,6 +39,7 @@ from .hyperfield import (
     HyperValue,
     NumContext,
     UNIT_PAIR,
+    _ten_power,
     nines,
     nines_hyper,
 )
@@ -117,24 +118,9 @@ def _tail_run(r: Fraction):
     single digit 0..8 (a rational's own expansion never ends in all 9s).
     Returns None when there is no single-digit tail.
     """
-    q = r.denominator
-    threes = 0
-    while q % 3 == 0:
-        q //= 3
-        threes += 1
-    if threes > 2:
+    u = _ten_power(r.denominator // math.gcd(r.denominator, 9))
+    if u is None:
         return None
-    twos = 0
-    while q % 2 == 0:
-        q //= 2
-        twos += 1
-    fives = 0
-    while q % 5 == 0:
-        q //= 5
-        fives += 1
-    if q != 1:
-        return None
-    u = max(twos, fives)
     shifted = r * 10**u
     frac = shifted - math.floor(shifted)
     d = frac * 9

@@ -1,8 +1,14 @@
 """Lifting real functions of one variable onto the truncated series field.
 
 An expression tree built from the constructors below describes a real
-function f.  ``eval_star`` extends f to hypervalues: arithmetic nodes
-recurse directly, and the elementary functions (exp, log, sin, cos, sqrt)
+function f.  One fold walks the tree for every number type: ``eval_star``
+runs it over hypervalues, ``eval_real`` over Fractions (arithmetic trees
+at rational points) or Decimals.  The walk and the field operations are
+shared; a small backend per number type supplies the rest: the lift of
+rational constants, the zero check on divisors, the named constants,
+powers of ten and the elementary functions.
+
+Over hypervalues the elementary functions (exp, log, sin, cos, sqrt)
 expand as a Taylor series about the standard part of their argument, so
 an argument ``s + delta`` with delta infinitesimal evaluates to
 
@@ -239,26 +245,20 @@ def _dec_reduce(x: Decimal) -> Decimal:
 
 
 def _dec_sin(x: Decimal) -> Decimal:
-    x = _dec_reduce(x)
-    ctx = getcontext()
-    ctx.prec += 2
-    i, lasts, s, fact, num, sign = 1, Decimal(0), x, 1, x, 1
-    while s != lasts:
-        lasts = s
-        i += 2
-        fact *= i * (i - 1)
-        num *= x * x
-        sign *= -1
-        s += num / fact * sign
-    ctx.prec -= 2
-    return +s
+    return _dec_trig(x, 1)
 
 
 def _dec_cos(x: Decimal) -> Decimal:
+    return _dec_trig(x, 0)
+
+
+def _dec_trig(x: Decimal, i: int) -> Decimal:
+    # the alternating Taylor series from its first term x**i / i!
     x = _dec_reduce(x)
     ctx = getcontext()
     ctx.prec += 2
-    i, lasts, s, fact, num, sign = 0, Decimal(0), Decimal(1), 1, Decimal(1), 1
+    first = x if i else Decimal(1)
+    lasts, s, fact, num, sign = Decimal(0), first, 1, first, 1
     while s != lasts:
         lasts = s
         i += 2
@@ -298,32 +298,12 @@ def _taylor_exact(kind: str, s: Fraction, count: int) -> list:
                 "use float mode"
             )
         return [Fraction(1, math.factorial(k)) for k in range(count)]
-    if kind == "sin":
+    if kind in ("sin", "cos"):
         if s != 0:
             raise ExactTranscendental(
-                "sin away from 0 has no rational value; use float mode"
+                f"{kind} away from 0 has no rational value; use float mode"
             )
-        out = []
-        for k in range(count):
-            if k % 2 == 0:
-                out.append(Fraction(0))
-            else:
-                sign = -1 if (k // 2) % 2 else 1
-                out.append(Fraction(sign, math.factorial(k)))
-        return out
-    if kind == "cos":
-        if s != 0:
-            raise ExactTranscendental(
-                "cos away from 0 has no rational value; use float mode"
-            )
-        out = []
-        for k in range(count):
-            if k % 2 == 1:
-                out.append(Fraction(0))
-            else:
-                sign = -1 if (k // 2) % 2 else 1
-                out.append(Fraction(sign, math.factorial(k)))
-        return out
+        return _trig_taylor(kind, Fraction(0), Fraction(1), count)
     if kind == "log":
         if s <= 0:
             raise DomainError("log needs a positive standard part")
@@ -383,10 +363,14 @@ def _taylor_float(kind: str, s: Decimal, count: int) -> list:
             p *= s
         return out
     if kind in ("sin", "cos"):
-        sn, cs = _dec_sin(s), _dec_cos(s)
-        cycle = (sn, cs, -sn, -cs) if kind == "sin" else (cs, -sn, -cs, sn)
-        return [cycle[k % 4] / math.factorial(k) for k in range(count)]
+        return _trig_taylor(kind, _dec_sin(s), _dec_cos(s), count)
     raise ValueError(kind)
+
+
+def _trig_taylor(kind: str, sn, cs, count: int) -> list:
+    # derivatives of sin and cos repeat with period 4
+    cycle = (sn, cs, -sn, -cs) if kind == "sin" else (cs, -sn, -cs, sn)
+    return [cycle[k % 4] / math.factorial(k) for k in range(count)]
 
 
 def _apply_elementary(kind: str, u: HyperValue) -> HyperValue:
@@ -414,45 +398,6 @@ def _apply_elementary(kind: str, u: HyperValue) -> HyperValue:
             acc = acc + power * c
     flag = acc.truncated or u.truncated or not delta.is_zero
     return HyperValue(ctx=ctx, terms=acc.terms, truncated=flag)
-
-
-# --------------------------------------------------------------------------
-# evaluation
-# --------------------------------------------------------------------------
-
-def eval_star(f: FuncExpr, x: HyperValue) -> HyperValue:
-    """Evaluate the lifted function at a hypervalue.
-
-    Every Var node binds to x; the model is single-variable.
-    """
-    ctx = x.ctx
-    if isinstance(f, Var):
-        return x
-    if isinstance(f, Const):
-        return ctx.constant(f.value)
-    if isinstance(f, NamedConst):
-        if ctx.mode == "exact":
-            raise ExactTranscendental(
-                f"{f.name} has no exact rational value; use float mode"
-            )
-        with ctx.arith():
-            return ctx.constant(_named_decimal(f.name))
-    if isinstance(f, Add):
-        return eval_star(f.left, x) + eval_star(f.right, x)
-    if isinstance(f, Sub):
-        return eval_star(f.left, x) - eval_star(f.right, x)
-    if isinstance(f, Mul):
-        return eval_star(f.left, x) * eval_star(f.right, x)
-    if isinstance(f, Div):
-        return eval_star(f.left, x) / eval_star(f.right, x)
-    if isinstance(f, PowInt):
-        return eval_star(f.base, x) ** f.power
-    if isinstance(f, Pow10):
-        return _pow10_value(eval_star(f.exponent, x))
-    kind = _ELEMENTARY.get(type(f))
-    if kind is not None:
-        return _apply_elementary(kind, eval_star(f.arg, x))
-    raise TypeError(f"cannot evaluate {type(f).__name__}")
 
 
 def _pow10_value(w: HyperValue) -> HyperValue:
@@ -496,16 +441,42 @@ def _pow10_value(w: HyperValue) -> HyperValue:
     return grid * _apply_elementary("exp", rest * ln10)
 
 
-def eval_real(f: FuncExpr, x, ctx: NumContext):
-    """Evaluate f at a standard point.
+# --------------------------------------------------------------------------
+# evaluation
+# --------------------------------------------------------------------------
 
-    A Fraction argument with an arithmetic-only tree stays exact;
-    everything else runs in Decimal under the context precision.
+def _fold(f: FuncExpr, x, num):
+    """Value of f with every Var bound to x, in the number type of `num`.
+
+    The walk and the field operations are shared; `num` is one of the
+    backends below and supplies what depends on the number type.
     """
-    if isinstance(x, Fraction) and is_arithmetic(f):
-        return _eval_fraction(f, x)
-    with ctx.arith():
-        return _eval_decimal(f, _to_decimal(x))
+    if isinstance(f, Var):
+        return x
+    if isinstance(f, Const):
+        return num.const(f.value)
+    if isinstance(f, Add):
+        return _fold(f.left, x, num) + _fold(f.right, x, num)
+    if isinstance(f, Sub):
+        return _fold(f.left, x, num) - _fold(f.right, x, num)
+    if isinstance(f, Mul):
+        return _fold(f.left, x, num) * _fold(f.right, x, num)
+    if isinstance(f, Div):
+        # divisor first: a zero divisor is refused before the dividend
+        # can fail for some other reason
+        d = num.divisor(_fold(f.right, x, num))
+        return _fold(f.left, x, num) / d
+    if isinstance(f, PowInt):
+        base = _fold(f.base, x, num)
+        return (num.divisor(base) if f.power < 0 else base) ** f.power
+    if isinstance(f, NamedConst):
+        return num.named(f.name)
+    if isinstance(f, Pow10):
+        return num.pow10(_fold(f.exponent, x, num))
+    kind = _ELEMENTARY.get(type(f))
+    if kind is not None:
+        return num.elementary(kind, _fold(f.arg, x, num))
+    raise TypeError(f"cannot evaluate {type(f).__name__}")
 
 
 def _to_decimal(x) -> Decimal:
@@ -516,66 +487,94 @@ def _to_decimal(x) -> Decimal:
     return Decimal(x)
 
 
-def _eval_fraction(f: FuncExpr, x: Fraction) -> Fraction:
-    if isinstance(f, Var):
-        return x
-    if isinstance(f, Const):
-        return f.value
-    if isinstance(f, Add):
-        return _eval_fraction(f.left, x) + _eval_fraction(f.right, x)
-    if isinstance(f, Sub):
-        return _eval_fraction(f.left, x) - _eval_fraction(f.right, x)
-    if isinstance(f, Mul):
-        return _eval_fraction(f.left, x) * _eval_fraction(f.right, x)
-    if isinstance(f, Div):
-        d = _eval_fraction(f.right, x)
-        if d == 0:
-            raise DomainError("division by zero at a sample point")
-        return _eval_fraction(f.left, x) / d
-    if isinstance(f, PowInt):
-        return _eval_fraction(f.base, x) ** f.power
-    raise TypeError(f"not arithmetic: {type(f).__name__}")
+def _nonzero(d):
+    if d == 0:
+        raise DomainError("division by zero at a sample point")
+    return d
 
 
-def _eval_decimal(f: FuncExpr, x: Decimal) -> Decimal:
-    if isinstance(f, Var):
-        return x
-    if isinstance(f, Const):
-        return Decimal(f.value.numerator) / Decimal(f.value.denominator)
-    if isinstance(f, NamedConst):
-        return _named_decimal(f.name)
-    if isinstance(f, Add):
-        return _eval_decimal(f.left, x) + _eval_decimal(f.right, x)
-    if isinstance(f, Sub):
-        return _eval_decimal(f.left, x) - _eval_decimal(f.right, x)
-    if isinstance(f, Mul):
-        return _eval_decimal(f.left, x) * _eval_decimal(f.right, x)
-    if isinstance(f, Div):
-        d = _eval_decimal(f.right, x)
-        if d == 0:
-            raise DomainError("division by zero at a sample point")
-        return _eval_decimal(f.left, x) / d
-    if isinstance(f, PowInt):
-        return _eval_decimal(f.base, x) ** f.power
-    if isinstance(f, Pow10):
-        return Decimal(10) ** _eval_decimal(f.exponent, x)
-    if isinstance(f, Exp):
-        return _eval_decimal(f.arg, x).exp()
-    if isinstance(f, Log):
-        v = _eval_decimal(f.arg, x)
-        if v <= 0:
+class _Fractions:
+    """Exact rationals; eval_real sends only arithmetic trees here."""
+
+    @staticmethod
+    def const(c: Fraction) -> Fraction:
+        return c
+
+    divisor = staticmethod(_nonzero)
+
+
+_DECIMAL_ELEMENTARY = {
+    "exp": Decimal.exp,
+    "log": Decimal.ln,
+    "sqrt": Decimal.sqrt,
+    "sin": _dec_sin,
+    "cos": _dec_cos,
+}
+
+
+class _Decimals:
+    """Decimals under the caller's context (eval_real sets it)."""
+
+    const = staticmethod(_to_decimal)
+    divisor = staticmethod(_nonzero)
+    named = staticmethod(_named_decimal)
+
+    @staticmethod
+    def pow10(v: Decimal) -> Decimal:
+        return Decimal(10) ** v
+
+    @staticmethod
+    def elementary(kind: str, v: Decimal) -> Decimal:
+        if kind == "log" and v <= 0:
             raise DomainError("log needs a positive argument")
-        return v.ln()
-    if isinstance(f, Sqrt):
-        v = _eval_decimal(f.arg, x)
-        if v < 0:
+        if kind == "sqrt" and v < 0:
             raise DomainError("sqrt needs a nonnegative argument")
-        return v.sqrt()
-    if isinstance(f, Sin):
-        return _dec_sin(_eval_decimal(f.arg, x))
-    if isinstance(f, Cos):
-        return _dec_cos(_eval_decimal(f.arg, x))
-    raise TypeError(f"cannot evaluate {type(f).__name__}")
+        return _DECIMAL_ELEMENTARY[kind](v)
+
+
+class _Hypers:
+    """Hypervalues in one context; transcendental pieces go by Taylor."""
+
+    def __init__(self, ctx: NumContext):
+        self.ctx = ctx
+
+    def const(self, c: Fraction) -> HyperValue:
+        return self.ctx.constant(c)
+
+    @staticmethod
+    def divisor(d: HyperValue) -> HyperValue:
+        return d  # HyperValue.inv refuses zero with DivisionByZero
+
+    def named(self, name: str) -> HyperValue:
+        if self.ctx.mode == "exact":
+            raise ExactTranscendental(
+                f"{name} has no exact rational value; use float mode"
+            )
+        with self.ctx.arith():
+            return self.ctx.constant(_named_decimal(name))
+
+    pow10 = staticmethod(_pow10_value)
+    elementary = staticmethod(_apply_elementary)
+
+
+def eval_star(f: FuncExpr, x: HyperValue) -> HyperValue:
+    """Evaluate the lifted function at a hypervalue.
+
+    Every Var node binds to x; the model is single-variable.
+    """
+    return _fold(f, x, _Hypers(x.ctx))
+
+
+def eval_real(f: FuncExpr, x, ctx: NumContext):
+    """Evaluate f at a standard point.
+
+    A Fraction argument with an arithmetic-only tree stays exact;
+    everything else runs in Decimal under the context precision.
+    """
+    if isinstance(x, Fraction) and is_arithmetic(f):
+        return _fold(f, x, _Fractions)
+    with ctx.arith():
+        return _fold(f, _to_decimal(x), _Decimals)
 
 
 # --------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """CLI tests driven in-process through run_cli."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import hyperdec
 from hyperdec.cli import run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -114,6 +118,17 @@ def test_exit_code_math_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("evt", "x^-1"),
+    ("evt", "x^-1", "--mode", "float"),
+    ("newton", "1 - x^-1", "--x0", "0", "--steps", "2"),
+])
+def test_zero_reciprocal_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: division by zero at a sample point\n"
+
+
 def test_exit_code_syntax(capsys):
     code, _, err = run(capsys, "eval", "1 +")
     assert code == 2
@@ -211,3 +226,14 @@ def test_cli_determinism(capsys):
     a = run(capsys, "microscope", "--preset", "slope", "--format", "svg")
     b = run(capsys, "microscope", "--preset", "slope", "--format", "svg")
     assert a == b
+
+
+def test_python_dash_m(tmp_path):
+    src = str(Path(hyperdec.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyperdec", "eval", "1 - eps"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1 - eps\n", "")

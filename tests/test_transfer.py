@@ -136,6 +136,14 @@ def test_domain_errors():
         eval_star(Sin(X), EXACT.omega())
 
 
+@pytest.mark.parametrize("f", [Div(const(1), X), PowInt(X, -1)])
+@pytest.mark.parametrize("x, ctx", [(Fraction(0), EXACT), (Decimal(0), FLOAT)])
+def test_zero_reciprocal_at_sample_point(f, x, ctx):
+    # x^-1 gets the same refusal as 1/x, exact and in Decimal
+    with pytest.raises(DomainError, match="division by zero at a sample point"):
+        eval_real(f, x, ctx)
+
+
 def test_float_elementary_values():
     v = eval_star(Exp(X), FLOAT.constant(1))
     with localcontext() as dc:

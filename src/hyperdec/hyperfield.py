@@ -6,8 +6,12 @@ exponents a, b are rationals.  Because eps is exponentially small in H,
 eps**b dominates every power of H: the single pair (b, a) fixes a term's
 magnitude outright.  Arithmetic keeps at most K terms per value, always
 the K largest, and raises a sticky `truncated` flag whenever anything
-was dropped.  The flag is honest: comparisons refuse to certify equality
-of flagged values instead of guessing.
+was dropped.  The flag records only that something was dropped, not
+how much: comparisons refuse to certify equality of flagged values, but
+they still read the sign of a nonzero difference from its leading
+surviving term, and after cancellation that term can be an artifact of
+the cut.  (1/(1-eps))*(1-eps) comes out as 1 - eps^16, flagged, and
+compares LESS than 1.
 """
 
 from __future__ import annotations
@@ -54,47 +58,88 @@ __all__ = [
 Coefficient = Union[Fraction, Decimal]
 CoeffLike = Union[int, str, Fraction, Decimal]
 
+# Magnitude key (-b, a) of a monomial eps**b * H**a; see ExponentPair.
+_Key = tuple[Union[int, Fraction], Union[int, Fraction]]
 
-@dataclass(frozen=True)
+
+def _whole(x: Union[int, Fraction]) -> Union[int, Fraction]:
+    """x as an int when it is a whole number, else the Fraction itself."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _key_sum(p: _Key, q: _Key) -> _Key:
+    """Key of the product of the monomials with keys p and q."""
+    b, a = p[0] + q[0], p[1] + q[1]
+    if b.__class__ is not int or a.__class__ is not int:
+        b, a = _whole(b), _whole(a)
+    return (b, a)
+
+
 class ExponentPair:
     """Exponents (b, a) of a monomial eps**b * H**a.
 
     Magnitude order: a smaller power of eps always wins; among equal
     eps-powers a larger power of H wins.  (0, 0) is the unit monomial.
+
+    A pair holds only its magnitude key (-b, a), whole exponents as
+    ints and the others as Fractions, so that order, equality and
+    hashing are tuple operations.  b and a read back as Fractions.
     """
 
-    b: Fraction
-    a: Fraction
+    __slots__ = ("_key",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "b", Fraction(self.b))
-        object.__setattr__(self, "a", Fraction(self.a))
+    def __init__(self, b, a) -> None:
+        self._key = (-_whole(Fraction(b)), _whole(Fraction(a)))
+
+    @classmethod
+    def _of(cls, key: _Key) -> "ExponentPair":
+        """The pair with magnitude key `key` (whole entries already ints)."""
+        pair = object.__new__(cls)
+        pair._key = key
+        return pair
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(-self._key[0])
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._key[1])
+
+    def __repr__(self) -> str:
+        return f"ExponentPair(b={self.b!r}, a={self.a!r})"
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not ExponentPair:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     # --- magnitude order ------------------------------------------------
-    def _key(self) -> tuple[Fraction, Fraction]:
-        return (-self.b, self.a)
-
     def __lt__(self, other: "ExponentPair") -> bool:
-        return self._key() < other._key()
+        return self._key < other._key
 
     def __le__(self, other: "ExponentPair") -> bool:
-        return self._key() <= other._key()
+        return self._key <= other._key
 
     def __gt__(self, other: "ExponentPair") -> bool:
-        return self._key() > other._key()
+        return self._key > other._key
 
     def __ge__(self, other: "ExponentPair") -> bool:
-        return self._key() >= other._key()
+        return self._key >= other._key
 
     # --- group structure -------------------------------------------------
     def __add__(self, other: "ExponentPair") -> "ExponentPair":
-        return ExponentPair(self.b + other.b, self.a + other.a)
+        return ExponentPair._of(_key_sum(self._key, other._key))
 
     def __sub__(self, other: "ExponentPair") -> "ExponentPair":
-        return ExponentPair(self.b - other.b, self.a - other.a)
+        return ExponentPair._of(_key_sum(self._key, (-other)._key))
 
     def __neg__(self) -> "ExponentPair":
-        return ExponentPair(-self.b, -self.a)
+        b, a = self._key
+        return ExponentPair._of((-b, -a))
 
     def scaled(self, k: int) -> "ExponentPair":
         return ExponentPair(self.b * k, self.a * k)
@@ -102,18 +147,18 @@ class ExponentPair:
     # --- classification ---------------------------------------------------
     @property
     def is_unit(self) -> bool:
-        return self.b == 0 and self.a == 0
+        return self._key == (0, 0)
 
     @property
     def is_infinite(self) -> bool:
-        return self.b < 0 or (self.b == 0 and self.a > 0)
+        return self._key > (0, 0)
 
     @property
     def is_infinitesimal(self) -> bool:
-        return self.b > 0 or (self.b == 0 and self.a < 0)
+        return self._key < (0, 0)
 
 
-UNIT_PAIR = ExponentPair(Fraction(0), Fraction(0))
+UNIT_PAIR = ExponentPair(0, 0)
 
 
 @lru_cache(maxsize=None)
@@ -226,7 +271,7 @@ def _build(
 ) -> "HyperValue":
     """Normalize a term map: drop zeros, sort by magnitude, enforce K."""
     live = [(pair, c) for pair, c in acc.items() if c != 0]
-    live.sort(key=lambda item: item[0]._key(), reverse=True)
+    live.sort(key=lambda item: item[0]._key, reverse=True)
     if len(live) > ctx.max_terms:
         live = live[: ctx.max_terms]
         truncated = True
@@ -369,18 +414,26 @@ class HyperValue:
                     terms=((inv_c0, -mu0),),
                     truncated=self.truncated,
                 )
-            # minus_r maps monomial offsets (all below unit) to coefficients
-            minus_r: dict[ExponentPair, Coefficient] = {
-                (pair - mu0): -(c / c0) for c, pair in self.terms[1:]
-            }
-            acc: dict[ExponentPair, Coefficient] = {UNIT_PAIR: one}
-            term: dict[ExponentPair, Coefficient] = {UNIT_PAIR: one}
+            # The series runs on magnitude keys scaled by the common
+            # denominator of the offsets (all below unit), so that they
+            # are int pairs; only the K survivors become ExponentPairs.
+            shift = (-mu0)._key
+            offsets = [
+                (_key_sum(pair._key, shift), -(c / c0)) for c, pair in self.terms[1:]
+            ]
+            den = math.lcm(*(x.denominator for key, _ in offsets for x in key))
+            minus_r = [
+                (tuple(x.numerator * (den // x.denominator) for x in key), c)
+                for key, c in offsets
+            ]
+            acc: dict[_Key, Coefficient] = {(0, 0): one}
+            term: dict[_Key, Coefficient] = {(0, 0): one}
             budget = ctx.max_terms
             for _ in range(4 * budget + 64):
-                nxt: dict[ExponentPair, Coefficient] = {}
-                for p1, c1 in term.items():
-                    for p2, c2 in minus_r.items():
-                        pair = p1 + p2
+                nxt: dict[_Key, Coefficient] = {}
+                for (b1, a1), c1 in term.items():
+                    for (b2, a2), c2 in minus_r:
+                        pair = (b1 + b2, a1 + a2)
                         prod = c1 * c2
                         nxt[pair] = nxt[pair] + prod if pair in nxt else prod
                 term = {p: c for p, c in nxt.items() if c != 0}
@@ -388,23 +441,26 @@ class HyperValue:
                     break
                 for p, c in term.items():
                     acc[p] = acc[p] + c if p in acc else c
-                live = sorted(
-                    (p for p, c in acc.items() if c != 0),
-                    key=lambda p: p._key(),
-                    reverse=True,
-                )
-                if len(live) >= budget:
-                    peak = max(term, key=lambda p: p._key())
-                    if peak < live[budget - 1]:
-                        break
+                # Stop once K live partial sums lie above the largest
+                # power of this round: later powers sit lower still.
+                peak = max(term)
+                above = [p for p, c in acc.items() if p > peak and c != 0]
+                if len(above) >= budget:
+                    break
             else:
                 raise RuntimeError("inverse series failed to settle")
-        series = _build(ctx, acc, truncated=True)
-        scale = HyperValue(ctx=ctx, terms=((inv_c0, -mu0),), truncated=False)
-        out = scale * series
-        if self.truncated and not out.truncated:
-            out = HyperValue(ctx=ctx, terms=out.terms, truncated=True)
-        return out
+            live = sorted(
+                ((p, c) for p, c in acc.items() if c != 0),
+                key=lambda item: item[0],
+                reverse=True,
+            )[:budget]
+            if den > 1:
+                live = [((Fraction(b, den), Fraction(a, den)), c) for (b, a), c in live]
+            terms = tuple(
+                (inv_c0 * c, ExponentPair._of(_key_sum(shift, p)))
+                for p, c in live
+            )
+        return HyperValue(ctx=ctx, terms=terms, truncated=True)
 
     def __truediv__(self, other) -> "HyperValue":
         rhs = self._coerce(other)
@@ -436,10 +492,11 @@ class HyperValue:
     def compare(self, other) -> Ordering:
         """Sign of self - other, from the leading surviving term.
 
-        Nonzero differences order reliably even under truncation (the
-        retained leading terms dominate anything dropped).  An exactly
-        zero difference is only called Equal when neither side carries
-        the truncated flag; otherwise equality is refused.
+        On flagged values that sign is not certified: when the retained
+        terms cancel, the leading survivor can be a truncation artifact
+        and the answer wrong (the module docstring has an example).  An
+        exactly zero difference is only called Equal when neither side
+        carries the truncated flag; otherwise equality is refused.
         """
         rhs = self._coerce(other)
         diff = self - rhs

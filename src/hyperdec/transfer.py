@@ -468,6 +468,8 @@ def _fold(f: FuncExpr, x, num):
         return _fold(f.left, x, num) / d
     if isinstance(f, PowInt):
         base = _fold(f.base, x, num)
+        if f.power == 0:
+            return num.const(Fraction(1))  # Decimal 0 ** 0 is an invalid operation
         return (num.divisor(base) if f.power < 0 else base) ** f.power
     if isinstance(f, NamedConst):
         return num.named(f.name)
@@ -940,7 +942,10 @@ def evt_demo(
         best = None
         for i in range(m + 1):
             t = Fraction(i, m)
-            v = eval_real(f, t, ctx) if exact else eval_real(f, _to_decimal(t), ctx)
+            if not exact:
+                with ctx.arith():  # the grid point at the context precision
+                    t = _to_decimal(t)
+            v = eval_real(f, t, ctx)
             if best is None or v > best:
                 best, best_i = v, i
         rows.append(EvtRow(n=m, argmax=Fraction(best_i, m), value=best))

@@ -93,6 +93,24 @@ def test_evt(capsys):
     assert out.rstrip().endswith("argmax stabilized")
 
 
+def test_evt_float_zero_power_at_zero(capsys):
+    # Decimal 0 ** 0 is an invalid operation; x^0 is 1 at every point
+    code, out, err = run(capsys, "evt", "x^0", "--mode", "float")
+    assert (code, err) == (0, "")
+    assert "n =      64: argmax 0 value 1\n" in out
+
+
+def test_evt_float_grid_points_use_context_precision(capsys):
+    # at 28 digits the grid point 1/3 and the constant 1/3 (50 digits)
+    # would differ by about 3e-29, leaving -1.1E-57 instead of 0
+    code, out, err = run(
+        capsys, "evt", "0 - (x - 1/3)^2", "--grid", "3", "--doublings", "0",
+        "--mode", "float",
+    )
+    assert (code, err) == (0, "")
+    assert out == "n =       3: argmax 1/3 value 0\nargmax stabilized\n"
+
+
 def test_newton_final_display(capsys):
     code, out, _ = run(
         capsys, "newton", "log(x)", "--x0", "1/2", "--steps", "8",

@@ -20,6 +20,7 @@ from hyperdec.errors import (
     ContextMismatch,
     DivisionByZero,
     FloorUndecidable,
+    HyperError,
     NotFinite,
     TruncationAmbiguous,
 )
@@ -95,6 +96,42 @@ def test_pair_classification():
     assert ExponentPair(0, 3).is_infinite
     assert ExponentPair(1, 7).is_infinitesimal
     assert ExponentPair(0, -1).is_infinitesimal
+
+
+def test_pair_equality_ignores_exponent_spelling():
+    p, q = ExponentPair(1, 0), ExponentPair(Fraction(2, 2), Fraction(0))
+    assert p == q
+    assert hash(p) == hash(q)
+    assert {p: "x"}[q] == "x"
+    assert ExponentPair("1/2", "-2") == ExponentPair(Fraction(1, 2), -2)
+
+
+def test_pair_order_with_rational_exponents():
+    assert ExponentPair(Fraction(1, 2), 0) > ExponentPair(1, -5)
+    assert ExponentPair(Fraction(1, 2), 0) < ExponentPair(0, -5)
+    assert ExponentPair(0, Fraction(1, 3)) > ExponentPair(0, Fraction(1, 4))
+    assert ExponentPair(Fraction(-1, 2), 0) >= ExponentPair(Fraction(-2, 4), 0)
+    assert ExponentPair(0, Fraction(1, 3)).is_infinite
+    assert ExponentPair(Fraction(1, 2), 9).is_infinitesimal
+
+
+def test_pair_group_laws():
+    a = ExponentPair(Fraction(1, 2), Fraction(-2, 3))
+    b = ExponentPair(Fraction(3, 2), 2)
+    assert a + b - b == a
+    assert -(-a) == a
+    assert a + (-a) == UNIT_PAIR
+    whole = a + b  # eps^2 * H^(4/3)
+    assert whole == ExponentPair(2, Fraction(4, 3))
+    assert type(whole.b) is Fraction and type(whole.a) is Fraction
+
+
+def test_pair_repr_and_fields():
+    p = ExponentPair(Fraction(1, 2), 0)
+    assert repr(p) == "ExponentPair(b=Fraction(1, 2), a=Fraction(0, 1))"
+    assert str(ExponentPair(2, -1)) == "ExponentPair(b=Fraction(2, 1), a=Fraction(-1, 1))"
+    assert (p.b, p.a) == (Fraction(1, 2), 0)
+    assert type(p.b) is Fraction and type(p.a) is Fraction
 
 
 # ---------------------------------------------------------------- construction
@@ -210,6 +247,39 @@ def test_inv_multiplies_back_to_one():
         assert all(p < bound for _, p in residue.terms)
 
 
+# Offsets below a divisor's lead: H-powers only (same eps power), eps
+# powers only, or both; rational exponents included.
+H_TAIL = [(0, -1), (0, Fraction(-1, 3)), (0, -2)]
+EPS_TAIL = [(Fraction(1, 2), 0), (1, 3), (2, Fraction(-1, 2))]
+DIVISOR_TAILS = [
+    ("h", H_TAIL[:1]), ("h", H_TAIL[:2]), ("h", H_TAIL),
+    ("eps", EPS_TAIL[:1]), ("eps", EPS_TAIL[:2]), ("eps", EPS_TAIL),
+    ("mixed", [H_TAIL[1], EPS_TAIL[0]]), ("mixed", [H_TAIL[1], EPS_TAIL[0], EPS_TAIL[2]]),
+]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("shape,tail", DIVISOR_TAILS)
+def test_inv_is_prefix_of_longer_series(mode, shape, tail):
+    """At K terms the inverse is the first K terms of the K=64 inverse."""
+    rng = random.Random(f"{mode}-{shape}-{len(tail)}")
+    lead = ExponentPair(Fraction(rng.randint(-2, 2), 2), Fraction(rng.randint(-2, 2), 3))
+    pairs = [lead] + [lead + ExponentPair(b, a) for b, a in tail]
+    terms = [
+        (Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4)), p)
+        for p in pairs
+    ]
+
+    def inverse(k):
+        return NumContext(max_terms=k, mode=mode, prec=50).from_terms(terms).inv()
+
+    longer = [(str(c), p) for c, p in inverse(64).terms]
+    for k in (16, 40):
+        y = inverse(k)
+        assert y.truncated
+        assert [(str(c), p) for c, p in y.terms] == longer[:k]
+
+
 def test_div_examples():
     tau = CTX.tau()
     q = (2 * tau - tau * tau) / (-tau)
@@ -253,6 +323,19 @@ def test_compare_refuses_ambiguous_equality():
         t.compare(u)
     # nonzero difference still orders fine
     assert (t + 1).compare(u) is Ordering.GREATER
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a cut tail can fake the sign of a difference")
+def test_cancelled_truncation_does_not_order():
+    # (1/(1-eps))*(1-eps) is exactly 1, but the cut series leaves
+    # 1 - eps^16, whose difference from 1 has a sign of its own
+    z = (1 / (1 - CTX.tau())) * (1 - CTX.tau())
+    try:
+        order = z.compare(1)
+    except HyperError:  # a typed refusal is a right answer too
+        return
+    assert order is not Ordering.LESS
 
 
 # ---------------------------------------------------------------- standard part etc.

@@ -8,6 +8,7 @@ and the rest of the domain errors), 2 on usage or syntax problems.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -312,7 +313,13 @@ def _cmd_repl(args, ctx: NumContext) -> _Result:
 # parser wiring
 # --------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built on first use and shared by later calls.
+
+    parse_args keeps its results in a fresh Namespace per call, so one
+    tree serves any number of command lines.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--mode", choices=("exact", "float"), default="exact",

@@ -57,6 +57,11 @@ class UnsupportedNotation(HyperError):
     class that parse() handles."""
 
 
+class ResourceLimit(HyperError):
+    """The input asks for more than a fixed cap allows (a power of ten
+    with thousands of digits, say); refused before any work is done."""
+
+
 class ParseError(HyperError):
     """Syntax error in an expression or notation string.
 

@@ -590,9 +590,13 @@ class HyperValue:
                 raise FloorUndecidable(
                     "integer standard part with a truncated tail of unknown sign"
                 )
-            q = f if tail_sign >= 0 else f - 1
+            q = f if tail_sign >= 0 else _coeff_pred(f)
         else:
             q = _coeff_floor(f)
+        if isinstance(q, Decimal) and self.ctx.coeff(q) != q:
+            raise FloorUndecidable(
+                f"the floor {q} needs more than {self.ctx.prec} digits"
+            )
         out = self.infinite_part() + self.ctx.constant(q)
         if self.truncated and not out.truncated:
             out = HyperValue(ctx=self.ctx, terms=out.terms, truncated=True)
@@ -660,6 +664,14 @@ def _is_integral(c: Coefficient) -> bool:
     if isinstance(c, Fraction):
         return c.denominator == 1
     return c == c.to_integral_value()
+
+
+def _coeff_pred(c: Coefficient) -> Coefficient:
+    """c - 1 without rounding; a Decimal keeps its exponent (108.0 -> 107.0)."""
+    if isinstance(c, Fraction):
+        return c - 1
+    digits = max(c.adjusted(), 0) - min(c.as_tuple().exponent, 0) + 2
+    return _DecimalContext(prec=digits).subtract(c, 1)
 
 
 def _coeff_floor(c: Coefficient):

@@ -3,9 +3,14 @@
 A finite value whose terms sit on integer powers of eps has decimal
 digits at three kinds of places: the standard fractional positions
 1, 2, 3, ..., and for each block m >= 1 the positions m*H + j around the
-m-th infinite stretch.  ``digit_at`` reads a single digit off with the
-field floor; ``render`` prints the standard prefix plus one segment per
-block, and ``parse`` inverts the printed form exactly.
+m-th infinite stretch.  ``render`` prints the standard prefix plus one
+segment per block, reading the digits off the block coefficients: at
+place m*H + j the shallower blocks only add multiples of ten, so the
+digit is that of c_m * 10^j, taken from just below when that is a whole
+number and the deeper tail is negative.  ``digit_at`` reads a single
+digit with two field floors instead; it is the route behind the
+``digits`` command and the independent oracle for the engine in the
+tests.  ``parse`` inverts the printed form exactly.
 
 Notation summary (one block shown):
 
@@ -153,16 +158,15 @@ def render(x: HyperValue, window: int = 3) -> str:
     _grid_check(x)
     if x.is_zero:
         return "0"
-    ctx = x.ctx
     sign = MINUS if x.sign() < 0 else ""
     y0 = -x if x.sign() < 0 else x
     n = int(y0.floor().standard_part())
     y = y0 - n
-    blocks_max = 0
-    for _, pair in y.terms:
-        if pair.b > 0:
-            blocks_max = max(blocks_max, int(pair.b))
-    r = Fraction(y.coefficient_at(UNIT_PAIR))
+    if y.is_zero:
+        return f"{sign}{n}"
+    coeffs = {int(pair.b): Fraction(c) for c, pair in y.terms}
+    blocks_max = max(coeffs)
+    r = coeffs.get(0, Fraction(0))
     tail = _tail_run(r)
 
     if blocks_max == 0:
@@ -171,65 +175,111 @@ def render(x: HyperValue, window: int = 3) -> str:
                 f"{r} has no terminating or single-repeating-digit "
                 "expansion; this notation cannot spell it"
             )
+        _unit_interval_check(y)
         u, d = tail
         if d == 0:
-            digits = [digit_at(y, j) for j in range(1, u + 1)]
-            if not digits:
-                return f"{sign}{n}"
-            body = "".join(str(v) for v in digits)
+            body = _digits(coeffs, 0, 1, u, y.truncated)
             return f"{sign}{n if n else ''}.{body}"
         length = max(window, u + 3)
-        digits = [digit_at(y, j) for j in range(1, length + 1)]
-        body = "".join(str(v) for v in digits)
+        body = _digits(coeffs, 0, 1, length, y.truncated)
         return f"{sign}{n if n else ''}.{body}{ELLIPSIS}"
 
+    _unit_interval_check(y)
     if tail is None or tail[1] != 0:
-        # the block digits would need the full expansion of r; force the
-        # honest refusal out of the floor machinery
-        digit_at(y, Position(1, 0))
-        raise RuntimeError("block digits should have been undecidable")
-
+        # the block digits would need the full expansion of r, and r is
+        # not a power-of-ten multiple: the floor at place H refuses
+        _shallower_check(coeffs, 1)
     u, _ = tail
     length = max(window, u)
-    digits = [digit_at(y, j) for j in range(1, length + 1)]
+    body = _digits(coeffs, 0, 1, length, y.truncated)
     ellipsis = False
-    if len(digits) >= 3 and len(set(digits[-3:])) == 1:
-        last = digits[-1]
-        t = y - ctx.constant(r)
+    if len(body) >= 3 and len(set(body[-3:])) == 1:
+        last = int(body[-1])
         scaled = r * 10**length
-        if t.sign() < 0 and scaled.denominator == 1:
+        if _deeper_sign(coeffs, 0) < 0 and scaled.denominator == 1:
             ellipsis = last == 9
         elif last <= 8:
             ellipsis = scaled - math.floor(scaled) == Fraction(last, 9)
-    body = "".join(str(v) for v in digits)
-    segments = [
-        _render_block(y, m, window) for m in range(1, blocks_max + 1)
-    ]
-    parts = "".join(";" + seg for seg in segments)
+    parts = "".join(
+        ";" + _render_block(coeffs, m, window, y.truncated)
+        for m in range(1, blocks_max + 1)
+    )
     dots = ELLIPSIS if ellipsis else ""
     return f"{sign}{n if n else ''}.{body}{dots}{parts}"
 
 
-def _render_block(y: HyperValue, m: int, window: int) -> str:
-    ctx = y.ctx
-    shifted = y * ctx.monomial(1, -m, 0)
-    c = Fraction(shifted.coefficient_at(UNIT_PAIR))
+def _unit_interval_check(y: HyperValue) -> None:
+    if y.sign() < 0 or not (y < y.ctx.constant(1)):
+        raise PositionOutOfModel("digit_at needs 0 <= x < 1")
+
+
+def _deeper_sign(coeffs: dict[int, Fraction], m: int) -> int:
+    """Sign of the first block below block m that is present, 0 if none."""
+    deeper = [k for k in coeffs if k > m]
+    if not deeper:
+        return 0
+    return 1 if coeffs[min(deeper)] > 0 else -1
+
+
+def _shallower_check(coeffs: dict[int, Fraction], m: int) -> None:
+    """Refuse block m when a shallower block is not a power-of-ten multiple.
+
+    Block k < m contributes c_k * 10^((m-k)H + j) at place m*H + j, a
+    multiple of ten only when 10^H absorbs the denominator of c_k.
+    """
+    for k in sorted(coeffs):
+        if k < m and _ten_power(coeffs[k].denominator) is None:
+            raise FloorUndecidable(
+                f"coefficient {coeffs[k]} not a power-of-ten multiple"
+            )
+
+
+def _digits(
+    coeffs: dict[int, Fraction], m: int, lo: int, hi: int, flagged: bool
+) -> str:
+    """Digits at places m*H + lo .. m*H + hi of an on-grid y in [0, 1).
+
+    Shallower blocks only add multiples of ten there, so with Z the floor
+    of c_m * 10^hi (one less when that is a whole number and the deeper
+    tail is negative) the digit at m*H + j is (Z // 10^(hi-j)) % 10.
+    """
+    c = coeffs.get(m, Fraction(0))
+    s = _deeper_sign(coeffs, m)
+    num, den = c.numerator, c.denominator
+    if hi >= 0:
+        num *= 10**hi
+    else:
+        den *= 10**-hi
+    z, rem = divmod(num, den)
+    if rem == 0:
+        if s == 0 and flagged:
+            raise FloorUndecidable(
+                "integer standard part with a truncated tail of unknown sign"
+            )
+        if s < 0:
+            z -= 1
+    count = hi - lo + 1
+    return str(z % 10**count).zfill(count)
+
+
+def _render_block(
+    coeffs: dict[int, Fraction], m: int, window: int, flagged: bool
+) -> str:
+    _shallower_check(coeffs, m)
+    c = coeffs.get(m, Fraction(0))
     width = len(str(int(abs(c)))) if abs(c) >= 1 else 1
     j_lo = min(-window, -(width + 1))
 
-    j_hi = None
-    for j in range(0, _BLOCK_CAP + 1):
-        scale = ctx.monomial(Fraction(10) ** j, -m, 0)
-        prod = y * scale
-        rem = prod - prod.floor()
-        if rem.coefficient_at(UNIT_PAIR) == 0:
-            j_hi = j
-            break
-    open_ended = j_hi is None
+    # the digits end at the first place where c*10^j is whole, unless the
+    # deeper tail is negative and turns what follows into a run of 9s
+    j_hi = _ten_power(c.denominator)
+    open_ended = (
+        j_hi is None or j_hi > _BLOCK_CAP or _deeper_sign(coeffs, m) < 0
+    )
     if open_ended:
         j_hi = _BLOCK_CAP
 
-    digits = [digit_at(y, Position(m, j)) for j in range(j_lo, j_hi + 1)]
+    digits = _digits(coeffs, m, j_lo, j_hi, flagged)
     run = 1
     # collapse the repeated stretch, but never past the place m*H digit:
     # everything after the anchor is positional
@@ -241,7 +291,7 @@ def _render_block(y: HyperValue, m: int, window: int) -> str:
     use_hat = not (j_hi == 0 and hat_idx == len(visible) - 1 and len(visible) > 1)
     chars = []
     for i, v in enumerate(visible):
-        chars.append(str(v))
+        chars.append(v)
         if use_hat and i == hat_idx:
             chars.append(HAT)
     tail_dots = ELLIPSIS if open_ended else ""

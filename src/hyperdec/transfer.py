@@ -33,6 +33,7 @@ from .errors import (
     HyperError,
     InfiniteArgument,
     NotFinite,
+    ResourceLimit,
 )
 from .hyperfield import HyperValue, NumContext, UNIT_PAIR, ExponentPair
 
@@ -400,12 +401,19 @@ def _apply_elementary(kind: str, u: HyperValue) -> HyperValue:
     return HyperValue(ctx=ctx, terms=acc.terms, truncated=flag)
 
 
+# 10**j is refused for |j| at or past this cap: 10**4299 still prints
+# (4300 digits, Python's default limit for int-to-str), and a larger power
+# would take memory and time out of all proportion to the input text.
+_POW10_CAP = 4300
+
+
 def _pow10_value(w: HyperValue) -> HyperValue:
     """10**w for exponents of the shape k*H + f, k integer, f finite.
 
     The H part maps to the exact monomial eps**(-k); the finite part f
     contributes 10**f, which in exact mode must be a plain integer and in
-    float mode goes through exp(f * ln 10).
+    float mode goes through exp(f * ln 10).  Either way |st f| must stay
+    below _POW10_CAP.
     """
     ctx = w.ctx
     if w.truncated:
@@ -428,8 +436,12 @@ def _pow10_value(w: HyperValue) -> HyperValue:
     rest = ctx.from_terms(finite_terms)
     if rest.is_zero:
         return grid
+    j = rest.coefficient_at(UNIT_PAIR)
+    if abs(j) >= _POW10_CAP:
+        raise ResourceLimit(
+            f"10^j needs |j| < {_POW10_CAP}; this exponent is larger"
+        )
     if ctx.mode == "exact":
-        j = Fraction(rest.coefficient_at(UNIT_PAIR))
         if rest.infinitesimal_part().is_zero and j.denominator == 1:
             return ctx.monomial(Fraction(10) ** int(j), -int(k), 0)
         raise ExactTranscendental(

@@ -147,6 +147,44 @@ def test_zero_reciprocal_refused(capsys, argv):
     assert err == "error: division by zero at a sample point\n"
 
 
+def test_float_floor_refuses_a_result_wider_than_prec(capsys):
+    # floor(1.24e16 - tiny) = 12399999999999999 has 17 digits; at prec 12
+    # rounding it would print the digit 0 where exact mode prints 9
+    expr = "0.000124*eps - 3.33333333333*eps^3"
+    assert run(capsys, "digits", expr, "1:20") == (0, "1:20: 9\n", "")
+    code, out, err = run(
+        capsys, "digits", expr, "1:20", "--mode", "float", "--prec", "12"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: the floor 12399999999999999 needs more than 12 digits\n"
+
+
+def test_float_floor_is_exact_past_28_digits(capsys):
+    expr = "1 - 86.25*eps + 1811*eps^2 - 126*eps^3"
+    for mode in ("exact", "float"):
+        got = run(capsys, "digits", expr, "2:25", "--mode", mode)
+        assert got == (0, "2:25: 9\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "10^(10^6)"),
+    ("eval", "10^(10^6)", "--mode", "float"),
+    ("classify", "10^(10^6)"),
+    ("eval", "10^(-4300)"),
+])
+def test_huge_power_of_ten_is_a_resource_limit(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: 10^j needs |j| < 4300; this exponent is larger\n"
+    code, out, _ = run(capsys, *argv, "--json")
+    assert json.loads(out)["error"]["type"] == "ResourceLimit"
+
+
+def test_largest_power_of_ten_still_prints(capsys):
+    code, out, _ = run(capsys, "eval", "10^4299")
+    assert (code, out) == (0, "1" + "0" * 4299 + "\n")
+
+
 def test_exit_code_syntax(capsys):
     code, _, err = run(capsys, "eval", "1 +")
     assert code == 2
@@ -244,6 +282,25 @@ def test_cli_determinism(capsys):
     a = run(capsys, "microscope", "--preset", "slope", "--format", "svg")
     b = run(capsys, "microscope", "--preset", "slope", "--format", "svg")
     assert a == b
+
+
+def test_parser_reuse_shares_no_state(capsys):
+    # one argument tree serves every call: append lists, flags and usage
+    # errors must not leak from one command line into the next
+    scene = (
+        "microscope", "--center", "1", "--scale", "eps",
+        "--point", "below=1 - 2*eps", "--point", "above=1 + eps",
+        "--format", "ascii",
+    )
+    first = run(capsys, *scene)
+    assert first[0] == 0
+    assert run(capsys, *scene) == first
+    assert run(capsys, "eval", "--json", "1")[1].startswith("{")
+    assert run(capsys, "eval", "1") == (0, "1\n", "")
+    for argv in (("st", "(3"), ("eval",)):
+        first = run(capsys, *argv)
+        assert first[0] == 2 and first[2]
+        assert run(capsys, *argv) == first
 
 
 def test_python_dash_m(tmp_path):

@@ -13,14 +13,17 @@ from math import floor as rfloor
 
 import pytest
 
+from hyperdec import lightstone
 from hyperdec.errors import (
     FloorUndecidable,
+    HyperError,
     NotFinite,
     PositionOutOfModel,
     TruncationAmbiguous,
     UnsupportedNotation,
 )
-from hyperdec.hyperfield import HyperValue, NumContext, nines_hyper
+from hyperdec.expr import eval_command, parse_command
+from hyperdec.hyperfield import ExponentPair, HyperValue, NumContext, nines_hyper
 from hyperdec.lightstone import Position, digit_at, parse, render
 
 CTX = NumContext()
@@ -118,6 +121,37 @@ PINNED = [
 def test_render_pinned_strings():
     for x, want in PINNED:
         assert render(x) == want
+
+
+def test_render_open_block_runs_to_the_cap():
+    # the negative eps^2 tail keeps block 1 from closing: 40 places of 9s
+    x = (
+        c(Fraction(1, 4))
+        + Fraction(37, 100) * TAU
+        - Fraction(3, 1000) * CTX.tau(2)
+    )
+    assert render(x) == ".250;…0̂36" + "9" * 38 + "…;…9̂997"
+
+
+def test_render_float_mode_prints_the_exact_digits():
+    src = "0.000124*eps - 3.33333333333*eps^3"
+    want = (
+        ".000…;…0̂000123" + "9" * 34 + "…;…9̂" + "9" * 40 + "…;…96̂66666666667"
+    )
+    assert render(eval_command(parse_command(src), CTX)) == want
+    ctx = NumContext(mode="float", prec=12)
+    assert render(eval_command(parse_command(src), ctx)) == want
+
+
+def test_render_float_mode_refuses_like_exact_mode():
+    refusals = []
+    for ctx in (CTX, NumContext(mode="float")):
+        x = eval_command(parse_command("1/(1+eps)"), ctx)
+        with pytest.raises(FloorUndecidable) as info:
+            render(x)
+        refusals.append(str(info.value))
+    assert refusals[0] == refusals[1]
+    assert "truncated tail" in refusals[0]
 
 
 def test_render_standard_values():
@@ -261,3 +295,87 @@ def test_truncated_boundary_propagates():
     crowd = HyperValue(ctx=CTX, terms=c(1).terms, truncated=True)
     with pytest.raises((TruncationAmbiguous, FloorUndecidable)):
         render(crowd - TAU)
+
+
+# ---------------------------------------------------------------- engine parity
+
+def _random_unit_value(rng: random.Random, ctx: NumContext) -> HyperValue:
+    """An on-grid value in [0, 1) with 1-3 blocks, some flagged."""
+    places = rng.randrange(1, 5)
+    r = rng.choice([
+        Fraction(0),
+        Fraction(rng.randrange(0, 10**places), 10**places),
+        Fraction(rng.randrange(1, 3), 3),
+        Fraction(rng.randrange(1, 7), 7),
+    ])
+    terms = [(r, ExponentPair(0, 0))] if r else []
+    for m in range(1, rng.randrange(1, 4) + 1):
+        if terms and rng.random() < 0.2:
+            continue  # leave this block empty
+        cc = rng.choice([
+            Fraction(rng.randrange(1, 10**5), 10 ** rng.randrange(0, 5)),
+            Fraction(rng.randrange(1, 100), rng.choice([3, 7, 9])),
+        ])
+        if terms and rng.random() < 0.5:
+            cc = -cc
+        terms.append((cc, ExponentPair(m, 0)))
+    return ctx.from_terms(terms, truncated=rng.random() < 0.25)
+
+
+def _refusal(fn, *args):
+    try:
+        return fn(*args)
+    except HyperError as exc:
+        return (type(exc), str(exc))
+
+
+def test_engine_digits_match_digit_at(monkeypatch):
+    """render's block-coefficient digits agree with the floor route.
+
+    Every digit range render reads off the coefficients is redone place
+    by place with digit_at; a range render refuses must make digit_at
+    refuse at one of its places with the same type and message, and a
+    shallower-block refusal must match digit_at at the block's place H.
+    """
+    ranges, checks = [], []
+    digits, shallower = lightstone._digits, lightstone._shallower_check
+
+    def record_digits(coeffs, m, lo, hi, flagged):
+        ranges.append((m, lo, hi, _refusal(digits, coeffs, m, lo, hi, flagged)))
+        return digits(coeffs, m, lo, hi, flagged)
+
+    def record_shallower(coeffs, m):
+        checks.append((m, _refusal(shallower, coeffs, m)))
+        return shallower(coeffs, m)
+
+    monkeypatch.setattr(lightstone, "_digits", record_digits)
+    monkeypatch.setattr(lightstone, "_shallower_check", record_shallower)
+    rng = random.Random(2718)
+    compared = refused = 0
+    for mode in ("exact", "float"):
+        for k in (2, 4, 16):
+            ctx = NumContext(max_terms=k, mode=mode, prec=50)
+            for _ in range(16):
+                x = _random_unit_value(rng, ctx)
+                ranges.clear()
+                checks.clear()
+                _refusal(render, x, rng.randrange(1, 6))
+                for m, lo, hi, got in ranges:
+                    places = [Position(m, j) for j in range(lo, hi + 1)]
+                    if isinstance(got, str):
+                        want = "".join(str(digit_at(x, p)) for p in places)
+                        assert got == want, (x, m, lo, hi)
+                        compared += len(places)
+                        continue
+                    first = next(
+                        (r for r in (_refusal(digit_at, x, p) for p in places)
+                         if isinstance(r, tuple)),
+                        None,
+                    )
+                    assert first == got, (x, m, lo, hi)
+                    refused += 1
+                for m, got in checks:
+                    if got is not None:
+                        assert _refusal(digit_at, x, Position(m, 0)) == got, x
+                        refused += 1
+    assert compared > 2000 and refused > 20

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import HyperError, ParseError
 from .expr import eval_command, parse_command, parse_expr, to_function
-from .hyperfield import NumContext, format_value
+from .hyperfield import NumContext, format_coeff, format_value
 from .hypercalc import newton_trace, theorem_check
 from .lightstone import digit_at, render
 from .microscope import MicroscopeScene, microscope, preset_scene
@@ -91,8 +91,8 @@ def _cmd_eval(args, ctx: NumContext) -> _Result:
 
 def _cmd_st(args, ctx: NumContext) -> _Result:
     v = eval_command(parse_command(args.expr), ctx)
-    s = v.standard_part()
-    return _Result(value=str(s), truncated=v.truncated, lines=[str(s)])
+    s = format_coeff(v.standard_part())
+    return _Result(value=s, truncated=v.truncated, lines=[s])
 
 
 def _cmd_classify(args, ctx: NumContext) -> _Result:
@@ -135,7 +135,8 @@ def _cmd_deriv(args, ctx: NumContext) -> _Result:
             value={"slope": None, "note": slope.note},
             lines=[f"no derivative: {slope.note}"],
         )
-    return _Result(value=str(slope), lines=[str(slope)])
+    text = format_coeff(slope)
+    return _Result(value=text, lines=[text])
 
 
 def _cmd_lim(args, ctx: NumContext) -> _Result:
@@ -143,8 +144,8 @@ def _cmd_lim(args, ctx: NumContext) -> _Result:
     r = limit_seq(f, ctx)
     payload = {"outcome": r.outcome}
     if r.outcome == "converges":
-        payload["value"] = str(r.value)
-        line = f"converges to {r.value}"
+        payload["value"] = format_coeff(r.value)
+        line = f"converges to {payload['value']}"
         if r.cross_check_agrees is False:
             line += " (cross-check at a second infinite index disagrees)"
     elif r.outcome == "diverges":
@@ -161,9 +162,10 @@ def _cmd_limfun(args, ctx: NumContext) -> _Result:
     point = _standard_point(args.at, ctx)
     r = limit_fun(f, point, ctx)
     if r.outcome == "limit":
+        text = format_coeff(r.value)
         return _Result(
-            value={"outcome": "limit", "value": str(r.value)},
-            lines=[f"limit {r.value}"],
+            value={"outcome": "limit", "value": text},
+            lines=[f"limit {text}"],
         )
     return _Result(
         value={"outcome": r.outcome},

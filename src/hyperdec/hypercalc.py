@@ -125,8 +125,10 @@ def newton_trace(
     iterates = [x]
     halt = None
     floor_gap = Fraction(1, 10 ** (precision - _NINES_GAP_EXP))
+    v = v0
     for n in range(steps):
-        v = eval_real(f, x, ctx)
+        if n:
+            v = eval_real(f, x, ctx)
         if v == 0:
             halt = f"root reached exactly at step {n}"
             break

@@ -17,6 +17,7 @@ compares LESS than 1.
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
 from decimal import Context as _DecimalContext
@@ -31,6 +32,7 @@ from .errors import (
     DivisionByZero,
     FloorUndecidable,
     NotFinite,
+    ResourceLimit,
     TruncationAmbiguous,
 )
 
@@ -382,6 +384,10 @@ class HyperValue:
         rhs = self._coerce(other)
         if rhs is NotImplemented:
             return NotImplemented
+        if len(rhs.terms) == 1:
+            return self._mul_monomial(rhs)
+        if len(self.terms) == 1:
+            return rhs._mul_monomial(self)
         acc: dict[ExponentPair, Coefficient] = {}
         with self.ctx.arith():
             for c1, p1 in self.terms:
@@ -393,6 +399,23 @@ class HyperValue:
 
     __rmul__ = __mul__
 
+    def _mul_monomial(self, m: "HyperValue") -> "HyperValue":
+        """self * m for a one-term m: a shift of every key keeps the order,
+        so the product needs neither a term map nor a sort."""
+        (cm, pm), = m.terms
+        shift = pm._key
+        with self.ctx.arith():
+            terms = [
+                (c * cm, ExponentPair._of(_key_sum(p._key, shift)))
+                for c, p in self.terms
+            ]
+        # no more terms than self, so no K cut; a float product can underflow to 0
+        return HyperValue(
+            ctx=self.ctx,
+            terms=tuple(t for t in terms if t[0] != 0),
+            truncated=self.truncated or m.truncated,
+        )
+
     def inv(self) -> "HyperValue":
         """Multiplicative inverse via the geometric series.
 
@@ -400,14 +423,21 @@ class HyperValue:
         the inverse is (1/c)*mu**-1 * sum((-r)**k).  A one-term x inverts
         exactly; otherwise the series is infinite and the result is
         truncated to the K leading terms with the flag set.
+
+        In exact mode the series runs on integer numerators: with q the
+        lcm of the denominators of -r, the k-th power's coefficients
+        are ints over q**k, and the partial sums are lifted by q before
+        each power is added, so no gcd is taken until the K survivors
+        become Fractions.  Float mode runs the same loop with q = 1 on
+        Decimals, rounding each product and sum under the context.
         """
         if not self.terms:
             raise DivisionByZero("cannot invert zero")
         ctx = self.ctx
         c0, mu0 = self.terms[0]
+        exact = ctx.mode == "exact"
         with ctx.arith():
-            one = ctx.coeff(1)
-            inv_c0 = one / c0
+            inv_c0 = ctx.coeff(1) / c0
             if len(self.terms) == 1:
                 return HyperValue(
                     ctx=ctx,
@@ -422,12 +452,17 @@ class HyperValue:
                 (_key_sum(pair._key, shift), -(c / c0)) for c, pair in self.terms[1:]
             ]
             den = math.lcm(*(x.denominator for key, _ in offsets for x in key))
+            q = math.lcm(*(c.denominator for _, c in offsets)) if exact else 1
             minus_r = [
-                (tuple(x.numerator * (den // x.denominator) for x in key), c)
+                (
+                    tuple(x.numerator * (den // x.denominator) for x in key),
+                    c.numerator * (q // c.denominator) if exact else c,
+                )
                 for key, c in offsets
             ]
-            acc: dict[_Key, Coefficient] = {(0, 0): one}
-            term: dict[_Key, Coefficient] = {(0, 0): one}
+            acc: dict[_Key, Coefficient] = {(0, 0): 1}
+            term: dict[_Key, Coefficient] = {(0, 0): 1}
+            scale = 1  # the partial sums in acc are numerators over scale
             budget = ctx.max_terms
             for _ in range(4 * budget + 64):
                 nxt: dict[_Key, Coefficient] = {}
@@ -439,6 +474,9 @@ class HyperValue:
                 term = {p: c for p, c in nxt.items() if c != 0}
                 if not term:
                     break
+                if q != 1:
+                    scale *= q
+                    acc = {p: c * q for p, c in acc.items()}
                 for p, c in term.items():
                     acc[p] = acc[p] + c if p in acc else c
                 # Stop once K live partial sums lie above the largest
@@ -456,9 +494,16 @@ class HyperValue:
             )[:budget]
             if den > 1:
                 live = [((Fraction(b, den), Fraction(a, den)), c) for (b, a), c in live]
+            if exact:
+                # c / scale / c0 in one normalization
+                live = [
+                    (p, Fraction(c * c0.denominator, scale * c0.numerator))
+                    for p, c in live
+                ]
+            else:
+                live = [(p, inv_c0 * c) for p, c in live]
             terms = tuple(
-                (inv_c0 * c, ExponentPair._of(_key_sum(shift, p)))
-                for p, c in live
+                (c, ExponentPair._of(_key_sum(shift, p))) for p, c in live
             )
         return HyperValue(ctx=ctx, terms=terms, truncated=True)
 
@@ -731,8 +776,15 @@ def nines_hyper(ctx: NumContext) -> HyperValue:
 
 # --- canonical text form ------------------------------------------------------------
 
-def _format_coeff(c: Coefficient) -> str:
-    return str(c)
+def format_coeff(c: Coefficient) -> str:
+    """Text of one coefficient; refuses an integer past Python's int-to-str limit."""
+    try:
+        return str(c)
+    except ValueError as exc:  # only the digit limit makes str() of a number fail
+        raise ResourceLimit(
+            f"a coefficient with more than {sys.get_int_max_str_digits()}"
+            " digits is too large to print"
+        ) from exc
 
 
 def _format_monomial(pair: ExponentPair) -> str:
@@ -759,9 +811,9 @@ def format_value(x: HyperValue) -> str:
         if mono and mag == 1:
             body = mono
         elif mono:
-            body = f"{_format_coeff(mag)}*{mono}"
+            body = f"{format_coeff(mag)}*{mono}"
         else:
-            body = _format_coeff(mag)
+            body = format_coeff(mag)
         if i == 0:
             chunks.append(f"-{body}" if negative else body)
         elif negative:
@@ -778,7 +830,7 @@ def to_json(x: HyperValue) -> dict:
     return {
         "truncated": x.truncated,
         "terms": [
-            {"c": str(c), "b": str(pair.b), "a": str(pair.a)}
+            {"c": format_coeff(c), "b": str(pair.b), "a": str(pair.a)}
             for c, pair in x.terms
         ],
     }

@@ -185,6 +185,27 @@ def test_largest_power_of_ten_still_prints(capsys):
     assert (code, out) == (0, "1" + "0" * 4299 + "\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "2^20000"),
+    ("eval", "10^4000*10^4000"),
+    ("st", "2^20000"),
+    ("deriv", "10^4000*10^4000*x", "--at", "1"),
+])
+def test_huge_coefficient_is_a_resource_limit(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: a coefficient with more than 4300 digits is too large to print\n"
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "ResourceLimit"
+
+
+def test_large_coefficient_below_the_limit_prints(capsys):
+    code, out, _ = run(capsys, "eval", "2^14000")
+    assert (code, out) == (0, f"{2**14000}\n")
+    assert len(out) == 4215 + 1
+
+
 def test_exit_code_syntax(capsys):
     code, _, err = run(capsys, "eval", "1 +")
     assert code == 2

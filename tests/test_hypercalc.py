@@ -6,6 +6,7 @@ form gap recurrence (1 - x_{n+1}) = (1 - x_n)^2, giving an exact
 quadratic-convergence fixture.
 """
 
+import hashlib
 import json
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -20,6 +21,7 @@ X = Var()
 AFFINE = Sub(X, Const(Fraction(1)))
 LOG = Log(X)
 RECIP = Sub(Const(Fraction(1)), Div(Const(Fraction(1)), X))
+RECIP_SQUARE = Sub(Const(Fraction(1)), Div(Const(Fraction(1)), PowInt(X, 2)))
 SQRT_SHIFT = Sub(Sqrt(X), Const(Fraction(1)))
 DOUBLE_ROOT = Sub(
     Sub(X, Mul(Const(Fraction(1, 2)), PowInt(X, 2))), Const(Fraction(1, 2))
@@ -98,6 +100,20 @@ def test_reciprocal_gap_squares_exactly():
         assert Fraction(1) - x == Fraction(1, 2 ** (2**n))
     assert t.quadratic_constant == 1
     assert t.halt_reason is None
+
+
+def test_reciprocal_square_climb_is_pinned():
+    """Exact iterates of 1 - 1/x^2 from 71/100, pinned bit for bit: each
+    step inverts (x + e)^2 at every probe, so a change to the inverse
+    series cannot move the climb unnoticed."""
+    t = newton_trace(RECIP_SQUARE, Fraction(71, 100), 5)
+    assert t.mode == "exact"
+    assert [len(str(x.denominator)) for x in t.iterates] == [3, 7, 20, 58, 175, 523]
+    text = "\n".join(str(x) for x in t.iterates)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d296e22ada5e410db6eb6f2f1cab9594ed00966a8ce6c7c93926113aad3a99f5"
+    )
+    assert t.displays[-2:] == ("0.999999", "0.999999")
 
 
 def test_double_root_halves_the_gap():

@@ -2,14 +2,14 @@
 
 Derived expectations are checked against small independent oracles
 written here (naive dict merge for addition, brute-force convolution
-for multiplication, multiply-back for inversion) rather than against
-the implementation's own plumbing.
+for multiplication, multiply-back and a plain-Fraction geometric series
+for inversion) rather than against the implementation's own plumbing.
 """
 
 import json
 import math
 import random
-from decimal import Decimal
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -68,11 +68,47 @@ def oracle_add(x, y):
 
 def oracle_mul(x, y):
     acc = {}
-    for c1, p1 in x.terms:
-        for c2, p2 in y.terms:
-            p = p1 + p2
-            acc[p] = acc.get(p, Fraction(0)) + c1 * c2
+    # float mode rounds each product and sum to the context's digits
+    with localcontext(Context(prec=x.ctx.prec)):
+        for c1, p1 in x.terms:
+            for c2, p2 in y.terms:
+                p = p1 + p2
+                prod = c1 * c2
+                acc[p] = acc[p] + prod if p in acc else prod
     return {p: c for p, c in acc.items() if c != 0}
+
+
+def oracle_inv(x, k, rounds):
+    """Leading k terms of 1/x and their flag, from the geometric series in
+    plain Fractions.
+
+    There is no stop rule: the series runs `rounds` rounds.  With l the
+    largest offset of x below its lead, round j reaches no key above j*l,
+    so after the last round every key above (rounds + 1)*l is final.
+    Terms at or below that floor are dropped as they appear, since they
+    only feed lower keys.  The floor must leave k nonzero terms above it,
+    or `rounds` was too few.
+    """
+    c0, mu0 = x.terms[0]
+    minus_r = [(p - mu0, -c / c0) for c, p in x.terms[1:]]
+    if not minus_r:
+        return [(1 / c0, -mu0)], x.truncated
+    floor = max(p for p, _ in minus_r).scaled(rounds + 1)
+    acc = {UNIT_PAIR: Fraction(1)}
+    term = {UNIT_PAIR: Fraction(1)}
+    for _ in range(rounds):
+        nxt = {}
+        for p1, c1 in term.items():
+            for p2, c2 in minus_r:
+                p = p1 + p2
+                if p > floor:
+                    nxt[p] = nxt.get(p, Fraction(0)) + c1 * c2
+        term = nxt
+        for p, c in term.items():
+            acc[p] = acc.get(p, Fraction(0)) + c
+    live = sorted((p for p, c in acc.items() if c != 0), reverse=True)[:k]
+    assert len(live) == k, f"{rounds} rounds leave fewer than {k} final terms"
+    return [(acc[p] / c0, p - mu0) for p in live], True
 
 
 def as_map(x):
@@ -216,6 +252,53 @@ def test_mul_matches_oracle_randomized():
         assert as_map(x * y) == oracle_mul(x, y)
 
 
+def random_monomial_products(rng, ctx, count):
+    """(x, m) pairs in ctx: x with up to five terms, m with one; negative
+    and rational exponents on both."""
+    def pair():
+        return ExponentPair(
+            Fraction(rng.randrange(-6, 7), rng.choice((1, 2, 3))),
+            Fraction(rng.randrange(-6, 7), rng.choice((1, 2, 3))),
+        )
+
+    def coeff():
+        return Fraction(rng.choice((-1, 1)) * rng.randrange(1, 10**8), rng.randrange(1, 10**5))
+
+    for _ in range(count):
+        x = ctx.from_terms([(coeff(), pair()) for _ in range(rng.randrange(0, 6))])
+        m = ctx.from_terms([(coeff(), pair())])
+        yield x, m
+
+
+@pytest.mark.parametrize("ctx", [CTX, NumContext(mode="float", prec=12)])
+def test_mul_by_monomial_matches_oracle(ctx):
+    rng = random.Random(f"monomial-{ctx.mode}")
+    rounded = 0
+    for x, m in random_monomial_products(rng, ctx, 300):
+        want = oracle_mul(x, m)
+        for got in (x * m, m * x):
+            assert as_map(got) == want
+            assert [p for _, p in got.terms] == sorted(want, reverse=True)
+            assert not got.truncated
+        (cm, _), = m.terms
+        rounded += sum(
+            Fraction(c) * Fraction(cm) != Fraction(prod)
+            for (c, _), (prod, _) in zip(x.terms, got.terms)
+        )
+    # twelve digits times twelve digits: in float mode most products round
+    assert rounded > 100 if ctx.mode == "float" else rounded == 0
+
+
+def test_mul_by_monomial_keeps_truncated_flag():
+    rng = random.Random(41)
+    for x, m in random_monomial_products(rng, CTX, 50):
+        cut = HyperValue(ctx=CTX, terms=x.terms, truncated=True)
+        cut_m = HyperValue(ctx=CTX, terms=m.terms, truncated=True)
+        for got in (cut * m, m * cut, x * cut_m, cut_m * x):
+            assert got.truncated
+            assert as_map(got) == oracle_mul(x, m)
+
+
 # ---------------------------------------------------------------- inv / div
 
 def test_inv_monomial_exact():
@@ -278,6 +361,58 @@ def test_inv_is_prefix_of_longer_series(mode, shape, tail):
         y = inverse(k)
         assert y.truncated
         assert [(str(c), p) for c, p in y.terms] == longer[:k]
+
+
+def newton_climb(x, steps):
+    """Exact Newton iterates on 1 - 1/x^2 from x: x -> (3x - x^3)/2."""
+    xs = [x]
+    for _ in range(steps):
+        x = (3 * x - x**3) / 2
+        xs.append(x)
+    return xs
+
+
+def assert_inv_matches_oracle(x, k):
+    got = x.inv()
+    want, flag = oracle_inv(x, k, rounds=k)
+    assert got.truncated is flag
+    assert [p for _, p in got.terms] == [p for _, p in want]
+    # numerator and denominator stand for the text of a canonical Fraction,
+    # which str() refuses past 4300 digits
+    assert [(type(c), c.numerator, c.denominator) for c, _ in got.terms] == [
+        (Fraction, c.numerator, c.denominator) for c, _ in want
+    ]
+
+
+# x_3 and x_4 of the climb from 71/100 have 58- and 175-digit denominators
+NEWTON_POINTS = newton_climb(Fraction(71, 100), 4)[3:]
+
+
+@pytest.mark.parametrize("k", [2, 16, 40])
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("probe", ["0", "eps", "2*eps", "H^-1", "H^-2"])
+def test_inv_of_newton_square_matches_oracle(k, n, probe):
+    """The divisors of the exact Newton climb: (x + e)^2 for each probe e."""
+    ctx = NumContext(max_terms=k)
+    e = {
+        "0": ctx.zero(), "eps": ctx.tau(), "2*eps": 2 * ctx.tau(),
+        "H^-1": ctx.omega(-1), "H^-2": ctx.omega(-2),
+    }[probe]
+    x = ctx.constant(NEWTON_POINTS[n]) + e
+    assert_inv_matches_oracle(x * x, k)
+
+
+@pytest.mark.parametrize("k", [2, 16, 40])
+@pytest.mark.parametrize("shape,tail", DIVISOR_TAILS)
+def test_inv_with_big_coefficients_matches_oracle(k, shape, tail):
+    rng = random.Random(f"big-{shape}-{len(tail)}")
+    lead = ExponentPair(Fraction(rng.randint(-2, 2), 2), Fraction(rng.randint(-2, 2), 3))
+    pairs = [lead] + [lead + ExponentPair(b, a) for b, a in tail]
+    terms = [
+        (Fraction(rng.choice((-1, 1)) * rng.randrange(10**99, 10**100), rng.randint(1, 4)), p)
+        for p in pairs
+    ]
+    assert_inv_matches_oracle(NumContext(max_terms=k).from_terms(terms), k)
 
 
 def test_div_examples():

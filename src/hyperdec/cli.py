@@ -181,18 +181,13 @@ def _cmd_ucheck(args, ctx: NumContext) -> _Result:
     if r.verdict == "fail":
         payload["witness_x"] = format_value(r.witness_x)
         payload["witness_y"] = format_value(r.witness_y)
-        payload["gap_standard"] = (
-            None if r.gap_standard is None else str(r.gap_standard)
-        )
+        gap_st = None if r.gap_standard is None else format_coeff(r.gap_standard)
+        payload["gap_standard"] = gap_st
         lines.append(
-            f"witness: x = {format_value(r.witness_x)},"
-            f" y = {format_value(r.witness_y)}"
+            f"witness: x = {payload['witness_x']},"
+            f" y = {payload['witness_y']}"
         )
-        gap = (
-            "infinite"
-            if r.gap_standard is None
-            else f"st {r.gap_standard}"
-        )
+        gap = "infinite" if gap_st is None else f"st {gap_st}"
         lines.append(f"value gap: {format_value(r.gap)} ({gap})")
     else:
         lines.append(r.note)
@@ -205,10 +200,9 @@ def _cmd_evt(args, ctx: NumContext) -> _Result:
     lines = []
     rows = []
     for row in r.rows:
-        lines.append(f"n = {row.n:>7}: argmax {row.argmax} value {row.value}")
-        rows.append(
-            {"n": row.n, "argmax": str(row.argmax), "value": str(row.value)}
-        )
+        argmax, value = format_coeff(row.argmax), format_coeff(row.value)
+        lines.append(f"n = {row.n:>7}: argmax {argmax} value {value}")
+        rows.append({"n": row.n, "argmax": argmax, "value": value})
     lines.append(
         "argmax stabilized" if r.stabilized() else "argmax still moving"
     )

@@ -6,16 +6,19 @@ exponents a, b are rationals.  Because eps is exponentially small in H,
 eps**b dominates every power of H: the single pair (b, a) fixes a term's
 magnitude outright.  Arithmetic keeps at most K terms per value, always
 the K largest, and raises a sticky `truncated` flag whenever anything
-was dropped.  The flag records only that something was dropped, not
-how much: comparisons refuse to certify equality of flagged values, but
-they still read the sign of a nonzero difference from its leading
-surviving term, and after cancellation that term can be an artifact of
-the cut.  (1/(1-eps))*(1-eps) comes out as 1 - eps^16, flagged, and
-compares LESS than 1.
+was dropped.  An inverse is an infinite series cut the same way: its
+coefficients come largest key first from the reciprocal recurrence, and
+the K leading nonzero ones are kept.  The flag records only that
+something was dropped, not how much: comparisons refuse to certify
+equality of flagged values, but they still read the sign of a nonzero
+difference from its leading surviving term, and after cancellation that
+term can be an artifact of the cut.  (1/(1-eps))*(1-eps) comes out as
+1 - eps^16, flagged, and compares LESS than 1.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import sys
 from contextlib import nullcontext
@@ -25,6 +28,7 @@ from decimal import Decimal, ROUND_FLOOR, localcontext
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Union
 
 from .errors import (
@@ -63,18 +67,26 @@ CoeffLike = Union[int, str, Fraction, Decimal]
 # Magnitude key (-b, a) of a monomial eps**b * H**a; see ExponentPair.
 _Key = tuple[Union[int, Fraction], Union[int, Fraction]]
 
+# Largest exact coefficient, in bits, that a power of a monomial may build.
+_POW_BITS_CAP = 2**22
+
 
 def _whole(x: Union[int, Fraction]) -> Union[int, Fraction]:
     """x as an int when it is a whole number, else the Fraction itself."""
     return x.numerator if x.denominator == 1 else x
 
 
+def _whole_key(key: _Key) -> _Key:
+    """key with whole entries as ints, as ExponentPair keeps them."""
+    b, a = key
+    if b.__class__ is int and a.__class__ is int:
+        return key
+    return (_whole(b), _whole(a))
+
+
 def _key_sum(p: _Key, q: _Key) -> _Key:
     """Key of the product of the monomials with keys p and q."""
-    b, a = p[0] + q[0], p[1] + q[1]
-    if b.__class__ is not int or a.__class__ is not int:
-        b, a = _whole(b), _whole(a)
-    return (b, a)
+    return _whole_key((p[0] + q[0], p[1] + q[1]))
 
 
 class ExponentPair:
@@ -227,8 +239,7 @@ class NumContext:
         cc = self.coeff(c)
         if cc == 0:
             return self.zero()
-        pair = ExponentPair(Fraction(b), Fraction(a))
-        return HyperValue(ctx=self, terms=((cc, pair),), truncated=False)
+        return HyperValue(ctx=self, terms=((cc, ExponentPair(b, a)),), truncated=False)
 
     def omega(self, power=1) -> "HyperValue":
         """The infinite unit H (or an integer power of it)."""
@@ -243,14 +254,12 @@ class NumContext:
         items: Iterable[tuple[CoeffLike, ExponentPair]],
         truncated: bool = False,
     ) -> "HyperValue":
-        acc: dict[ExponentPair, Coefficient] = {}
+        acc: dict[_Key, Coefficient] = {}
         with self.arith():
             for c, pair in items:
                 cc = self.coeff(c)
-                if pair in acc:
-                    acc[pair] = acc[pair] + cc
-                else:
-                    acc[pair] = cc
+                key = pair._key
+                acc[key] = acc[key] + cc if key in acc else cc
         return _build(self, acc, truncated)
 
 
@@ -266,22 +275,46 @@ class Classification(Enum):
     INFINITE = "infinite"
 
 
+def _scaled_key(key: _Key, den: int) -> tuple[int, int]:
+    """key times den, as ints; den must clear both exponents' denominators."""
+    if den == 1:
+        return key
+    b, a = key
+    return (b.numerator * (den // b.denominator), a.numerator * (den // a.denominator))
+
+
+def _numerators(terms) -> tuple[list, int]:
+    """Exact terms as (key, int numerator) pairs over one common scale."""
+    scale = math.lcm(*[c.denominator for c, _ in terms])
+    return [(p._key, c.numerator * (scale // c.denominator)) for c, p in terms], scale
+
+
 def _build(
     ctx: NumContext,
-    acc: dict[ExponentPair, Coefficient],
+    acc: dict,
     truncated: bool,
+    scale: int | None = None,
 ) -> "HyperValue":
-    """Normalize a term map: drop zeros, sort by magnitude, enforce K."""
-    live = [(pair, c) for pair, c in acc.items() if c != 0]
-    live.sort(key=lambda item: item[0]._key, reverse=True)
+    """Normalize a key-to-coefficient map: drop zeros, sort by magnitude,
+    enforce K.
+
+    The keys are magnitude keys whose whole entries may still be
+    Fractions; with a scale the coefficients are int numerators over it.
+    Only the K survivors become terms.
+    """
+    live = sorted(
+        ((key, c) for key, c in acc.items() if c != 0),
+        key=itemgetter(0),
+        reverse=True,
+    )
     if len(live) > ctx.max_terms:
         live = live[: ctx.max_terms]
         truncated = True
-    return HyperValue(
-        ctx=ctx,
-        terms=tuple((c, pair) for pair, c in live),
-        truncated=truncated,
+    terms = tuple(
+        (c if scale is None else Fraction(c, scale), ExponentPair._of(_whole_key(key)))
+        for key, c in live
     )
+    return HyperValue(ctx=ctx, terms=terms, truncated=truncated)
 
 
 @dataclass(frozen=True)
@@ -345,13 +378,33 @@ class HyperValue:
         rhs = self._coerce(other)
         if rhs is NotImplemented:
             return NotImplemented
-        acc: dict[ExponentPair, Coefficient] = {}
+        # both term lists are sorted largest-first, so a merge keeps the order
+        xs, ys = self.terms, rhs.terms
+        nx, ny = len(xs), len(ys)
+        out = []
+        i = j = 0
         with self.ctx.arith():
-            for c, pair in self.terms:
-                acc[pair] = c
-            for c, pair in rhs.terms:
-                acc[pair] = acc[pair] + c if pair in acc else c
-        return _build(self.ctx, acc, self.truncated or rhs.truncated)
+            while i < nx and j < ny:
+                kx, ky = xs[i][1]._key, ys[j][1]._key
+                if kx > ky:
+                    out.append(xs[i])
+                    i += 1
+                elif kx < ky:
+                    out.append(ys[j])
+                    j += 1
+                else:
+                    c = xs[i][0] + ys[j][0]
+                    if c != 0:
+                        out.append((c, xs[i][1]))
+                    i += 1
+                    j += 1
+        out += xs[i:]
+        out += ys[j:]
+        truncated = self.truncated or rhs.truncated
+        if len(out) > self.ctx.max_terms:
+            out = out[: self.ctx.max_terms]
+            truncated = True
+        return HyperValue(ctx=self.ctx, terms=tuple(out), truncated=truncated)
 
     __radd__ = __add__
 
@@ -388,14 +441,25 @@ class HyperValue:
             return self._mul_monomial(rhs)
         if len(self.terms) == 1:
             return rhs._mul_monomial(self)
-        acc: dict[ExponentPair, Coefficient] = {}
+        # The products run on key tuples, and in exact mode on int
+        # numerators over each operand's common denominator; only the K
+        # survivors become terms.
+        if self.ctx.mode == "exact":
+            xs, sx = _numerators(self.terms)
+            ys, sy = _numerators(rhs.terms)
+            scale = sx * sy
+        else:
+            xs = [(p._key, c) for c, p in self.terms]
+            ys = [(p._key, c) for c, p in rhs.terms]
+            scale = None
+        acc: dict[_Key, Union[int, Decimal]] = {}
         with self.ctx.arith():
-            for c1, p1 in self.terms:
-                for c2, p2 in rhs.terms:
-                    pair = p1 + p2
+            for (b1, a1), c1 in xs:
+                for (b2, a2), c2 in ys:
+                    key = (b1 + b2, a1 + a2)
                     prod = c1 * c2
-                    acc[pair] = acc[pair] + prod if pair in acc else prod
-        return _build(self.ctx, acc, self.truncated or rhs.truncated)
+                    acc[key] = acc[key] + prod if key in acc else prod
+        return _build(self.ctx, acc, self.truncated or rhs.truncated, scale)
 
     __rmul__ = __mul__
 
@@ -417,95 +481,102 @@ class HyperValue:
         )
 
     def inv(self) -> "HyperValue":
-        """Multiplicative inverse via the geometric series.
+        """Multiplicative inverse by the power-series reciprocal recurrence.
 
         Writing x = c*mu*(1 + r) with r strictly below unit magnitude,
-        the inverse is (1/c)*mu**-1 * sum((-r)**k).  A one-term x inverts
-        exactly; otherwise the series is infinite and the result is
-        truncated to the K leading terms with the flag set.
+        the inverse is (1/c)*mu**-1 * s with s = 1/(1 + r).  A one-term x
+        inverts exactly; otherwise s is an infinite series, and the result
+        is its K leading nonzero terms with the flag set.
 
-        In exact mode the series runs on integer numerators: with q the
-        lcm of the denominators of -r, the k-th power's coefficients
-        are ints over q**k, and the partial sums are lifted by q before
-        each power is added, so no gcd is taken until the K survivors
-        become Fractions.  Float mode runs the same loop with q = 1 on
-        Decimals, rounding each product and sum under the context.
+        With -r = sum(m_i * X**o_i), every offset o_i below the unit, s
+        obeys s_0 = 1 and s_p = sum(m_i * s_(p - o_i)), where each
+        p - o_i lies above p.  A heap visits the keys that sums of offsets
+        reach, largest first, so each s_p is formed after everything it
+        reads, and the walk stops at the K-th nonzero coefficient.  Each
+        s_p is an int numerator over q**d, q the lcm of the denominators
+        of the m_i, lifted only when it is read; only the K survivors
+        become Fractions.  Float mode runs the recurrence on the exact
+        values of its Decimal coefficients and rounds each survivor once,
+        so its coefficients are the correctly rounded ones of the exact
+        series.
         """
         if not self.terms:
             raise DivisionByZero("cannot invert zero")
         ctx = self.ctx
         c0, mu0 = self.terms[0]
-        exact = ctx.mode == "exact"
-        with ctx.arith():
-            inv_c0 = ctx.coeff(1) / c0
-            if len(self.terms) == 1:
-                return HyperValue(
-                    ctx=ctx,
-                    terms=((inv_c0, -mu0),),
-                    truncated=self.truncated,
-                )
-            # The series runs on magnitude keys scaled by the common
-            # denominator of the offsets (all below unit), so that they
-            # are int pairs; only the K survivors become ExponentPairs.
-            shift = (-mu0)._key
-            offsets = [
-                (_key_sum(pair._key, shift), -(c / c0)) for c, pair in self.terms[1:]
-            ]
-            den = math.lcm(*(x.denominator for key, _ in offsets for x in key))
-            q = math.lcm(*(c.denominator for _, c in offsets)) if exact else 1
-            minus_r = [
-                (
-                    tuple(x.numerator * (den // x.denominator) for x in key),
-                    c.numerator * (q // c.denominator) if exact else c,
-                )
-                for key, c in offsets
-            ]
-            acc: dict[_Key, Coefficient] = {(0, 0): 1}
-            term: dict[_Key, Coefficient] = {(0, 0): 1}
-            scale = 1  # the partial sums in acc are numerators over scale
-            budget = ctx.max_terms
-            for _ in range(4 * budget + 64):
-                nxt: dict[_Key, Coefficient] = {}
-                for (b1, a1), c1 in term.items():
-                    for (b2, a2), c2 in minus_r:
-                        pair = (b1 + b2, a1 + a2)
-                        prod = c1 * c2
-                        nxt[pair] = nxt[pair] + prod if pair in nxt else prod
-                term = {p: c for p, c in nxt.items() if c != 0}
-                if not term:
-                    break
-                if q != 1:
-                    scale *= q
-                    acc = {p: c * q for p, c in acc.items()}
-                for p, c in term.items():
-                    acc[p] = acc[p] + c if p in acc else c
-                # Stop once K live partial sums lie above the largest
-                # power of this round: later powers sit lower still.
-                peak = max(term)
-                above = [p for p, c in acc.items() if p > peak and c != 0]
-                if len(above) >= budget:
-                    break
-            else:
+        if len(self.terms) == 1:
+            with ctx.arith():
+                inv_c0 = ctx.coeff(1) / c0
+            return HyperValue(ctx=ctx, terms=((inv_c0, -mu0),), truncated=self.truncated)
+        # The recurrence runs on magnitude keys scaled by the common
+        # denominator of the exponents, so that they are int pairs; only
+        # the K survivors become ExponentPairs.
+        den = math.lcm(*(x.denominator for _, pair in self.terms for x in pair._key))
+        b0, a0 = _scaled_key(mu0._key, den)
+        f0 = Fraction(c0)
+        offsets = []  # (key of -r's term, below the unit, and its coefficient)
+        for c, pair in self.terms[1:]:
+            b, a = _scaled_key(pair._key, den)
+            offsets.append(((b - b0, a - a0), -Fraction(c) / f0))
+        q = math.lcm(*(m.denominator for _, m in offsets))
+        steps = [(key, m.numerator * (q // m.denominator)) for key, m in offsets]
+        budget = ctx.max_terms
+        # Keys are negated so that the min-heap pops the largest first.
+        # Power j of -r reaches no key above j*l, l the largest offset, so
+        # finding fewer than K terms above (4K+64)*l means the geometric
+        # series would not have settled in 4K+64 powers.
+        lb, la = max(key for key, _ in steps)
+        floor_key = (-lb * (4 * budget + 64), -la * (4 * budget + 64))
+        heap = [(-b, -a) for (b, a), _ in steps]
+        heapq.heapify(heap)
+        seen = set(heap)
+        pop, push = heapq.heappop, heapq.heappush
+        num = {(0, 0): (1, 0)}  # negated key -> (n, d) with s = n / q**d
+        found = [(0, 0)]
+        qpow = [1, q]
+        while len(found) < budget:
+            key = pop(heap)
+            if key >= floor_key:
                 raise RuntimeError("inverse series failed to settle")
-            live = sorted(
-                ((p, c) for p, c in acc.items() if c != 0),
-                key=lambda item: item[0],
-                reverse=True,
-            )[:budget]
-            if den > 1:
-                live = [((Fraction(b, den), Fraction(a, den)), c) for (b, a), c in live]
-            if exact:
-                # c / scale / c0 in one normalization
-                live = [
-                    (p, Fraction(c * c0.denominator, scale * c0.numerator))
-                    for p, c in live
-                ]
-            else:
-                live = [(p, inv_c0 * c) for p, c in live]
-            terms = tuple(
-                (c, ExponentPair._of(_key_sum(shift, p))) for p, c in live
-            )
-        return HyperValue(ctx=ctx, terms=terms, truncated=True)
+            nb, na = key
+            total = d = 0
+            for (ob, oa), m in steps:
+                s = num.get((nb + ob, na + oa))
+                if s is None:
+                    continue
+                n, e = s[0] * m, s[1] + 1  # m * s over q**e; lift the shallower
+                if e > d:
+                    total *= qpow[e - d]
+                    d = e
+                elif e < d:
+                    n *= qpow[d - e]
+                total += n
+            if not total:
+                continue
+            num[key] = (total, d)
+            found.append(key)
+            qpow.append(qpow[-1] * q)
+            # a key whose coefficient vanishes feeds no later key on its own
+            for (ob, oa), _ in steps:
+                nxt = (nb - ob, na - oa)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    push(heap, nxt)
+        exact = ctx.mode == "exact"
+        terms = []
+        with ctx.arith():
+            for nb, na in found:
+                n, d = num[(nb, na)]
+                # s / c0 in one normalization; float mode rounds it once
+                c = Fraction(n * f0.denominator, qpow[d] * f0.numerator)
+                if not exact:
+                    c = ctx.coeff(c)
+                    if c == 0:  # underflow
+                        continue
+                b, a = -nb - b0, -na - a0
+                key = (b, a) if den == 1 else (Fraction(b, den), Fraction(a, den))
+                terms.append((c, ExponentPair._of(_whole_key(key))))
+        return HyperValue(ctx=ctx, terms=tuple(terms), truncated=True)
 
     def __truediv__(self, other) -> "HyperValue":
         rhs = self._coerce(other)
@@ -525,10 +596,48 @@ class HyperValue:
         if k == 0:
             return self.ctx.constant(1)
         base = self if k > 0 else self.inv()
+        k = abs(k)
+        if not base.terms:
+            return base  # every product of zeros is zero with the same flag
+        if len(base.terms) == 1:
+            return base._pow_monomial(k)
         out = base
-        for _ in range(abs(k) - 1):
+        for _ in range(k - 1):
             out = out * base
         return out
+
+    def _pow_monomial(self, k: int) -> "HyperValue":
+        """self**k for a one-term self and k >= 1, the key in closed form.
+
+        An exact coefficient is c**k, refused when k times its bit length
+        passes _POW_BITS_CAP; a float one takes the k-1 rounded products
+        that repeated multiplication would, so both modes give what the
+        product loop gives.
+        """
+        (c, pair), = self.terms
+        b, a = pair._key
+        key = (_whole(b * k), _whole(a * k))
+        if self.ctx.mode == "exact":
+            size = max(c.numerator.bit_length(), c.denominator.bit_length())
+            bits = k * size
+            if size > 1 and bits > _POW_BITS_CAP:  # a power of +-1 stays one bit
+                raise ResourceLimit(
+                    f"the coefficient of this power would take about {bits} bits,"
+                    f" past the {_POW_BITS_CAP}-bit cap"
+                )
+            out = c**k
+        else:
+            out = c
+            with self.ctx.arith():
+                for _ in range(k - 1):
+                    out = out * c
+                    if out == 0:  # underflow, as in _mul_monomial
+                        return HyperValue(ctx=self.ctx, terms=(), truncated=self.truncated)
+        return HyperValue(
+            ctx=self.ctx,
+            terms=((out, ExponentPair._of(key)),),
+            truncated=self.truncated,
+        )
 
     def __abs__(self) -> "HyperValue":
         return -self if self.sign() < 0 else self

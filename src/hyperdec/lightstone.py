@@ -45,6 +45,7 @@ from .hyperfield import (
     NumContext,
     UNIT_PAIR,
     _ten_power,
+    format_coeff,
     nines,
     nines_hyper,
 )
@@ -161,9 +162,10 @@ def render(x: HyperValue, window: int = 3) -> str:
     sign = MINUS if x.sign() < 0 else ""
     y0 = -x if x.sign() < 0 else x
     n = int(y0.floor().standard_part())
+    whole = format_coeff(n) if n else ""
     y = y0 - n
     if y.is_zero:
-        return f"{sign}{n}"
+        return f"{sign}{whole}"
     coeffs = {int(pair.b): Fraction(c) for c, pair in y.terms}
     blocks_max = max(coeffs)
     r = coeffs.get(0, Fraction(0))
@@ -179,10 +181,10 @@ def render(x: HyperValue, window: int = 3) -> str:
         u, d = tail
         if d == 0:
             body = _digits(coeffs, 0, 1, u, y.truncated)
-            return f"{sign}{n if n else ''}.{body}"
+            return f"{sign}{whole}.{body}"
         length = max(window, u + 3)
         body = _digits(coeffs, 0, 1, length, y.truncated)
-        return f"{sign}{n if n else ''}.{body}{ELLIPSIS}"
+        return f"{sign}{whole}.{body}{ELLIPSIS}"
 
     _unit_interval_check(y)
     if tail is None or tail[1] != 0:
@@ -205,7 +207,7 @@ def render(x: HyperValue, window: int = 3) -> str:
         for m in range(1, blocks_max + 1)
     )
     dots = ELLIPSIS if ellipsis else ""
-    return f"{sign}{n if n else ''}.{body}{dots}{parts}"
+    return f"{sign}{whole}.{body}{dots}{parts}"
 
 
 def _unit_interval_check(y: HyperValue) -> None:

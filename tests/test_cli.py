@@ -190,12 +190,25 @@ def test_largest_power_of_ten_still_prints(capsys):
     ("eval", "10^4000*10^4000"),
     ("st", "2^20000"),
     ("deriv", "10^4000*10^4000*x", "--at", "1"),
+    ("lightstone", "2^20000"),
+    ("evt", "2^20000*x"),
+    ("ucheck", "2^20000*x^2"),
+    ("st", "2^(10^5)"),
 ])
 def test_huge_coefficient_is_a_resource_limit(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == "error: a coefficient with more than 4300 digits is too large to print\n"
     code, out, _ = run(capsys, *argv, "--json")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "ResourceLimit"
+
+
+def test_power_past_the_bit_cap_is_refused_at_once(capsys):
+    code, out, err = run(capsys, "st", "3^(10^8)")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the coefficient of this power would take about 200000000 bits")
+    code, out, _ = run(capsys, "st", "3^(10^8)", "--json")
     assert code == 1
     assert json.loads(out)["error"]["type"] == "ResourceLimit"
 

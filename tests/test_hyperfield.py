@@ -22,6 +22,7 @@ from hyperdec.errors import (
     FloorUndecidable,
     HyperError,
     NotFinite,
+    ResourceLimit,
     TruncationAmbiguous,
 )
 from hyperdec.hyperfield import (
@@ -299,6 +300,53 @@ def test_mul_by_monomial_keeps_truncated_flag():
             assert as_map(got) == oracle_mul(x, m)
 
 
+def random_cut_products(rng, ctx, count):
+    """(x, y) pairs in ctx with 2-5 terms each, so that most products
+    exceed K = 5: rational exponents, a fifth with 100-digit coefficients,
+    and about one x in four carrying the truncated flag."""
+    def pair():
+        return ExponentPair(
+            Fraction(rng.randrange(-3, 4), rng.choice((1, 2, 3))),
+            Fraction(rng.randrange(-3, 4), rng.choice((1, 2, 3))),
+        )
+
+    for _ in range(count):
+        digits = 100 if rng.random() < 0.2 else 6
+
+        def coeff():
+            return Fraction(
+                rng.choice((-1, 1)) * rng.randrange(1, 10**digits),
+                rng.randrange(1, 10**digits),
+            )
+
+        x = ctx.from_terms([(coeff(), pair()) for _ in range(rng.randrange(2, 6))])
+        y = ctx.from_terms([(coeff(), pair()) for _ in range(rng.randrange(2, 6))])
+        if rng.random() < 0.25:
+            x = HyperValue(ctx=ctx, terms=x.terms, truncated=True)
+        yield x, y
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_mul_at_the_term_cut_matches_oracle(mode):
+    """A general product keeps the K largest terms of the full convolution."""
+    ctx = NumContext(max_terms=5, mode=mode, prec=12)
+    rng = random.Random(f"cut-{mode}")
+    cut = 0
+    for x, y in random_cut_products(rng, ctx, 300):
+        if len(x.terms) < 2 or len(y.terms) < 2:
+            continue  # a product by a monomial is tested above
+        full = oracle_mul(x, y)
+        keep = sorted(full, reverse=True)[: ctx.max_terms]
+        for got in (x * y, y * x):
+            assert [p for _, p in got.terms] == keep
+            assert [(type(c), str(c)) for c, _ in got.terms] == [
+                (type(full[p]), str(full[p])) for p in keep
+            ]
+            assert got.truncated is (x.truncated or len(full) > ctx.max_terms)
+        cut += len(full) > ctx.max_terms
+    assert cut > 100
+
+
 # ---------------------------------------------------------------- inv / div
 
 def test_inv_monomial_exact():
@@ -415,6 +463,43 @@ def test_inv_with_big_coefficients_matches_oracle(k, shape, tail):
     assert_inv_matches_oracle(NumContext(max_terms=k).from_terms(terms), k)
 
 
+def test_inv_of_slow_mixed_divisor_matches_oracle():
+    """Offsets H^(-1/3), eps^(1/2) and eps^2*H^(-1/2) with 100-digit
+    numerators and denominators: the K leading keys all lie on the
+    H^(-1/3) chain, far above every key the eps offsets reach."""
+    rng = random.Random("slow-mixed")
+    lead = ExponentPair(Fraction(1, 2), Fraction(-2, 3))
+    offsets = [ExponentPair(0, Fraction(-1, 3)), ExponentPair(Fraction(1, 2), 0),
+               ExponentPair(2, Fraction(-1, 2))]
+    terms = [
+        (Fraction(rng.choice((-1, 1)) * rng.randrange(10**99, 10**100),
+                  rng.randrange(10**99, 10**100)), p)
+        for p in [lead] + [lead + o for o in offsets]
+    ]
+    assert_inv_matches_oracle(NumContext(max_terms=40).from_terms(terms), 40)
+
+
+@pytest.mark.parametrize("prec", [12, 50])
+@pytest.mark.parametrize("k", [2, 16, 40])
+@pytest.mark.parametrize("shape,tail", DIVISOR_TAILS)
+def test_float_inv_rounds_the_exact_series_once(prec, k, shape, tail):
+    """Each float coefficient is the exact inverse's, correctly rounded."""
+    rng = random.Random(f"float-{shape}-{len(tail)}-{prec}")
+    lead = ExponentPair(Fraction(rng.randint(-2, 2), 2), Fraction(rng.randint(-2, 2), 3))
+    pairs = [lead] + [lead + ExponentPair(b, a) for b, a in tail]
+    terms = [
+        (Decimal(rng.choice((-1, 1)) * rng.randrange(10 ** (prec - 1), 10**prec)).scaleb(
+            -rng.randrange(0, prec)), p)
+        for p in pairs
+    ]
+    fctx = NumContext(max_terms=k, mode="float", prec=prec)
+    got = fctx.from_terms(terms).inv()
+    want = NumContext(max_terms=k).from_terms((Fraction(c), p) for c, p in terms).inv()
+    assert got.truncated and want.truncated
+    assert [p for _, p in got.terms] == [p for _, p in want.terms]
+    assert [str(c) for c, _ in got.terms] == [str(fctx.coeff(c)) for c, _ in want.terms]
+
+
 def test_div_examples():
     tau = CTX.tau()
     q = (2 * tau - tau * tau) / (-tau)
@@ -433,6 +518,60 @@ def test_division_by_zero():
         CTX.constant(1) / CTX.zero()
     with pytest.raises(DivisionByZero):
         CTX.zero().inv()
+
+
+# ---------------------------------------------------------------- powers
+
+def power_by_products(x, k):
+    """x**k by |k| - 1 repeated products, the inverse first when k < 0."""
+    if k == 0:
+        return x.ctx.constant(1)
+    base = x if k > 0 else x.inv()
+    out = base
+    for _ in range(abs(k) - 1):
+        out = out * base
+    return out
+
+
+@pytest.mark.parametrize("ctx", [CTX, NumContext(mode="float", prec=12)])
+def test_pow_of_monomial_matches_repeated_products(ctx):
+    rng = random.Random(f"pow-{ctx.mode}")
+    bases = [m for _, m in random_monomial_products(rng, ctx, 40)]
+    bases.append(HyperValue(ctx=ctx, terms=bases[0].terms, truncated=True))
+    for m in bases:
+        for k in range(-6, 13):
+            got, want = m**k, power_by_products(m, k)
+            assert [(type(c), str(c), p) for c, p in got.terms] == [
+                (type(c), str(c), p) for c, p in want.terms
+            ]
+            assert got.truncated is want.truncated
+
+
+def test_pow_of_zero_is_immediate():
+    for zero in (CTX.zero(), HyperValue(ctx=CTX, terms=(), truncated=True)):
+        for k in (1, 2, 5):
+            assert zero**k == power_by_products(zero, k)
+        assert zero ** 10**8 == zero
+    with pytest.raises(DivisionByZero):
+        CTX.zero() ** -1
+
+
+def test_float_pow_of_monomial_underflows_like_products():
+    ctx = NumContext(mode="float", prec=12)
+    tiny = HyperValue(ctx=ctx, terms=ctx.monomial(Decimal("3E-600000"), 1, 0).terms, truncated=True)
+    got, want = tiny**3, power_by_products(tiny, 3)
+    assert got.is_zero and want.is_zero
+    assert got.truncated and want.truncated
+
+
+def test_exact_pow_of_monomial_is_capped():
+    assert (CTX.constant(2) ** 10**5).terms == ((Fraction(2**100000), UNIT_PAIR),)
+    assert (CTX.tau() ** 10**6).terms == ((Fraction(1), ExponentPair(10**6, 0)),)
+    assert (-CTX.tau()) ** -(10**9 + 1) == CTX.monomial(-1, -(10**9 + 1), 0)
+    with pytest.raises(ResourceLimit):
+        CTX.constant(3) ** 10**8
+    with pytest.raises(ResourceLimit):
+        CTX.monomial(Fraction(1, 3), 1, 0) ** -(10**8)
 
 
 # ---------------------------------------------------------------- compare / order

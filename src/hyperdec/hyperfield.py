@@ -70,6 +70,9 @@ _Key = tuple[Union[int, Fraction], Union[int, Fraction]]
 # Largest exact coefficient, in bits, that a power of a monomial may build.
 _POW_BITS_CAP = 2**22
 
+# Most rounded products that a float power of a monomial may take.
+_POW_PRODUCTS_CAP = 2**20
+
 
 def _whole(x: Union[int, Fraction]) -> Union[int, Fraction]:
     """x as an int when it is a whole number, else the Fraction itself."""
@@ -611,8 +614,10 @@ class HyperValue:
 
         An exact coefficient is c**k, refused when k times its bit length
         passes _POW_BITS_CAP; a float one takes the k-1 rounded products
-        that repeated multiplication would, so both modes give what the
-        product loop gives.
+        that repeated multiplication would, refused when they pass
+        _POW_PRODUCTS_CAP, so both modes give what the product loop gives.
+        A float coefficient of exactly 1 or -1 has exact products and no
+        cap: its power is 1 or itself.
         """
         (c, pair), = self.terms
         b, a = pair._key
@@ -626,6 +631,13 @@ class HyperValue:
                     f" past the {_POW_BITS_CAP}-bit cap"
                 )
             out = c**k
+        elif c.as_tuple()[1:] == ((1,), 0):  # Decimal 1 or -1
+            out = c if k % 2 else c.copy_abs()
+        elif k - 1 > _POW_PRODUCTS_CAP:
+            raise ResourceLimit(
+                f"this power would take {k - 1} rounded products,"
+                f" past the {_POW_PRODUCTS_CAP}-product cap"
+            )
         else:
             out = c
             with self.ctx.arith():

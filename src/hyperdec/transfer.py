@@ -15,7 +15,12 @@ an argument ``s + delta`` with delta infinitesimal evaluates to
     sum_{k < K} g_k(s) * delta**k
 
 where ``g_k = g^(k)/k!`` and K is the context's term budget.  The series
-remainder is what the sticky ``truncated`` flag reports.
+remainder is what the sticky ``truncated`` flag reports.  When delta is
+a single term ``d * X**o`` (X standing for the monomial eps**b * H**a),
+its powers are the monomials ``d**k * X**(k*o)`` and the sum is written
+down term by term: one running product of coefficients, keys that
+strictly decrease, nothing summed and nothing cut.  A compound delta
+goes through the general product loop.
 
 Everything downstream (slopes, limits, continuity probes) reduces to
 evaluating f at finitely many hyperreal points and taking standard parts.
@@ -25,6 +30,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 from .errors import (
@@ -279,6 +285,7 @@ def _named_decimal(name: str) -> Decimal:
     return Decimal(10).ln()
 
 
+@lru_cache(maxsize=None)
 def _half_binomial(k: int) -> Fraction:
     # binomial coefficient (1/2 choose k)
     num = Fraction(1)
@@ -375,6 +382,18 @@ def _trig_taylor(kind: str, sn, cs, count: int) -> list:
 
 
 def _apply_elementary(kind: str, u: HyperValue) -> HyperValue:
+    """g(u) for an elementary g, by its Taylor series about s = st(u).
+
+    With delta = u - s the value is sum_{k < K} g_k(s) * delta**k.  The
+    coefficients g_k come in the context's type, rounded under its
+    arithmetic.  A delta of at most one term d * X**o has the power
+    d**k * X**(k*o): one running product p = d**k, formed by the same
+    rounded steps as repeated multiplication, gives the term p * g_k at
+    key k*o.  The keys strictly decrease and there are at most K of
+    them, so nothing is summed or cut, and the result is bit for bit
+    what the product loop gives.  The walk stops when p underflows to 0.
+    A delta of two or more terms goes through the product loop.
+    """
     ctx = u.ctx
     if not u.is_finite:
         side = u.sign()
@@ -390,6 +409,32 @@ def _apply_elementary(kind: str, u: HyperValue) -> HyperValue:
             coeffs = _taylor_exact(kind, s, count)
         else:
             coeffs = _taylor_float(kind, s, count)
+    if len(delta.terms) > 1:
+        return _taylor_by_products(ctx, coeffs, delta)
+    # a zero delta has d = 0, so the walk stops after the constant term
+    d, step = delta.terms[0] if delta.terms else (ctx.coeff(0), UNIT_PAIR)
+    p, pair = ctx.coeff(1), UNIT_PAIR
+    terms = []
+    with ctx.arith():
+        for k, c in enumerate(coeffs):
+            if k:
+                p = p * d
+                if p == 0:
+                    break
+                pair = pair + step
+            if c:
+                t = p * c
+                if t != 0:  # a float product can underflow
+                    terms.append((t, pair))
+    flag = u.truncated or not delta.is_zero
+    return HyperValue(ctx=ctx, terms=tuple(terms), truncated=flag)
+
+
+def _taylor_by_products(ctx: NumContext, coeffs: list, delta: HyperValue) -> HyperValue:
+    """sum c_k * delta**k by repeated products, for a compound delta.
+
+    The result is flagged: a nonzero delta leaves the series remainder.
+    """
     acc = ctx.zero()
     power = ctx.constant(1)
     for k, c in enumerate(coeffs):
@@ -397,8 +442,7 @@ def _apply_elementary(kind: str, u: HyperValue) -> HyperValue:
             power = power * delta
         if c:
             acc = acc + power * c
-    flag = acc.truncated or u.truncated or not delta.is_zero
-    return HyperValue(ctx=ctx, terms=acc.terms, truncated=flag)
+    return HyperValue(ctx=ctx, terms=acc.terms, truncated=True)
 
 
 # 10**j is refused for |j| at or past this cap: 10**4299 still prints
@@ -620,15 +664,21 @@ class ProbeSet:
 
     @classmethod
     def default(cls, ctx: NumContext) -> "ProbeSet":
-        return cls(
-            infinitesimals=(
-                ctx.tau(),
-                2 * ctx.tau(),
-                ctx.omega(-1),
-                ctx.omega(-2),
-            ),
-            infinite_points=(ctx.omega(), ctx.omega(2), ctx.tau(-1)),
-        )
+        return _default_probes(ctx)
+
+
+@lru_cache(maxsize=64)
+def _default_probes(ctx: NumContext) -> ProbeSet:
+    # built once per context: the values are immutable, so callers share them
+    return ProbeSet(
+        infinitesimals=(
+            ctx.tau(),
+            2 * ctx.tau(),
+            ctx.omega(-1),
+            ctx.omega(-2),
+        ),
+        infinite_points=(ctx.omega(), ctx.omega(2), ctx.tau(-1)),
+    )
 
 
 # --------------------------------------------------------------------------

@@ -213,6 +213,20 @@ def test_power_past_the_bit_cap_is_refused_at_once(capsys):
     assert json.loads(out)["error"]["type"] == "ResourceLimit"
 
 
+def test_float_power_past_the_product_cap_is_refused_at_once(capsys):
+    # the exponent is spelled out: in float mode 10^8 goes through exp and is
+    # refused as an exponent that is not a standard integer
+    argv = ("eval", "1.0000001^100000000", "--mode", "float")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: this power would take 99999999 rounded products")
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "ResourceLimit"
+    code, out, _ = run(capsys, "eval", "eps^10000000", "--mode", "float")
+    assert (code, out) == (0, "eps^10000000\n")
+
+
 def test_large_coefficient_below_the_limit_prints(capsys):
     code, out, _ = run(capsys, "eval", "2^14000")
     assert (code, out) == (0, f"{2**14000}\n")

@@ -8,6 +8,7 @@ quadratic-convergence fixture.
 
 import hashlib
 import json
+import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -15,7 +16,21 @@ import pytest
 
 from hyperdec.errors import AssertionFailed, DerivativeVanishes, DomainError
 from hyperdec.hypercalc import calculator_display, newton_trace, theorem_check
-from hyperdec.transfer import Const, Div, Log, Mul, PowInt, Sqrt, Sub, Var
+from hyperdec.hyperfield import NumContext
+from hyperdec.transfer import (
+    Const,
+    Div,
+    Exp,
+    Log,
+    Mul,
+    Pow10,
+    PowInt,
+    Sin,
+    Sqrt,
+    Sub,
+    Var,
+    derivative,
+)
 
 X = Var()
 AFFINE = Sub(X, Const(Fraction(1)))
@@ -114,6 +129,27 @@ def test_reciprocal_square_climb_is_pinned():
         "d296e22ada5e410db6eb6f2f1cab9594ed00966a8ce6c7c93926113aad3a99f5"
     )
     assert t.displays[-2:] == ("0.999999", "0.999999")
+
+
+def test_log_climb_is_pinned():
+    """Float iterates of the log climb from three starts, and float probe
+    slopes of five functions at seeded points, pinned bit for bit: each
+    slope lifts f at x0 + e for every probe e, so a change to the Taylor
+    lift cannot move a digit unnoticed."""
+    lines = []
+    for x0 in (Fraction(3, 10), Fraction(1, 2), Fraction(9, 10)):
+        lines += [str(x) for x in newton_trace(LOG, x0, 10, 50).iterates]
+    ctx = NumContext(mode="float", prec=50)
+    rng = random.Random("float-slopes")
+    for f in (Exp(X), Log(X), Sin(X), Sqrt(X), Pow10(X)):
+        for _ in range(3):
+            slope = derivative(f, Fraction(rng.randrange(1, 200), 100), ctx)
+            assert isinstance(slope, Decimal)
+            lines.append(str(slope))
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "33c6899bb50022f0e27ea222010217ddf0be65ac889a4a46182b0ebcbcf815dc"
+    )
 
 
 def test_double_root_halves_the_gap():

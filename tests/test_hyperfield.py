@@ -574,6 +574,38 @@ def test_exact_pow_of_monomial_is_capped():
         CTX.monomial(Fraction(1, 3), 1, 0) ** -(10**8)
 
 
+def test_float_pow_of_monomial_is_capped():
+    ctx = NumContext(mode="float", prec=50)
+    base = ctx.constant(Decimal("1.0000001"))
+    # the k - 1 rounded products that power_by_products would take, on the
+    # coefficient alone (power_by_products itself takes seconds at 10**6)
+    want = base.terms[0][0]
+    with ctx.arith():
+        for _ in range(10**6 - 1):
+            want = want * base.terms[0][0]
+    assert (base ** 10**6).terms == ((want, UNIT_PAIR),)
+    assert str(want) == "1.1051709125497934166383827093467161593490662829786"
+    for k in (2**20 + 2, 10**8, -(10**8)):
+        with pytest.raises(ResourceLimit):
+            base**k
+    with pytest.raises(ResourceLimit):  # 1.0 is not exactly 1: its products grow digits
+        ctx.constant(Decimal("1.0")) ** 10**8
+
+
+def test_float_pow_of_unit_coefficient_is_immediate():
+    ctx = NumContext(mode="float", prec=12)
+    for c in (Decimal(1), Decimal(-1)):
+        m = ctx.monomial(c, 1, 0)
+        for k in (1, 2, 3, 6):
+            got, want = m**k, power_by_products(m, k)
+            assert [(type(d), str(d), p) for d, p in got.terms] == [
+                (type(d), str(d), p) for d, p in want.terms
+            ]
+        for k in (10**8, 10**8 + 1, -(10**9 + 1)):
+            sign = 1 if c > 0 or k % 2 == 0 else -1
+            assert [(str(d), p) for d, p in (m**k).terms] == [(str(sign), ExponentPair(k, 0))]
+
+
 # ---------------------------------------------------------------- compare / order
 
 def test_compare_examples():

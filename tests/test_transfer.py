@@ -17,7 +17,8 @@ from hyperdec.errors import (
     ExactTranscendental,
     InfiniteArgument,
 )
-from hyperdec.hyperfield import ExponentPair, NumContext, UNIT_PAIR
+from hyperdec import transfer
+from hyperdec.hyperfield import ExponentPair, HyperValue, NumContext, UNIT_PAIR
 from hyperdec.transfer import (
     Add,
     Const,
@@ -123,6 +124,101 @@ def test_exact_transcendental_refusals():
         eval_star(Sqrt(X), EXACT.constant(2))
     with pytest.raises(ExactTranscendental):
         eval_star(NamedConst("pi"), EXACT.constant(0))
+
+
+# ---------------------------------------------------------------- Taylor lifting
+
+def taylor_by_products(kind, u):
+    """The lift of `kind` at u as sum c_k * delta**k, delta = u - st(u),
+    by repeated products of delta: the oracle for the closed form."""
+    ctx = u.ctx
+    s = u.standard_part()
+    delta = u - s
+    with ctx.arith():
+        stream = transfer._taylor_exact if ctx.mode == "exact" else transfer._taylor_float
+        coeffs = stream(kind, s, ctx.max_terms)
+    acc = ctx.zero()
+    power = ctx.constant(1)
+    for k, c in enumerate(coeffs):
+        if k:
+            power = power * delta
+        if c:
+            acc = acc + power * c
+    flag = acc.truncated or u.truncated or not delta.is_zero
+    return HyperValue(ctx=ctx, terms=acc.terms, truncated=flag)
+
+
+def shape(v):
+    return [(type(c), str(c), p) for c, p in v.terms], v.truncated
+
+
+LIFTS = {"exp": Exp, "log": Log, "sin": Sin, "cos": Cos, "sqrt": Sqrt}
+# exact mode lifts only where the Taylor coefficients are rational
+EXACT_POINTS = [("exp", 0), ("sin", 0), ("cos", 0), ("log", 1), ("sqrt", Fraction(4, 9))]
+FLOAT_POINTS = EXACT_POINTS + [
+    ("exp", Fraction(-7, 3)),
+    ("exp", -30),
+    ("log", Fraction(1, 10)),
+    ("log", 3),
+    ("sin", 2),
+    ("cos", Fraction(-3, 7)),
+    ("sqrt", 2),
+    ("sqrt", Fraction(9, 10)),
+]
+# one-term increments (coefficient, b, a) of eps**b * H**a, and zero
+INCREMENTS = [
+    None,
+    (1, 1, 0),
+    (2, 1, 0),
+    (1, 0, -1),
+    (1, 0, -2),
+    (1, Fraction(1, 2), Fraction(-1, 3)),
+    (Fraction(7**118, 3**200), 1, 0),  # a 100-digit numerator
+]
+# in float mode: the square of the first and, at prec 50, the product of
+# the second with exp(-30) underflow to 0
+UNDERFLOWING = [(Decimal("3E-600000"), 1, 0), (Decimal("1E-1000040"), 1, 0)]
+LIFT_CONTEXTS = [NumContext(max_terms=k) for k in (2, 3, 16, 40)] + [
+    NumContext(max_terms=k, mode="float", prec=p) for p in (12, 50) for k in (2, 3, 16, 40)
+]
+
+
+@pytest.mark.parametrize("ctx", LIFT_CONTEXTS, ids=repr)
+def test_lift_by_one_term_matches_products(ctx):
+    if ctx.mode == "exact":
+        points, increments = EXACT_POINTS, INCREMENTS
+    else:
+        points, increments = FLOAT_POINTS, INCREMENTS + UNDERFLOWING
+    for kind, s in points:
+        for inc in increments:
+            terms = [(s, UNIT_PAIR)]
+            if inc is not None:
+                terms.append((inc[0], ExponentPair(inc[1], inc[2])))
+            base = ctx.from_terms(terms)
+            for flagged in (False, True):
+                u = HyperValue(ctx=ctx, terms=base.terms, truncated=flagged)
+                got = eval_star(LIFTS[kind](X), u)
+                assert shape(got) == shape(taylor_by_products(kind, u)), (kind, s, inc, flagged)
+
+
+def test_lift_by_compound_increment_uses_products(monkeypatch):
+    calls = []
+    loop = transfer._taylor_by_products
+
+    def spy(*args):
+        calls.append(args)
+        return loop(*args)
+
+    monkeypatch.setattr(transfer, "_taylor_by_products", spy)
+    # exp(x^2) at 1/2 + eps lifts 1/4 + eps + eps^2
+    point = FLOAT.constant(Fraction(1, 2)) + FLOAT.tau()
+    got = eval_star(Exp(PowInt(X, 2)), point)
+    assert shape(got) == shape(taylor_by_products("exp", point * point))
+    u = NumContext(max_terms=7).from_terms(
+        [(1, UNIT_PAIR), (1, ExponentPair(1, 0)), (3, ExponentPair(0, -1))]
+    )
+    assert shape(eval_star(Log(X), u)) == shape(taylor_by_products("log", u))
+    assert len(calls) == 2
 
 
 def test_domain_errors():
@@ -379,6 +475,14 @@ def test_probe_set_validation():
         ProbeSet(infinitesimals=(EXACT.tau(),), infinite_points=(EXACT.constant(2),))
     with pytest.raises(ValueError):
         ProbeSet(infinitesimals=(), infinite_points=(EXACT.omega(),))
+
+
+def test_default_probes_are_built_once_per_context():
+    ctx = NumContext(mode="float", prec=30)
+    probes = ProbeSet.default(ctx)
+    assert ProbeSet.default(NumContext(mode="float", prec=30)) is probes
+    assert all(v.ctx == ctx for v in probes.infinitesimals + probes.infinite_points)
+    assert ProbeSet.default(EXACT) is not ProbeSet.default(FLOAT)
 
 
 def test_is_arithmetic():

@@ -16,6 +16,7 @@ reproduces the tree exactly.
 
 import re
 from dataclasses import dataclass, field
+from decimal import Overflow
 from fractions import Fraction
 from typing import Optional
 
@@ -24,6 +25,7 @@ from .errors import (
     DomainError,
     ExactTranscendental,
     ParseError,
+    ResourceLimit,
     UnknownIdentifier,
 )
 from .hyperfield import HyperValue, NumContext, _ten_power, nines, nines_hyper
@@ -455,7 +457,10 @@ def evaluate(node: Node, ctx: NumContext, env: Optional[dict] = None) -> HyperVa
             )
         return ctx.constant(result.value)
 
-    return run(node)
+    try:
+        return run(node)
+    except Overflow as exc:
+        raise ResourceLimit(transfer._OVERFLOW) from exc
 
 
 def eval_command(cmd: Command, ctx: NumContext, env: Optional[dict] = None) -> HyperValue:

@@ -899,6 +899,8 @@ def nines_hyper(ctx: NumContext) -> HyperValue:
 
 def format_coeff(c: Coefficient) -> str:
     """Text of one coefficient; refuses an integer past Python's int-to-str limit."""
+    if isinstance(c, Decimal) and c.is_zero():
+        c = c.copy_abs()  # -0 prints as 0
     try:
         return str(c)
     except ValueError as exc:  # only the digit limit makes str() of a number fail

@@ -28,7 +28,7 @@ evaluating f at finitely many hyperreal points and taking standard parts.
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal, getcontext
+from decimal import Decimal, Overflow, getcontext
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
@@ -615,12 +615,19 @@ class _Hypers:
     elementary = staticmethod(_apply_elementary)
 
 
+# what a float result past the decimal exponent range is refused with
+_OVERFLOW = "a float result overflows the decimal exponent range"
+
+
 def eval_star(f: FuncExpr, x: HyperValue) -> HyperValue:
     """Evaluate the lifted function at a hypervalue.
 
     Every Var node binds to x; the model is single-variable.
     """
-    return _fold(f, x, _Hypers(x.ctx))
+    try:
+        return _fold(f, x, _Hypers(x.ctx))
+    except Overflow as exc:
+        raise ResourceLimit(_OVERFLOW) from exc
 
 
 def eval_real(f: FuncExpr, x, ctx: NumContext):
@@ -631,8 +638,11 @@ def eval_real(f: FuncExpr, x, ctx: NumContext):
     """
     if isinstance(x, Fraction) and is_arithmetic(f):
         return _fold(f, x, _Fractions)
-    with ctx.arith():
-        return _fold(f, _to_decimal(x), _Decimals)
+    try:
+        with ctx.arith():
+            return _fold(f, _to_decimal(x), _Decimals)
+    except Overflow as exc:
+        raise ResourceLimit(_OVERFLOW) from exc
 
 
 # --------------------------------------------------------------------------

@@ -111,6 +111,16 @@ def test_evt_float_grid_points_use_context_precision(capsys):
     assert out == "n =       3: argmax 1/3 value 0\nargmax stabilized\n"
 
 
+def test_evt_float_negative_zero_prints_as_zero(capsys):
+    # -(0^2) is a Decimal -0; exact mode prints the same row as 0
+    for mode in ("float", "exact"):
+        code, out, err = run(
+            capsys, "evt", "(-x^2)", "--grid", "4", "--doublings", "0", "--mode", mode
+        )
+        assert (code, err) == (0, "")
+        assert out == "n =       4: argmax 0 value 0\nargmax stabilized\n"
+
+
 def test_newton_final_display(capsys):
     code, out, _ = run(
         capsys, "newton", "log(x)", "--x0", "1/2", "--steps", "8",
@@ -225,6 +235,20 @@ def test_float_power_past_the_product_cap_is_refused_at_once(capsys):
     assert json.loads(out)["error"]["type"] == "ResourceLimit"
     code, out, _ = run(capsys, "eval", "eps^10000000", "--mode", "float")
     assert (code, out) == (0, "eps^10000000\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "1000000000^200000"),
+    ("eval", "exp(1000000000)"),
+    ("deriv", "exp(1000000000*x)", "--at", "1"),
+])
+def test_float_overflow_is_a_resource_limit(capsys, argv):
+    code, out, err = run(capsys, *argv, "--mode", "float")
+    assert (code, out) == (1, "")
+    assert err == "error: a float result overflows the decimal exponent range\n"
+    code, out, _ = run(capsys, *argv, "--mode", "float", "--json")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "ResourceLimit"
 
 
 def test_large_coefficient_below_the_limit_prints(capsys):

@@ -1,35 +1,38 @@
 """Expression language over hyperreal values.
 
-Tokenizer, recursive-descent parser, canonical printer, evaluator, and
-the bridge that turns a one-variable expression into a function tree
-for the calculus routines.
+Tokenizer, recursive-descent parser, canonical printer and evaluator.
+The parser builds the function trees of ``transfer`` directly, plus four
+value-only nodes defined here: Unit (H, eps), HyperCall (st, floor, abs,
+nines), Power (a power other than 10^w or b^k with an integer literal k)
+and LimSeq.  ``evaluate`` is ``transfer._fold``, the one walk over these
+trees, with a backend that adds an environment of names and the
+value-only nodes; ``to_function`` checks that a tree is a standard
+function of one variable and returns it.
 
 Precedence, loosest to tightest: + -, * /, unary minus, ^ (right
 associative; the exponent position accepts a sign, so 2^-3 parses and
 -2^2 is -(2^2)).  A trailing "at name = expr" clause binds a free
-variable for a single evaluation.
+variable for a single evaluation.  The built-in names H, eps, pi and e
+cannot name a variable.
 
 Node spans are character ranges into the source, carried for error
 messages and excluded from equality so that reparsing a printed tree
 reproduces the tree exactly.
 """
 
+import dataclasses
+import functools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Overflow
 from fractions import Fraction
 from typing import Optional
 
 from . import transfer
-from .errors import (
-    DomainError,
-    ExactTranscendental,
-    ParseError,
-    ResourceLimit,
-    UnknownIdentifier,
-)
+from .errors import DomainError, ParseError, ResourceLimit, UnknownIdentifier
 from .hyperfield import HyperValue, NumContext, _ten_power, nines, nines_hyper
-from .transfer import FuncExpr, eval_star, limit_seq
+from .transfer import Add, Const, Div, FuncExpr, Mul, NamedConst, Neg, Pow10, PowInt, Sub, Var
+from .transfer import limit_seq
 
 # --------------------------------------------------------------------------
 # tokens
@@ -69,62 +72,65 @@ def _tokenize(src: str) -> list:
 
 
 # --------------------------------------------------------------------------
-# syntax trees
+# value-only nodes
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Node:
-    span: tuple = field(compare=False, default=(0, 0), kw_only=True)
+class Unit(FuncExpr):
+    """H, the infinite unit, or eps = 10^(-H)."""
+
+    name: str
 
 
 @dataclass(frozen=True)
-class Num(Node):
-    value: Fraction
+class HyperCall(FuncExpr):
+    """st, floor, abs or nines of one argument."""
 
-
-@dataclass(frozen=True)
-class Name(Node):
-    ident: str
-
-
-@dataclass(frozen=True)
-class Neg(Node):
-    operand: Node
-
-
-@dataclass(frozen=True)
-class Bin(Node):
-    op: str        # one of + - * / ^
-    left: Node
-    right: Node
-
-
-@dataclass(frozen=True)
-class Call(Node):
     func: str
-    args: tuple
+    arg: FuncExpr
 
 
 @dataclass(frozen=True)
-class LimSeq(Node):
+class Power(FuncExpr):
+    """base^exponent, where the exponent must evaluate to a standard integer."""
+
+    base: FuncExpr
+    exponent: FuncExpr
+
+
+@dataclass(frozen=True)
+class LimSeq(FuncExpr):
+    """lim(var -> inf, body), the limit of the sequence body(var)."""
+
     var: str
-    body: Node
+    body: FuncExpr
 
 
 @dataclass(frozen=True)
 class Command:
-    expr: Node
-    binding: Optional[tuple] = None    # (name, Node)
+    expr: FuncExpr
+    binding: Optional[tuple] = None    # (name, FuncExpr)
 
+
+# --------------------------------------------------------------------------
+# parsing
+# --------------------------------------------------------------------------
 
 _KEYWORDS = {"at", "lim", "inf"}
+_BUILTINS = {"H", "eps", "pi", "e"}    # reserved too: never a variable name
+
+_BINARY = {"+": Add, "-": Sub, "*": Mul, "/": Div}
+_FUNCTIONS = {name: node for node, name in transfer._ELEMENTARY.items()}
+_FUNCTIONS.update((f, functools.partial(HyperCall, f)) for f in ("st", "floor", "abs", "nines"))
 
 
 class _Parser:
     def __init__(self, src: str):
-        self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
+        # the first unknown function or wrong argument count in evaluation
+        # order; raised once the whole text has parsed
+        self.fault = None
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -144,6 +150,14 @@ class _Parser:
             )
         return self.take()
 
+    def variable(self, message: str) -> Token:
+        name = self.expect("name")
+        if name.text in _KEYWORDS or name.text in _BUILTINS:
+            raise ParseError(
+                message.format(name.text), (name.pos, name.pos + len(name.text))
+            )
+        return name
+
     # ---- grammar -----------------------------------------------------
 
     def command(self) -> Command:
@@ -151,37 +165,37 @@ class _Parser:
         binding = None
         if self.peek().kind == "name" and self.peek().text == "at":
             self.take()
-            name = self.expect("name")
-            if name.text in _KEYWORDS:
-                raise ParseError(
-                    f"{name.text!r} is reserved", (name.pos, name.pos + len(name.text))
-                )
+            name = self.variable("{!r} is reserved")
             self.expect("op", "=")
+            fault, self.fault = self.fault, None    # the binding is evaluated first
             binding = (name.text, self.additive())
+            self.fault = self.fault or fault
         end = self.peek()
         if end.kind != "end":
             raise ParseError(
                 f"unexpected {end.text!r}", (end.pos, end.pos + len(end.text))
             )
+        if self.fault is not None:
+            raise self.fault
         return Command(expr=expr, binding=binding)
 
-    def additive(self) -> Node:
+    def additive(self) -> FuncExpr:
         node = self.multiplicative()
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.take()
             right = self.multiplicative()
-            node = Bin(op.text, node, right, span=(node.span[0], right.span[1]))
+            node = _BINARY[op.text](node, right, span=(node.span[0], right.span[1]))
         return node
 
-    def multiplicative(self) -> Node:
+    def multiplicative(self) -> FuncExpr:
         node = self.unary()
         while self.peek().kind == "op" and self.peek().text in "*/":
             op = self.take()
             right = self.unary()
-            node = Bin(op.text, node, right, span=(node.span[0], right.span[1]))
+            node = _BINARY[op.text](node, right, span=(node.span[0], right.span[1]))
         return node
 
-    def unary(self) -> Node:
+    def unary(self) -> FuncExpr:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.take()
@@ -189,70 +203,76 @@ class _Parser:
             return Neg(inner, span=(tok.pos, inner.span[1]))
         return self.power()
 
-    def power(self) -> Node:
+    def power(self) -> FuncExpr:
         base = self.atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.take()
-            exponent = self.unary()    # signed, and right associative
-            return Bin("^", base, exponent, span=(base.span[0], exponent.span[1]))
-        return base
+        if not (self.peek().kind == "op" and self.peek().text == "^"):
+            return base
+        self.take()
+        exponent = self.unary()    # signed, and right associative
+        span = (base.span[0], exponent.span[1])
+        if isinstance(base, Const) and base.value == 10:
+            return Pow10(exponent, span=span)
+        literal = exponent.operand if isinstance(exponent, Neg) else exponent
+        if isinstance(literal, Const) and literal.value.denominator == 1:
+            k = int(literal.value)    # an integer literal k or -k
+            return PowInt(base, k if literal is exponent else -k, span=span)
+        return Power(base, exponent, span=span)
 
-    def atom(self) -> Node:
+    def atom(self) -> FuncExpr:
         tok = self.peek()
+        span = (tok.pos, tok.pos + len(tok.text))
         if tok.kind == "num":
             self.take()
-            return Num(Fraction(tok.text), span=(tok.pos, tok.pos + len(tok.text)))
+            return Const(Fraction(tok.text), span=span)
         if tok.kind == "name":
             if tok.text == "lim":
                 return self.limit()
             if tok.text in _KEYWORDS:
-                raise ParseError(
-                    f"{tok.text!r} cannot start an expression",
-                    (tok.pos, tok.pos + len(tok.text)),
-                )
+                raise ParseError(f"{tok.text!r} cannot start an expression", span)
             self.take()
             if self.peek().kind == "op" and self.peek().text == "(":
                 return self.call(tok)
-            return Name(tok.text, span=(tok.pos, tok.pos + len(tok.text)))
+            if tok.text in ("H", "eps"):
+                return Unit(tok.text, span=span)
+            if tok.text in _BUILTINS:
+                return NamedConst(tok.text, span=span)
+            return Var(tok.text, span=span)
         if tok.kind == "op" and tok.text == "(":
             self.take()
             node = self.additive()
             closing = self.expect("op", ")")
-            return type(node)(
-                **{
-                    f.name: getattr(node, f.name)
-                    for f in node.__dataclass_fields__.values()
-                    if f.name != "span"
-                },
-                span=(tok.pos, closing.pos + 1),
-            )
+            span = (tok.pos, closing.pos + 1)
+            if self.fault is not None and self.fault.span == node.span:
+                self.fault.span = span    # the faulty call is this node
+            return dataclasses.replace(node, span=span)
         raise ParseError(
             f"expected a value, found {tok.text or 'end of input'!r}",
             (tok.pos, tok.pos + max(1, len(tok.text))),
         )
 
-    def call(self, name_tok: Token) -> Node:
+    def call(self, name_tok: Token) -> FuncExpr:
         self.expect("op", "(")
         args = [self.additive()]
         while self.peek().kind == "op" and self.peek().text == ",":
             self.take()
             args.append(self.additive())
         closing = self.expect("op", ")")
-        return Call(
-            name_tok.text,
-            tuple(args),
-            span=(name_tok.pos, closing.pos + 1),
-        )
+        func, span = name_tok.text, (name_tok.pos, closing.pos + 1)
+        if func in _FUNCTIONS and len(args) == 1:
+            return _FUNCTIONS[func](args[0], span=span)
+        if func in _FUNCTIONS:
+            fault = ParseError(f"{func} takes 1 argument, got {len(args)}", span)
+        else:
+            fault = UnknownIdentifier(f"unknown function {func!r}", span)
+        # a call is checked before its arguments, which start further right
+        if self.fault is None or span[0] < self.fault.span[0]:
+            self.fault = fault
+        return Var(func, span=span)    # a stand-in: the parse ends in the fault
 
-    def limit(self) -> Node:
+    def limit(self) -> FuncExpr:
         lim_tok = self.expect("name", "lim")
         self.expect("op", "(")
-        var = self.expect("name")
-        if var.text in _KEYWORDS:
-            raise ParseError(
-                f"{var.text!r} cannot name the limit variable",
-                (var.pos, var.pos + len(var.text)),
-            )
+        var = self.variable("{!r} cannot name the limit variable")
         self.expect("arrow")
         self.expect("name", "inf")
         self.expect("op", ",")
@@ -265,7 +285,7 @@ def parse_command(src: str) -> Command:
     return _Parser(src).command()
 
 
-def parse_expr(src: str) -> Node:
+def parse_expr(src: str) -> FuncExpr:
     cmd = parse_command(src)
     if cmd.binding is not None:
         raise ParseError("unexpected 'at' binding here")
@@ -276,20 +296,17 @@ def parse_expr(src: str) -> Node:
 # printing
 # --------------------------------------------------------------------------
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
+_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+_PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, PowInt: 4, Pow10: 4, Power: 4}
 
 
-def _prec(node: Node) -> int:
-    if isinstance(node, Bin):
-        return _PREC[node.op]
-    if isinstance(node, Neg):
-        return _PREC["neg"]
-    return _PREC["atom"]
+def _prec(node: FuncExpr) -> int:
+    return _PREC.get(type(node), 5)    # 5 for an atom
 
 
 def _fraction_text(v: Fraction) -> str:
     """Decimal form when the denominator is 10-smooth (reparses to this
-    same Num node); otherwise an explicit parenthesized quotient."""
+    same Const node); otherwise an explicit parenthesized quotient."""
     if v.denominator == 1:
         return str(v.numerator)
     u = _ten_power(v.denominator)
@@ -301,36 +318,51 @@ def _fraction_text(v: Fraction) -> str:
     return f"({v.numerator}/{v.denominator})"
 
 
-def print_expr(node: Node) -> str:
-    if isinstance(node, Num):
+def _operands(node: FuncExpr) -> tuple:
+    """Base and exponent of a power node, as the nodes they print as."""
+    if isinstance(node, Pow10):
+        return Const(10), node.exponent
+    if isinstance(node, PowInt):
+        k = node.power
+        return node.base, Const(k) if k >= 0 else Neg(Const(-k))
+    return node.base, node.exponent
+
+
+def print_expr(node: FuncExpr) -> str:
+    kind = type(node)
+    if kind is Const:
         return _fraction_text(node.value)
-    if isinstance(node, Name):
-        return node.ident
-    if isinstance(node, Neg):
+    if kind in (Var, Unit, NamedConst):
+        return node.name
+    if kind is Neg:
         inner = print_expr(node.operand)
-        if _prec(node.operand) < _PREC["neg"]:
+        if _prec(node.operand) < _PREC[Neg]:
             inner = f"({inner})"
         return f"-{inner}"
-    if isinstance(node, Bin):
-        mine = _PREC[node.op]
+    if kind in _OPS:
+        mine = _PREC[kind]
         left = print_expr(node.left)
         right = print_expr(node.right)
-        if node.op == "^":
-            if _prec(node.left) <= mine:
-                left = f"({left})"
-            if _prec(node.right) < _PREC["neg"]:
-                right = f"({right})"
-        else:
-            if _prec(node.left) < mine:
-                left = f"({left})"
-            if _prec(node.right) <= mine:
-                right = f"({right})"
-        return f"{left} {node.op} {right}" if node.op != "^" else f"{left}^{right}"
-    if isinstance(node, Call):
-        return f"{node.func}({', '.join(print_expr(a) for a in node.args)})"
-    if isinstance(node, LimSeq):
+        if _prec(node.left) < mine:
+            left = f"({left})"
+        if _prec(node.right) <= mine:
+            right = f"({right})"
+        return f"{left} {_OPS[kind]} {right}"
+    if kind in (PowInt, Pow10, Power):
+        base, exponent = _operands(node)
+        left, right = print_expr(base), print_expr(exponent)
+        if _prec(base) <= _PREC[Power]:
+            left = f"({left})"
+        if _prec(exponent) < _PREC[Neg]:
+            right = f"({right})"
+        return f"{left}^{right}"
+    if kind is HyperCall:
+        return f"{node.func}({print_expr(node.arg)})"
+    if kind in transfer._ELEMENTARY:
+        return f"{transfer._ELEMENTARY[kind]}({print_expr(node.arg)})"
+    if kind is LimSeq:
         return f"lim({node.var} -> inf, {print_expr(node.body)})"
-    raise TypeError(f"cannot print {type(node).__name__}")
+    raise TypeError(f"cannot print {kind.__name__}")
 
 
 def print_command(cmd: Command) -> str:
@@ -345,120 +377,64 @@ def print_command(cmd: Command) -> str:
 # evaluation
 # --------------------------------------------------------------------------
 
-_ELEMENTARY_NODES = {name: node for node, name in transfer._ELEMENTARY.items()}
-
-_NAMED_CONSTANTS = ("pi", "e")
-
-
-def _arity(node: Call, n: int):
-    if len(node.args) != n:
-        raise ParseError(
-            f"{node.func} takes {n} argument{'s' if n != 1 else ''},"
-            f" got {len(node.args)}",
-            node.span,
-        )
+def _integer_exponent(v: HyperValue) -> int:
+    if all(pair.b == 0 and pair.a == 0 for _, pair in v.terms):
+        k = Fraction(v.standard_part() if v.terms else 0)
+        if k.denominator == 1:
+            return int(k)
+    raise DomainError("exponents must be standard integers unless the base is 10")
 
 
-def _integer_exponent(v: HyperValue, span) -> int:
-    if not all(pair.b == 0 and pair.a == 0 for _, pair in v.terms):
-        raise DomainError(
-            "exponents must be standard integers unless the base is 10"
-        )
-    s = v.standard_part() if v.terms else 0
-    k = Fraction(s)
-    if k.denominator != 1:
-        raise DomainError(
-            "exponents must be standard integers unless the base is 10"
-        )
-    return int(k)
+class _Values(transfer._Hypers):
+    """The hypervalue backend of the fold, plus the names bound in an
+    environment and the value-only nodes."""
+
+    def __init__(self, ctx: NumContext, env: dict):
+        super().__init__(ctx)
+        self.env = env
+
+    def var(self, f: Var, x) -> HyperValue:
+        if f.name not in self.env:
+            raise UnknownIdentifier(f"unknown name {f.name!r}", f.span)
+        v = self.env[f.name]
+        return v if isinstance(v, HyperValue) else self.ctx.constant(v)
+
+    def other(self, f: FuncExpr, x) -> HyperValue:
+        ctx = self.ctx
+        if isinstance(f, Unit):
+            return ctx.omega() if f.name == "H" else ctx.tau()
+        if isinstance(f, Power):
+            base = transfer._fold(f.base, x, self)
+            return base ** _integer_exponent(transfer._fold(f.exponent, x, self))
+        if isinstance(f, HyperCall):
+            if f.func == "nines":
+                if f.arg == Unit("H"):
+                    return nines_hyper(ctx)
+                k = _integer_exponent(transfer._fold(f.arg, x, self))
+                if k < 1:
+                    raise DomainError("nines needs a positive count")
+                return nines(ctx, k)
+            v = transfer._fold(f.arg, x, self)
+            if f.func == "st":
+                return ctx.constant(v.standard_part())
+            return v.floor() if f.func == "floor" else abs(v)
+        if isinstance(f, LimSeq):
+            result = limit_seq(to_function(f.body, f.var), ctx)
+            if result.outcome != "converges":
+                raise DomainError(f"limit does not converge ({result.outcome}: {result.note})")
+            return ctx.constant(result.value)
+        return super().other(f, x)
 
 
-def evaluate(node: Node, ctx: NumContext, env: Optional[dict] = None) -> HyperValue:
-    """Reduce a syntax tree to a hyperreal value.
+def evaluate(node: FuncExpr, ctx: NumContext, env: Optional[dict] = None) -> HyperValue:
+    """Reduce a parsed expression to a hyperreal value.
 
-    Free names resolve through env after the built-ins H (the infinite
-    unit) and eps (its reciprocal power of ten).  pi and e are available
-    in float mode only; a 10^w head applies the full power-of-ten rule
-    for hyper exponents w.
+    Free names resolve through env; H is the infinite unit and eps its
+    reciprocal power of ten.  pi and e are available in float mode only;
+    a 10^w head applies the full power-of-ten rule for hyper exponents w.
     """
-    bindings = env or {}
-
-    def run(n: Node) -> HyperValue:
-        if isinstance(n, Num):
-            return ctx.constant(n.value)
-        if isinstance(n, Name):
-            if n.ident in bindings:
-                v = bindings[n.ident]
-                return v if isinstance(v, HyperValue) else ctx.constant(v)
-            if n.ident == "H":
-                return ctx.omega()
-            if n.ident == "eps":
-                return ctx.tau()
-            if n.ident in _NAMED_CONSTANTS:
-                if ctx.mode == "exact":
-                    raise ExactTranscendental(
-                        f"{n.ident} has no exact rational value; use --mode float"
-                    )
-                return ctx.constant(transfer._named_decimal(n.ident))
-            raise UnknownIdentifier(f"unknown name {n.ident!r}", n.span)
-        if isinstance(n, Neg):
-            return -run(n.operand)
-        if isinstance(n, Bin):
-            if n.op == "^":
-                if isinstance(n.left, Num) and n.left.value == 10:
-                    return eval_star(transfer.Pow10(transfer.Var()), run(n.right))
-                base = run(n.left)
-                return base ** _integer_exponent(run(n.right), n.right.span)
-            a, b = run(n.left), run(n.right)
-            if n.op == "+":
-                return a + b
-            if n.op == "-":
-                return a - b
-            if n.op == "*":
-                return a * b
-            return a / b
-        if isinstance(n, Call):
-            return call(n)
-        if isinstance(n, LimSeq):
-            return limit_value(n)
-        raise TypeError(f"cannot evaluate {type(n).__name__}")
-
-    def call(n: Call) -> HyperValue:
-        if n.func == "st":
-            _arity(n, 1)
-            return ctx.constant(run(n.args[0]).standard_part())
-        if n.func == "floor":
-            _arity(n, 1)
-            return run(n.args[0]).floor()
-        if n.func == "abs":
-            _arity(n, 1)
-            return abs(run(n.args[0]))
-        if n.func == "nines":
-            _arity(n, 1)
-            arg = n.args[0]
-            if isinstance(arg, Name) and arg.ident == "H":
-                return nines_hyper(ctx)
-            k = _integer_exponent(run(arg), arg.span)
-            if k < 1:
-                raise DomainError("nines needs a positive count")
-            return nines(ctx, k)
-        if n.func in _ELEMENTARY_NODES:
-            _arity(n, 1)
-            f = _ELEMENTARY_NODES[n.func](transfer.Var())
-            return eval_star(f, run(n.args[0]))
-        raise UnknownIdentifier(f"unknown function {n.func!r}", n.span)
-
-    def limit_value(n: LimSeq) -> HyperValue:
-        f = to_function(n.body, n.var)
-        result = limit_seq(f, ctx)
-        if result.outcome != "converges":
-            raise DomainError(
-                f"limit does not converge ({result.outcome}: {result.note})"
-            )
-        return ctx.constant(result.value)
-
     try:
-        return run(node)
+        return transfer._fold(node, None, _Values(ctx, env or {}))
     except Overflow as exc:
         raise ResourceLimit(transfer._OVERFLOW) from exc
 
@@ -472,72 +448,40 @@ def eval_command(cmd: Command, ctx: NumContext, env: Optional[dict] = None) -> H
 
 
 # --------------------------------------------------------------------------
-# expression -> one-variable function tree
+# expression -> one-variable function
 # --------------------------------------------------------------------------
 
-_NOT_POINTWISE = {"st", "floor", "abs", "nines"}
+def to_function(tree: FuncExpr, var: str = "x") -> FuncExpr:
+    """Check that tree is a standard function of var and return it.
 
-
-def to_function(node: Node, var: str = "x") -> FuncExpr:
-    """Convert to a standard-function tree in one variable.
-
-    Only operations with a pointwise real meaning survive: st, floor,
-    abs, nines, H, and eps all describe values or hyper operations, not
-    standard functions, and are rejected.
+    Only operations with a pointwise real meaning may appear: st, floor,
+    abs, nines, H, eps, sequence limits, and powers other than 10^w or an
+    integer literal exponent describe values or hyper operations, not
+    standard functions, and are rejected, as is any other free name.
     """
-    if isinstance(node, Num):
-        return transfer.Const(node.value)
-    if isinstance(node, Name):
-        if node.ident == var:
-            return transfer.Var()
-        if node.ident in _NAMED_CONSTANTS:
-            return transfer.NamedConst(node.ident)
-        if node.ident in ("H", "eps"):
-            raise DomainError(
-                f"{node.ident} is a hyperreal value, not a standard function"
-                " term; evaluate it instead"
+    if var in _BUILTINS:
+        raise ParseError(f"{var!r} is reserved")
+    _check_function(tree, var)
+    return tree
+
+
+def _check_function(f: FuncExpr, var: str) -> None:
+    if isinstance(f, Var):
+        if f.name != var:
+            raise UnknownIdentifier(
+                f"unknown name {f.name!r} (the variable here is {var!r})", f.span
             )
-        raise UnknownIdentifier(
-            f"unknown name {node.ident!r} (the variable here is {var!r})",
-            node.span,
-        )
-    if isinstance(node, Neg):
-        return transfer.Mul(
-            transfer.Const(Fraction(-1)), to_function(node.operand, var)
-        )
-    if isinstance(node, Bin):
-        if node.op == "^":
-            if isinstance(node.left, Num) and node.left.value == 10:
-                return transfer.Pow10(to_function(node.right, var))
-            exponent = node.right
-            neg = False
-            if isinstance(exponent, Neg):
-                neg = True
-                exponent = exponent.operand
-            if not isinstance(exponent, Num) or exponent.value.denominator != 1:
-                raise DomainError(
-                    "function exponents must be integer literals"
-                    " (or the base must be 10)"
-                )
-            k = int(exponent.value)
-            return transfer.PowInt(to_function(node.left, var), -k if neg else k)
-        ctor = {
-            "+": transfer.Add,
-            "-": transfer.Sub,
-            "*": transfer.Mul,
-            "/": transfer.Div,
-        }[node.op]
-        return ctor(to_function(node.left, var), to_function(node.right, var))
-    if isinstance(node, Call):
-        if node.func in _NOT_POINTWISE:
-            raise DomainError(
-                f"{node.func} is not a pointwise standard function"
-            )
-        if node.func in _ELEMENTARY_NODES:
-            if len(node.args) != 1:
-                raise ParseError(f"{node.func} takes 1 argument", node.span)
-            return _ELEMENTARY_NODES[node.func](to_function(node.args[0], var))
-        raise UnknownIdentifier(f"unknown function {node.func!r}", node.span)
-    if isinstance(node, LimSeq):
+    elif isinstance(f, Unit):
+        raise DomainError(f"{f.name} is a hyperreal value, not a standard"
+                          " function term; evaluate it instead")
+    elif isinstance(f, HyperCall):
+        raise DomainError(f"{f.func} is not a pointwise standard function")
+    elif isinstance(f, Power):
+        raise DomainError("function exponents must be integer literals"
+                          " (or the base must be 10)")
+    elif isinstance(f, LimSeq):
         raise DomainError("a sequence limit is not a pointwise function")
-    raise TypeError(f"cannot convert {type(node).__name__}")
+    else:
+        for child in vars(f).values():
+            if isinstance(child, FuncExpr):
+                _check_function(child, var)

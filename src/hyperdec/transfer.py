@@ -4,9 +4,10 @@ An expression tree built from the constructors below describes a real
 function f.  One fold walks the tree for every number type: ``eval_star``
 runs it over hypervalues, ``eval_real`` over Fractions (arithmetic trees
 at rational points) or Decimals.  The walk and the field operations are
-shared; a small backend per number type supplies the rest: the lift of
-rational constants, the zero check on divisors, the named constants,
-powers of ten and the elementary functions.
+shared; a small backend per number type supplies the rest: the variable,
+the lift of rational constants, the zero check on divisors, the named
+constants, powers of ten, the elementary functions and any other node.
+``expr`` parses to these trees and evaluates them with this same fold.
 
 Over hypervalues the elementary functions (exp, log, sin, cos, sqrt)
 expand as a Taylor series about the standard part of their argument, so
@@ -27,7 +28,7 @@ evaluating f at finitely many hyperreal points and taking standard parts.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal, Overflow, getcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -48,10 +49,15 @@ from .hyperfield import HyperValue, NumContext, UNIT_PAIR, ExponentPair
 # expression trees
 # --------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class FuncExpr:
-    """Base class for function expression nodes."""
+    """Base class for expression nodes.
 
-    __slots__ = ()
+    span is the (start, end) character range of the node in the text it
+    was parsed from, kept for error messages and left out of equality.
+    """
+
+    span: tuple = field(default=(0, 0), compare=False, repr=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -76,6 +82,11 @@ class NamedConst(FuncExpr):
     def __post_init__(self):
         if self.name not in ("pi", "e", "ln10"):
             raise ValueError(f"unknown constant {self.name!r}")
+
+
+@dataclass(frozen=True)
+class Neg(FuncExpr):
+    operand: FuncExpr
 
 
 @dataclass(frozen=True)
@@ -165,6 +176,8 @@ def is_arithmetic(f: FuncExpr) -> bool:
         return is_arithmetic(f.left) and is_arithmetic(f.right)
     if isinstance(f, PowInt):
         return is_arithmetic(f.base)
+    if isinstance(f, Neg):
+        return is_arithmetic(f.operand)
     return False
 
 
@@ -178,6 +191,8 @@ def symbolic_derivative(f: FuncExpr) -> FuncExpr:
         return Const(Fraction(1))
     if isinstance(f, (Const, NamedConst)):
         return Const(Fraction(0))
+    if isinstance(f, Neg):
+        return Neg(symbolic_derivative(f.operand))
     if isinstance(f, Add):
         return Add(symbolic_derivative(f.left), symbolic_derivative(f.right))
     if isinstance(f, Sub):
@@ -502,13 +517,15 @@ def _pow10_value(w: HyperValue) -> HyperValue:
 # --------------------------------------------------------------------------
 
 def _fold(f: FuncExpr, x, num):
-    """Value of f with every Var bound to x, in the number type of `num`.
+    """Value of f in the number type of `num`.
 
     The walk and the field operations are shared; `num` is one of the
-    backends below and supplies what depends on the number type.
+    backends below and supplies what depends on the number type: a Var
+    is num.var(f, x), which is x itself for a function, and a node the
+    walk does not know goes to num.other(f, x).
     """
     if isinstance(f, Var):
-        return x
+        return num.var(f, x)
     if isinstance(f, Const):
         return num.const(f.value)
     if isinstance(f, Add):
@@ -527,6 +544,8 @@ def _fold(f: FuncExpr, x, num):
         if f.power == 0:
             return num.const(Fraction(1))  # Decimal 0 ** 0 is an invalid operation
         return (num.divisor(base) if f.power < 0 else base) ** f.power
+    if isinstance(f, Neg):
+        return -_fold(f.operand, x, num)
     if isinstance(f, NamedConst):
         return num.named(f.name)
     if isinstance(f, Pow10):
@@ -534,7 +553,7 @@ def _fold(f: FuncExpr, x, num):
     kind = _ELEMENTARY.get(type(f))
     if kind is not None:
         return num.elementary(kind, _fold(f.arg, x, num))
-    raise TypeError(f"cannot evaluate {type(f).__name__}")
+    return num.other(f, x)
 
 
 def _to_decimal(x) -> Decimal:
@@ -551,7 +570,17 @@ def _nonzero(d):
     return d
 
 
-class _Fractions:
+class _Function:
+    """The hooks of the function backends: every Var is the point x."""
+
+    var = staticmethod(lambda f, x: x)
+
+    @staticmethod
+    def other(f: FuncExpr, x):
+        raise TypeError(f"cannot evaluate {type(f).__name__}")
+
+
+class _Fractions(_Function):
     """Exact rationals; eval_real sends only arithmetic trees here."""
 
     @staticmethod
@@ -570,7 +599,7 @@ _DECIMAL_ELEMENTARY = {
 }
 
 
-class _Decimals:
+class _Decimals(_Function):
     """Decimals under the caller's context (eval_real sets it)."""
 
     const = staticmethod(_to_decimal)
@@ -590,7 +619,7 @@ class _Decimals:
         return _DECIMAL_ELEMENTARY[kind](v)
 
 
-class _Hypers:
+class _Hypers(_Function):
     """Hypervalues in one context; transcendental pieces go by Taylor."""
 
     def __init__(self, ctx: NumContext):
@@ -615,7 +644,7 @@ class _Hypers:
     elementary = staticmethod(_apply_elementary)
 
 
-# what a float result past the decimal exponent range is refused with
+# the refusal of a float result past the decimal exponent range
 _OVERFLOW = "a float result overflows the decimal exponent range"
 
 

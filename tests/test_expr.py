@@ -1,5 +1,5 @@
-"""Expression language tests: parsing, printing, evaluation, and the
-conversion to one-variable function trees."""
+"""Expression language tests: parsing to function trees, printing,
+evaluation, and the check that a tree is a one-variable function."""
 
 import random
 from fractions import Fraction
@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from hyperdec import transfer
+from hyperdec.cli import run_cli
 from hyperdec.errors import (
     DomainError,
     ExactTranscendental,
@@ -14,11 +15,10 @@ from hyperdec.errors import (
     UnknownIdentifier,
 )
 from hyperdec.expr import (
-    Bin,
-    Call,
-    Name,
-    Neg,
-    Num,
+    HyperCall,
+    LimSeq,
+    Power,
+    Unit,
     eval_command,
     evaluate,
     parse_command,
@@ -28,6 +28,19 @@ from hyperdec.expr import (
     to_function,
 )
 from hyperdec.hyperfield import NumContext, nines_hyper
+from hyperdec.transfer import (
+    Add,
+    Const,
+    Div,
+    Exp,
+    Mul,
+    NamedConst,
+    Neg,
+    Pow10,
+    PowInt,
+    Sub,
+    Var,
+)
 
 CTX = NumContext()
 
@@ -161,22 +174,39 @@ def test_print_parse_round_trip_corpus():
         assert parse_command(printed) == tree, (src, printed)
 
 
+ELEMENTARY_NODES = {name: node for node, name in transfer._ELEMENTARY.items()}
+
+
+def _power(base, exponent):
+    # the node the parser builds for base^exponent
+    if base == Const(10):
+        return Pow10(exponent)
+    sign, literal = (-1, exponent.operand) if isinstance(exponent, Neg) else (1, exponent)
+    if isinstance(literal, Const) and literal.value.denominator == 1:
+        return PowInt(base, sign * int(literal.value))
+    return Power(base, exponent)
+
+
 def _random_node(rng: random.Random, depth: int):
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.5:
             num = Fraction(rng.randrange(0, 500), rng.choice([1, 2, 4, 5, 10, 100]))
-            return Num(num)
-        return Name(rng.choice(["x", "H", "eps", "n", "y"]))
+            return Const(num)
+        name = rng.choice(["x", "H", "eps", "n", "y", "pi"])
+        if name in ("H", "eps"):
+            return Unit(name)
+        return NamedConst(name) if name == "pi" else Var(name)
     pick = rng.random()
     if pick < 0.55:
-        op = rng.choice(["+", "-", "*", "/", "^"])
-        return Bin(
-            op, _random_node(rng, depth - 1), _random_node(rng, depth - 1)
-        )
+        op = rng.choice([Add, Sub, Mul, Div, _power])
+        return op(_random_node(rng, depth - 1), _random_node(rng, depth - 1))
     if pick < 0.7:
         return Neg(_random_node(rng, depth - 1))
     func = rng.choice(["st", "floor", "abs", "exp", "log", "sin", "cos", "sqrt"])
-    return Call(func, (_random_node(rng, depth - 1),))
+    arg = _random_node(rng, depth - 1)
+    if func in ("st", "floor", "abs"):
+        return HyperCall(func, arg)
+    return ELEMENTARY_NODES[func](arg)
 
 
 def test_print_parse_round_trip_random_trees():
@@ -219,3 +249,86 @@ def test_to_function_rejections():
 def test_function_pipeline_derivative():
     f = to_function(parse_expr("x^3"))
     assert transfer.derivative(f, Fraction(2), CTX) == Fraction(12)
+
+
+# ---------------------------------------------------------------- one tree
+
+def test_parser_builds_function_trees():
+    assert parse_expr("-(x + 1)*2") == Mul(Neg(Add(Var("x"), Const(1))), Const(2))
+    assert parse_expr("x^-2 - 10^y") == Sub(PowInt(Var("x"), -2), Pow10(Var("y")))
+    assert parse_expr("2^x") == Power(Const(2), Var("x"))
+    assert parse_expr("pi*H - st(eps)") == Sub(
+        Mul(NamedConst("pi"), Unit("H")), HyperCall("st", Unit("eps"))
+    )
+    assert parse_expr("lim(n -> inf, exp(1/n))") == LimSeq(
+        "n", Exp(Div(Const(1), Var("n")))
+    )
+    # a parenthesized node keeps its kind and takes the span of the parentheses
+    node = parse_expr("1 + (x)")
+    assert node.right == Var("x") and node.right.span == (4, 7)
+
+
+def test_to_function_returns_the_parsed_tree():
+    tree = parse_expr("exp(-x^2) + 10^x")
+    assert to_function(tree) is tree
+
+
+def test_float_pi_follows_the_context_precision():
+    ctx = NumContext(mode="float", prec=50)
+    value = ev("pi + 1", ctx)
+    f = to_function(parse_expr("pi + x"))
+    assert value.standard_part() == transfer.eval_real(f, Fraction(1), ctx)
+    assert len(str(value.standard_part())) == 51
+    assert ev("e", ctx) == transfer.eval_star(transfer.NamedConst("e"), ctx.zero())
+
+
+def test_negation_stays_exact_at_rational_points():
+    f = to_function(parse_expr("(-x^2)"))
+    assert transfer.is_arithmetic(f)
+    assert transfer.eval_real(f, Fraction(1, 3), CTX) == Fraction(-1, 9)
+    assert type(transfer.eval_real(f, Fraction(1, 3), CTX)) is Fraction
+    assert transfer.symbolic_derivative(f) == Neg(transfer.symbolic_derivative(f.operand))
+
+
+@pytest.mark.parametrize("src, message, span", [
+    ("H + 1 at H = 2", "'H' is reserved", (9, 10)),
+    ("eps at eps = 1", "'eps' is reserved", (7, 10)),
+    ("pi at pi = 3", "'pi' is reserved", (6, 8)),
+    ("e + 1 at e = 2", "'e' is reserved", (9, 10)),
+    ("lim(H -> inf, 1/H)", "'H' cannot name the limit variable", (4, 5)),
+    ("lim(pi -> inf, 1/pi)", "'pi' cannot name the limit variable", (4, 6)),
+])
+def test_builtin_names_cannot_name_a_variable(src, message, span):
+    with pytest.raises(ParseError) as info:
+        parse_command(src)
+    assert (str(info.value), info.value.span) == (f"{message} (at {span[0]}..{span[1]})", span)
+
+
+@pytest.mark.parametrize("var", ["H", "eps", "pi", "e"])
+def test_builtin_names_cannot_be_the_function_variable(var, capsys):
+    with pytest.raises(ParseError, match=f"'{var}' is reserved"):
+        to_function(parse_expr(f"{var}^2"), var)
+    assert run_cli(["deriv", f"{var}^2", "--at", "1", "--var", var]) == 2
+    assert capsys.readouterr().err == f"error: '{var}' is reserved\n"
+
+
+@pytest.mark.parametrize("src, error, message, span", [
+    ("foo(1)", UnknownIdentifier, "unknown function 'foo'", (0, 6)),
+    ("1/0 + foo(1)", UnknownIdentifier, "unknown function 'foo'", (6, 12)),
+    ("foo(bar(1))", UnknownIdentifier, "unknown function 'foo'", (0, 11)),
+    ("foo(1) + bar(2)", UnknownIdentifier, "unknown function 'foo'", (0, 6)),
+    ("2 * (foo(1))", UnknownIdentifier, "unknown function 'foo'", (4, 12)),
+    ("st(foo(1), 2)", ParseError, "st takes 1 argument, got 2", (0, 13)),
+    ("exp(x, 1)", ParseError, "exp takes 1 argument, got 2", (0, 9)),
+    ("nines(1, 2, 3)", ParseError, "nines takes 1 argument, got 3", (0, 14)),
+    ("foo(1) at x = bar(2)", UnknownIdentifier, "unknown function 'bar'", (14, 20)),
+])
+def test_unknown_functions_and_arity_fail_at_parse_time(src, error, message, span):
+    with pytest.raises(error) as info:
+        parse_command(src)
+    assert (str(info.value), info.value.span) == (f"{message} (at {span[0]}..{span[1]})", span)
+
+
+def test_a_syntax_error_comes_before_an_unknown_function():
+    with pytest.raises(ParseError, match="expected a value"):
+        parse_command("foo(1) +")

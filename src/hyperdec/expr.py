@@ -420,6 +420,9 @@ class _Values(transfer._Hypers):
             return v.floor() if f.func == "floor" else abs(v)
         if isinstance(f, LimSeq):
             result = limit_seq(to_function(f.body, f.var), ctx)
+            if result.outcome == "diverges":
+                why = f"diverges to {'+' if result.sign > 0 else '-'}infinity"
+                raise DomainError(f"limit does not converge ({why})")
             if result.outcome != "converges":
                 raise DomainError(f"limit does not converge ({result.outcome}: {result.note})")
             return ctx.constant(result.value)

@@ -27,7 +27,7 @@ from decimal import Context as _DecimalContext
 from decimal import Decimal, ROUND_FLOOR, localcontext
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from operator import itemgetter
 from typing import Iterable, Union
 
@@ -47,14 +47,6 @@ __all__ = [
     "Ordering",
     "Classification",
     "UNIT_PAIR",
-    "inv",
-    "compare",
-    "standard_part",
-    "approx_eq",
-    "classify",
-    "decompose",
-    "decompose_raw",
-    "floor",
     "nines",
     "nines_hyper",
     "to_json",
@@ -92,6 +84,7 @@ def _key_sum(p: _Key, q: _Key) -> _Key:
     return _whole_key((p[0] + q[0], p[1] + q[1]))
 
 
+@total_ordering
 class ExponentPair:
     """Exponents (b, a) of a monomial eps**b * H**a.
 
@@ -137,15 +130,6 @@ class ExponentPair:
     # --- magnitude order ------------------------------------------------
     def __lt__(self, other: "ExponentPair") -> bool:
         return self._key < other._key
-
-    def __le__(self, other: "ExponentPair") -> bool:
-        return self._key <= other._key
-
-    def __gt__(self, other: "ExponentPair") -> bool:
-        return self._key > other._key
-
-    def __ge__(self, other: "ExponentPair") -> bool:
-        return self._key >= other._key
 
     # --- group structure -------------------------------------------------
     def __add__(self, other: "ExponentPair") -> "ExponentPair":
@@ -844,40 +828,6 @@ def _coeff_floor(c: Coefficient):
     if isinstance(c, Fraction):
         return math.floor(c)
     return c.to_integral_value(rounding=ROUND_FLOOR)
-
-
-# --- functional aliases mirroring the operation names -------------------------------
-
-def inv(x: HyperValue) -> HyperValue:
-    return x.inv()
-
-
-def compare(x: HyperValue, y) -> Ordering:
-    return x.compare(y)
-
-
-def standard_part(x: HyperValue) -> Coefficient:
-    return x.standard_part()
-
-
-def approx_eq(x: HyperValue, y) -> bool:
-    return x.approx_eq(y)
-
-
-def classify(x: HyperValue) -> tuple[Classification, int]:
-    return x.classify()
-
-
-def decompose(x: HyperValue):
-    return x.decompose()
-
-
-def decompose_raw(x: HyperValue):
-    return x.decompose_raw()
-
-
-def floor(x: HyperValue) -> HyperValue:
-    return x.floor()
 
 
 def nines(ctx: NumContext, n: int) -> HyperValue:

@@ -3,14 +3,19 @@
 A finite value whose terms sit on integer powers of eps has decimal
 digits at three kinds of places: the standard fractional positions
 1, 2, 3, ..., and for each block m >= 1 the positions m*H + j around the
-m-th infinite stretch.  ``render`` prints the standard prefix plus one
-segment per block, reading the digits off the block coefficients: at
-place m*H + j the shallower blocks only add multiples of ten, so the
-digit is that of c_m * 10^j, taken from just below when that is a whole
-number and the deeper tail is negative.  ``digit_at`` reads a single
-digit with two field floors instead; it is the route behind the
-``digits`` command and the independent oracle for the engine in the
-tests.  ``parse`` inverts the printed form exactly.
+m-th infinite stretch.  One engine reads every digit off the
+coefficients: ``render`` prints the prefix and one segment per block,
+``digit_at`` reads one place, and the tests keep two field floors per
+place as its oracle.  At place m*H + j a term c * eps**b * H**a of x in
+[0, 1) falls under one rule:
+- b > m, or b == m and a < 0: the deeper tail, told by its first sign;
+- a == 0, b <= m: a block coefficient; the digit is that of c_m * 10^j,
+  from just below when that is whole and the tail is negative;
+- b < m, a >= 0: refused unless c's denominator divides a power of ten;
+- b < m, a < 0: refused as mixed-scale;
+- b == m, a > 0: refused unless c * 10^(j-1) is whole.
+Refusals are typed errors; ``render`` refuses every H-scaled term, and
+``parse`` inverts the printed form exactly.
 
 Notation summary (one block shown):
 
@@ -22,10 +27,6 @@ A leading "…" in a block means the first visible digit repeats over the
 whole gap back to the end of the prefix.  The prefix "…" means the last
 prefix digit repeats forever in the standard positions; blockless, that
 is the classical reading (".999…" parses to 1).
-
-Digits the floor cannot certify (an H-scaled coefficient, a coefficient
-whose denominator is not supported by a power of ten) raise rather than
-print something plausible.
 """
 
 import math
@@ -56,6 +57,8 @@ ELLIPSIS = "…"
 
 _BLOCK_CAP = 40
 
+_Coeffs = dict[tuple[int, int], Fraction]
+
 
 @dataclass(frozen=True)
 class Position:
@@ -83,34 +86,22 @@ def _as_position(position) -> Position:
     raise PositionOutOfModel(f"not a digit position: {position!r}")
 
 
-def _place_scale(ctx: NumContext, pos: Position) -> HyperValue:
-    # 10**(block*H + offset) as an exact monomial
-    return ctx.monomial(Fraction(10) ** pos.offset, -pos.block, 0)
-
-
 def digit_at(x: HyperValue, position) -> int:
-    """Digit of x at the given place; x must lie in [0, 1).
-
-    The digit is st(floor(x * 10^p) - 10 * floor(x * 10^(p-1))).  Values
-    with fractional exponents live off the decimal grid entirely; values
-    whose floor is not certifiable raise FloorUndecidable.
-    """
+    """Digit of x in [0, 1) at the given place: the engine's digit under
+    the five term rules of the module docstring, or a typed refusal."""
     pos = _as_position(position)
-    ctx = x.ctx
-    for _, pair in x.terms:
-        if pair.b.denominator != 1 or pair.a.denominator != 1:
-            raise PositionOutOfModel(
-                "fractional exponents have no decimal digit places"
+    m, j = pos.block, pos.offset
+    coeffs = _coeffs(x)
+    _unit_interval_check(x)
+    for (b, h), c in coeffs.items():
+        if b < m and h > 0:
+            raise FloorUndecidable(f"mixed-scale monomial {ExponentPair(b, -h)}")
+        if b == m and h < 0 and (c * Fraction(10) ** (j - 1)).denominator != 1:
+            raise FloorUndecidable(
+                f"coefficient {c} of a power of H times 10^{j - 1} is not whole"
             )
-    if x.sign() < 0 or not (x < ctx.constant(1)):
-        raise PositionOutOfModel("digit_at needs 0 <= x < 1")
-    hi = _place_scale(ctx, pos)
-    lo = ctx.monomial(Fraction(10) ** (pos.offset - 1), -pos.block, 0)
-    d = ((x * hi).floor() - 10 * (x * lo).floor()).standard_part()
-    q = int(d)
-    if q != d or not 0 <= q <= 9:
-        raise RuntimeError(f"digit extraction produced {d}; floor misbehaved")
-    return q
+    _shallower_check(coeffs, m)
+    return int(_digits(coeffs, m, j, j, x.truncated))
 
 
 # --------------------------------------------------------------------------
@@ -166,9 +157,9 @@ def render(x: HyperValue, window: int = 3) -> str:
     y = y0 - n
     if y.is_zero:
         return f"{sign}{whole}"
-    coeffs = {int(pair.b): Fraction(c) for c, pair in y.terms}
-    blocks_max = max(coeffs)
-    r = coeffs.get(0, Fraction(0))
+    coeffs = _coeffs(y)
+    blocks_max = max(coeffs)[0]
+    r = coeffs.get((0, 0), Fraction(0))
     tail = _tail_run(r)
 
     if blocks_max == 0:
@@ -215,37 +206,47 @@ def _unit_interval_check(y: HyperValue) -> None:
         raise PositionOutOfModel("digit_at needs 0 <= x < 1")
 
 
-def _deeper_sign(coeffs: dict[int, Fraction], m: int) -> int:
-    """Sign of the first block below block m that is present, 0 if none."""
-    deeper = [k for k in coeffs if k > m]
+def _coeffs(x: HyperValue) -> _Coeffs:
+    """Coefficients keyed by depth (b, -a), the reverse of magnitude order."""
+    out = {}
+    for c, pair in x.terms:
+        b, a = pair.b, pair.a
+        if b.denominator != 1 or a.denominator != 1:
+            raise PositionOutOfModel("fractional exponents have no decimal digit places")
+        out[b.numerator, -a.numerator] = Fraction(c)
+    return out
+
+
+def _deeper_sign(coeffs: _Coeffs, m: int) -> int:
+    """Sign of the first term deeper than block m, 0 if none."""
+    deeper = [k for k in coeffs if k > (m, 0)]
     if not deeper:
         return 0
     return 1 if coeffs[min(deeper)] > 0 else -1
 
 
-def _shallower_check(coeffs: dict[int, Fraction], m: int) -> None:
-    """Refuse block m when a shallower block is not a power-of-ten multiple.
+def _shallower_check(coeffs: _Coeffs, m: int) -> None:
+    """Refuse block m when a shallower term is not a power-of-ten multiple.
 
-    Block k < m contributes c_k * 10^((m-k)H + j) at place m*H + j, a
-    multiple of ten only when 10^H absorbs the denominator of c_k.
+    A term c * eps**k * H**a with k < m contributes c * 10^((m-k)H + j) *
+    H**a at place m*H + j, a multiple of ten only when 10^H absorbs the
+    denominator of c.
     """
     for k in sorted(coeffs):
-        if k < m and _ten_power(coeffs[k].denominator) is None:
+        if k < (m, 0) and _ten_power(coeffs[k].denominator) is None:
             raise FloorUndecidable(
                 f"coefficient {coeffs[k]} not a power-of-ten multiple"
             )
 
 
-def _digits(
-    coeffs: dict[int, Fraction], m: int, lo: int, hi: int, flagged: bool
-) -> str:
+def _digits(coeffs: _Coeffs, m: int, lo: int, hi: int, flagged: bool) -> str:
     """Digits at places m*H + lo .. m*H + hi of an on-grid y in [0, 1).
 
-    Shallower blocks only add multiples of ten there, so with Z the floor
+    Shallower terms only add multiples of ten there, so with Z the floor
     of c_m * 10^hi (one less when that is a whole number and the deeper
     tail is negative) the digit at m*H + j is (Z // 10^(hi-j)) % 10.
     """
-    c = coeffs.get(m, Fraction(0))
+    c = coeffs.get((m, 0), Fraction(0))
     s = _deeper_sign(coeffs, m)
     num, den = c.numerator, c.denominator
     if hi >= 0:
@@ -264,11 +265,9 @@ def _digits(
     return str(z % 10**count).zfill(count)
 
 
-def _render_block(
-    coeffs: dict[int, Fraction], m: int, window: int, flagged: bool
-) -> str:
+def _render_block(coeffs: _Coeffs, m: int, window: int, flagged: bool) -> str:
     _shallower_check(coeffs, m)
-    c = coeffs.get(m, Fraction(0))
+    c = coeffs.get((m, 0), Fraction(0))
     width = len(str(int(abs(c)))) if abs(c) >= 1 else 1
     j_lo = min(-window, -(width + 1))
 

@@ -29,7 +29,7 @@ evaluating f at finitely many hyperreal points and taking standard parts.
 
 import math
 from dataclasses import dataclass, field
-from decimal import Decimal, Overflow, getcontext
+from decimal import Decimal, Overflow, getcontext, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
@@ -42,7 +42,7 @@ from .errors import (
     NotFinite,
     ResourceLimit,
 )
-from .hyperfield import HyperValue, NumContext, UNIT_PAIR, ExponentPair
+from .hyperfield import HyperValue, NumContext, UNIT_PAIR, ExponentPair, _decimal_ctx
 
 
 # --------------------------------------------------------------------------
@@ -293,11 +293,20 @@ def _dec_trig(x: Decimal, i: int) -> Decimal:
 
 
 def _named_decimal(name: str) -> Decimal:
-    if name == "pi":
-        return _dec_pi()
-    if name == "e":
-        return Decimal(1).exp()
-    return Decimal(10).ln()
+    """pi, e or ln10 at the current precision."""
+    return _named_at(name, getcontext().prec)
+
+
+@lru_cache(maxsize=64)
+def _named_at(name: str, prec: int) -> Decimal:
+    # computed once per precision: the series are costly and callers
+    # evaluate one tree at many points
+    with localcontext(_decimal_ctx(prec)):
+        if name == "pi":
+            return _dec_pi()
+        if name == "e":
+            return Decimal(1).exp()
+        return Decimal(10).ln()
 
 
 @lru_cache(maxsize=None)

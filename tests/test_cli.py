@@ -157,16 +157,13 @@ def test_zero_reciprocal_refused(capsys, argv):
     assert err == "error: division by zero at a sample point\n"
 
 
-def test_float_floor_refuses_a_result_wider_than_prec(capsys):
-    # floor(1.24e16 - tiny) = 12399999999999999 has 17 digits; at prec 12
-    # rounding it would print the digit 0 where exact mode prints 9
+def test_float_digits_match_exact_mode_past_prec(capsys):
+    # the digit at H+20 sits in floor(1.24e16 - tiny) = 12399999999999999,
+    # 17 digits; read off the block coefficient it needs no floor at prec 12
     expr = "0.000124*eps - 3.33333333333*eps^3"
     assert run(capsys, "digits", expr, "1:20") == (0, "1:20: 9\n", "")
-    code, out, err = run(
-        capsys, "digits", expr, "1:20", "--mode", "float", "--prec", "12"
-    )
-    assert (code, out) == (1, "")
-    assert err == "error: the floor 12399999999999999 needs more than 12 digits\n"
+    got = run(capsys, "digits", expr, "1:20", "--mode", "float", "--prec", "12")
+    assert got == (0, "1:20: 9\n", "")
 
 
 def test_float_floor_is_exact_past_28_digits(capsys):

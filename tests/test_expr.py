@@ -92,8 +92,10 @@ def test_calls():
 
 
 def test_embedded_diverging_limit_refuses():
-    with pytest.raises(DomainError):
-        ev("lim(n -> inf, n^2)")
+    for body, sign in (("n^2", "+"), ("-n^2", "-")):
+        with pytest.raises(DomainError) as info:
+            ev(f"lim(n -> inf, {body})")
+        assert str(info.value) == f"limit does not converge (diverges to {sign}infinity)"
 
 
 def test_elementary_through_star_map():

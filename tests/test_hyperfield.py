@@ -32,18 +32,10 @@ from hyperdec.hyperfield import (
     NumContext,
     Ordering,
     UNIT_PAIR,
-    approx_eq,
-    classify,
-    compare,
-    decompose,
-    decompose_raw,
-    floor,
     format_value,
     from_json,
-    inv,
     nines,
     nines_hyper,
-    standard_part,
     to_json,
 )
 
@@ -609,10 +601,10 @@ def test_float_pow_of_unit_coefficient_is_immediate():
 # ---------------------------------------------------------------- compare / order
 
 def test_compare_examples():
-    assert compare(CTX.omega(), CTX.tau(-1)) is Ordering.LESS
-    assert compare(nines_hyper(CTX), CTX.constant(1)) is Ordering.LESS
-    assert compare(CTX.tau(), CTX.zero()) is Ordering.GREATER
-    assert compare(CTX.constant(3), CTX.constant(3)) is Ordering.EQUAL
+    assert CTX.omega().compare(CTX.tau(-1)) is Ordering.LESS
+    assert nines_hyper(CTX).compare(CTX.constant(1)) is Ordering.LESS
+    assert CTX.tau().compare(CTX.zero()) is Ordering.GREATER
+    assert CTX.constant(3).compare(CTX.constant(3)) is Ordering.EQUAL
 
 
 def test_compare_refuses_ambiguous_equality():
@@ -647,71 +639,71 @@ def test_cancelled_truncation_does_not_order():
 # ---------------------------------------------------------------- standard part etc.
 
 def test_standard_part_examples():
-    assert standard_part(nines_hyper(CTX)) == 1
-    assert standard_part(val((1, 0, 0), (5, 1, 0), (-2, 0, -1))) == 1
-    assert standard_part(CTX.tau()) == 0
+    assert nines_hyper(CTX).standard_part() == 1
+    assert val((1, 0, 0), (5, 1, 0), (-2, 0, -1)).standard_part() == 1
+    assert CTX.tau().standard_part() == 0
     with pytest.raises(NotFinite):
-        standard_part(CTX.omega())
+        CTX.omega().standard_part()
 
 
 def test_approx_eq_examples():
-    assert approx_eq(nines_hyper(CTX), CTX.constant(1))
-    assert approx_eq(CTX.tau(), CTX.zero())
-    assert not approx_eq(CTX.omega(), CTX.omega() + 1)
-    assert not approx_eq(CTX.constant(1), CTX.constant(2))
+    assert nines_hyper(CTX).approx_eq(CTX.constant(1))
+    assert CTX.tau().approx_eq(CTX.zero())
+    assert not CTX.omega().approx_eq(CTX.omega() + 1)
+    assert not CTX.constant(1).approx_eq(CTX.constant(2))
 
 
 def test_approx_eq_is_equivalence_on_finite_values():
     rng = random.Random(5)
     finite = [random_value(rng, finite=True) for _ in range(40)]
     for x in finite:
-        assert approx_eq(x, x)
+        assert x.approx_eq(x)
     for x in finite[:15]:
         for y in finite[:15]:
-            assert approx_eq(x, y) == approx_eq(y, x)
+            assert x.approx_eq(y) == y.approx_eq(x)
             # characterization via standard parts
-            assert approx_eq(x, y) == (standard_part(x) == standard_part(y))
+            assert x.approx_eq(y) == (x.standard_part() == y.standard_part())
 
 
 def test_classify_examples():
-    assert classify(CTX.omega() * CTX.tau()) == (Classification.INFINITESIMAL, 1)
-    assert classify(CTX.omega() + CTX.constant(5)) == (Classification.INFINITE, 1)
-    assert classify(CTX.zero()) == (Classification.INFINITESIMAL, 0)
-    assert classify(CTX.constant(-3) + CTX.tau()) == (Classification.APPRECIABLE, -1)
-    assert classify(-CTX.tau(-1)) == (Classification.INFINITE, -1)
+    assert (CTX.omega() * CTX.tau()).classify() == (Classification.INFINITESIMAL, 1)
+    assert (CTX.omega() + CTX.constant(5)).classify() == (Classification.INFINITE, 1)
+    assert CTX.zero().classify() == (Classification.INFINITESIMAL, 0)
+    assert (CTX.constant(-3) + CTX.tau()).classify() == (Classification.APPRECIABLE, -1)
+    assert (-CTX.tau(-1)).classify() == (Classification.INFINITE, -1)
 
 
 def test_classify_multiplication_table():
     tiny = CTX.tau()
     mid = CTX.constant(3)
     big = CTX.omega()
-    assert classify(tiny * mid)[0] is Classification.INFINITESIMAL
-    assert classify(mid * big)[0] is Classification.INFINITE
-    assert classify(tiny * tiny)[0] is Classification.INFINITESIMAL
-    assert classify(big * big)[0] is Classification.INFINITE
+    assert (tiny * mid).classify()[0] is Classification.INFINITESIMAL
+    assert (mid * big).classify()[0] is Classification.INFINITE
+    assert (tiny * tiny).classify()[0] is Classification.INFINITESIMAL
+    assert (big * big).classify()[0] is Classification.INFINITE
 
 
 # ---------------------------------------------------------------- floor
 
 def test_floor_examples():
-    assert as_map(floor(CTX.constant(10) - 10 * CTX.tau())) == {UNIT_PAIR: Fraction(9)}
-    got = floor(CTX.omega() + CTX.constant(Fraction(1, 2)))
+    assert as_map((CTX.constant(10) - 10 * CTX.tau()).floor()) == {UNIT_PAIR: Fraction(9)}
+    got = (CTX.omega() + CTX.constant(Fraction(1, 2))).floor()
     assert as_map(got) == {ExponentPair(0, 1): Fraction(1)}
     with pytest.raises(FloorUndecidable):
-        floor(CTX.omega() / 2)
+        (CTX.omega() / 2).floor()
 
 
 def test_floor_scaled_powers_of_ten():
     # (1/10) * eps**-1 is the hyperinteger 10**(H-1)
     x = CTX.monomial(Fraction(1, 10), -1, 0) - CTX.constant(Fraction(1, 10))
-    got = floor(x)
+    got = x.floor()
     assert as_map(got) == {
         ExponentPair(-1, 0): Fraction(1, 10),
         UNIT_PAIR: Fraction(-1),
     }
     # a third does not divide any power of ten
     with pytest.raises(FloorUndecidable):
-        floor(CTX.monomial(Fraction(1, 3), -1, 0))
+        CTX.monomial(Fraction(1, 3), -1, 0).floor()
 
 
 def test_floor_contract_randomized():
@@ -720,7 +712,7 @@ def test_floor_contract_randomized():
         f = Fraction(rng.randrange(-50, 50), rng.randrange(1, 9))
         delta = rng.choice([-1, 0, 1])
         x = CTX.constant(f) + delta * CTX.tau()
-        q = floor(x)
+        q = x.floor()
         assert q <= x
         assert x < q + 1
 
@@ -738,15 +730,15 @@ def test_floor_truncated_boundary_refused():
 
 def test_decompose_examples():
     om = CTX.omega()
-    whole, r, tail = decompose(om + CTX.constant(Fraction(1, 2)) + CTX.tau())
+    whole, r, tail = (om + CTX.constant(Fraction(1, 2)) + CTX.tau()).decompose()
     assert as_map(whole) == {ExponentPair(0, 1): Fraction(1)}
     assert r == Fraction(1, 2)
     assert as_map(tail) == {ExponentPair(1, 0): Fraction(1)}
 
-    whole, r, tail = decompose(CTX.zero())
+    whole, r, tail = CTX.zero().decompose()
     assert whole.is_zero and r == 0 and tail.is_zero
 
-    whole, r, tail = decompose(CTX.constant(1) - CTX.tau())
+    whole, r, tail = (CTX.constant(1) - CTX.tau()).decompose()
     assert as_map(whole) == {UNIT_PAIR: Fraction(1)}
     assert r == 0
     assert as_map(tail) == {ExponentPair(1, 0): Fraction(-1)}
@@ -756,7 +748,7 @@ def test_decompose_reassembles_with_r_in_range():
     rng = random.Random(97)
     for _ in range(150):
         x = random_value(rng, hyperinteger_infinite=True)
-        whole, r, tail = decompose(x)
+        whole, r, tail = x.decompose()
         assert 0 <= r < 1
         assert (whole + CTX.constant(r) + tail - x).is_zero
         assert whole._hyperinteger_obstruction() is None
@@ -764,11 +756,11 @@ def test_decompose_reassembles_with_r_in_range():
 
 def test_decompose_raw_passthrough():
     x = CTX.omega() / 2 + CTX.constant(Fraction(3, 2)) + CTX.tau()
-    whole, r, tail = decompose_raw(x)
+    whole, r, tail = x.decompose_raw()
     assert r == Fraction(3, 2)
     assert as_map(whole) == {ExponentPair(0, 1): Fraction(1, 2)}
     # non-hyperinteger infinite part falls back to the raw split
-    assert decompose(x)[1] == Fraction(3, 2)
+    assert x.decompose()[1] == Fraction(3, 2)
 
 
 # ---------------------------------------------------------------- identity chains
@@ -783,8 +775,8 @@ def test_nines_identity_chain():
 def test_hyper_nines_value_and_order():
     x = nines_hyper(CTX)
     assert as_map(x) == {UNIT_PAIR: Fraction(1), ExponentPair(1, 0): Fraction(-1)}
-    assert compare(x, CTX.constant(1)) is Ordering.LESS
-    assert standard_part(x) == 1
+    assert x.compare(CTX.constant(1)) is Ordering.LESS
+    assert x.standard_part() == 1
 
 
 # ---------------------------------------------------------------- float mode
@@ -808,6 +800,18 @@ def test_float_mode_floor():
     ctx = NumContext(mode="float", prec=30)
     x = ctx.constant(Decimal("2.5")) - ctx.tau()
     assert x.floor().standard_part() == 2
+
+
+def test_float_floor_refuses_a_result_wider_than_prec():
+    # floor(1.24e16 - tiny) = 12399999999999999 has 17 digits; rounded to
+    # prec 12 it would read 12400000000000000
+    ctx = NumContext(mode="float", prec=12)
+    x = ctx.monomial(Decimal("0.000124"), 1, 0) - ctx.monomial(
+        Decimal("3.33333333333"), 3, 0
+    )
+    with pytest.raises(FloorUndecidable) as info:
+        (x * ctx.monomial(10**20, -1, 0)).floor()
+    assert str(info.value) == "the floor 12399999999999999 needs more than 12 digits"
 
 
 # ---------------------------------------------------------------- json
@@ -896,10 +900,10 @@ def test_trichotomy(x, y):
 def test_standard_part_homomorphism(x, y):
     if not (x.is_finite and y.is_finite):
         return
-    assert standard_part(x + y) == standard_part(x) + standard_part(y)
+    assert (x + y).standard_part() == x.standard_part() + y.standard_part()
     p = x * y
     if p.is_finite:
-        assert standard_part(p) == standard_part(x) * standard_part(y)
+        assert p.standard_part() == x.standard_part() * y.standard_part()
 
 
 @settings(max_examples=150, deadline=None)

@@ -38,6 +38,30 @@ def plain_digit(v: Fraction, p: int) -> int:
     return rfloor(v * 10**p) - 10 * rfloor(v * 10 ** (p - 1))
 
 
+def digit_by_floors(x: HyperValue, position) -> int:
+    """The digit as st(floor(x * 10^p) - 10 * floor(x * 10^(p-1))).
+
+    The route through two field floors per place: the oracle that the
+    coefficient engine behind digit_at and render is checked against.
+    """
+    pos = lightstone._as_position(position)
+    ctx = x.ctx
+    for _, pair in x.terms:
+        if pair.b.denominator != 1 or pair.a.denominator != 1:
+            raise PositionOutOfModel(
+                "fractional exponents have no decimal digit places"
+            )
+    if x.sign() < 0 or not (x < ctx.constant(1)):
+        raise PositionOutOfModel("digit_at needs 0 <= x < 1")
+    hi = ctx.monomial(Fraction(10) ** pos.offset, -pos.block, 0)
+    lo = ctx.monomial(Fraction(10) ** (pos.offset - 1), -pos.block, 0)
+    d = ((x * hi).floor() - 10 * (x * lo).floor()).standard_part()
+    q = int(d)
+    if q != d or not 0 <= q <= 9:
+        raise RuntimeError(f"digit extraction produced {d}; floor misbehaved")
+    return q
+
+
 # ---------------------------------------------------------------- digit_at
 
 def test_digit_examples():
@@ -333,9 +357,10 @@ def test_engine_digits_match_digit_at(monkeypatch):
     """render's block-coefficient digits agree with the floor route.
 
     Every digit range render reads off the coefficients is redone place
-    by place with digit_at; a range render refuses must make digit_at
-    refuse at one of its places with the same type and message, and a
-    shallower-block refusal must match digit_at at the block's place H.
+    by place with digit_by_floors; a range render refuses must make the
+    oracle refuse at one of its places with the same type and message,
+    and a shallower-block refusal must match the oracle at the block's
+    place H.
     """
     ranges, checks = [], []
     digits, shallower = lightstone._digits, lightstone._shallower_check
@@ -363,12 +388,12 @@ def test_engine_digits_match_digit_at(monkeypatch):
                 for m, lo, hi, got in ranges:
                     places = [Position(m, j) for j in range(lo, hi + 1)]
                     if isinstance(got, str):
-                        want = "".join(str(digit_at(x, p)) for p in places)
+                        want = "".join(str(digit_by_floors(x, p)) for p in places)
                         assert got == want, (x, m, lo, hi)
                         compared += len(places)
                         continue
                     first = next(
-                        (r for r in (_refusal(digit_at, x, p) for p in places)
+                        (r for r in (_refusal(digit_by_floors, x, p) for p in places)
                          if isinstance(r, tuple)),
                         None,
                     )
@@ -376,6 +401,65 @@ def test_engine_digits_match_digit_at(monkeypatch):
                     refused += 1
                 for m, got in checks:
                     if got is not None:
-                        assert _refusal(digit_at, x, Position(m, 0)) == got, x
+                        assert _refusal(digit_by_floors, x, Position(m, 0)) == got, x
                         refused += 1
     assert compared > 2000 and refused > 20
+
+
+def _random_scaled_value(rng: random.Random, ctx: NumContext, m: int) -> HyperValue:
+    """A value in [0, 1) with terms in all five classes of the places m*H + j."""
+    terms = []
+    r = rng.choice([0, Fraction(rng.randrange(1, 10**4), 10**4), Fraction(1, 3)])
+    if r:
+        terms.append((r, ExponentPair(0, 0)))
+    for _ in range(rng.randrange(1, 5)):
+        kind = rng.choice(["deeper"] * 3 + ["block"] * 3 + ["shallow", "mixed", "scaled"])
+        if kind == "deeper":
+            b, a = rng.choice([(m, -1), (m + 1, rng.randrange(-1, 2)), (m + 2, 0)])
+        elif kind == "block":
+            b, a = rng.randrange(1, m + 1) if m else 1, 0
+        elif kind == "shallow" and m >= 2:
+            b, a = rng.randrange(1, m), rng.randrange(1, 3)
+        elif kind == "mixed" and m >= 1:
+            b, a = rng.randrange(0, m), -rng.randrange(1, 3)
+        else:
+            b, a = m, rng.randrange(1, 3)
+        if b == 0 and a > 0:
+            continue  # an infinite term puts x outside [0, 1)
+        cc = rng.choice([
+            Fraction(rng.randrange(1, 10**5), 10 ** rng.randrange(0, 5)),
+        ] * 3 + [Fraction(rng.randrange(1, 100), rng.choice([3, 7]))])
+        terms.append((rng.choice([1, -1]) * cc, ExponentPair(b, a)))
+    x = ctx.from_terms(terms, truncated=rng.random() < 0.25)
+    return -x if x.sign() < 0 else x
+
+
+def test_digit_at_matches_the_floor_oracle_place_by_place():
+    """digit_at gives the oracle's digit wherever the oracle answers.
+
+    Where the oracle refuses, digit_at refuses with the same type, except
+    for a float floor wider than prec: there the digit is exact mode's.
+    """
+    rng = random.Random(1972)
+    answered = refused = widened = 0
+    for mode, prec in (("exact", 50), ("float", 12), ("float", 50)):
+        for k in (2, 4, 16):
+            ctx = NumContext(max_terms=k, mode=mode, prec=prec)
+            exact = NumContext(max_terms=k)
+            for _ in range(60):
+                m = rng.randrange(0, 4)
+                x = _random_scaled_value(rng, ctx, m)
+                for j in rng.sample(range(1 if m == 0 else -4, 26), 4):
+                    want = _refusal(digit_by_floors, x, (m, j))
+                    got = _refusal(digit_at, x, (m, j))
+                    if isinstance(want, int):
+                        assert got == want, (x, m, j)
+                        answered += 1
+                    elif "needs more than" in want[1]:
+                        same = exact.from_terms(x.terms, truncated=x.truncated)
+                        assert got == digit_by_floors(same, (m, j)), (x, m, j)
+                        widened += 1
+                    else:
+                        assert isinstance(got, tuple) and got[0] is want[0], (x, m, j)
+                        refused += 1
+    assert answered > 800 and refused > 600 and widened > 30

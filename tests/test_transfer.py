@@ -264,6 +264,21 @@ def test_named_constants_float():
     assert abs(float(ln10) - math.log(10)) < 1e-15
 
 
+def test_pi_is_computed_once_per_precision(monkeypatch):
+    calls = []
+    series = transfer._dec_pi
+    monkeypatch.setattr(transfer, "_dec_pi", lambda: calls.append(1) or series())
+    transfer._named_at.cache_clear()
+    f = Mul(NamedConst("pi"), X)
+    first = eval_star(f, FLOAT.tau())
+    for _ in range(3):
+        assert eval_star(f, FLOAT.tau()) == first
+    assert len(calls) == 1
+    eval_star(f, NumContext(mode="float", prec=60).tau())
+    assert len(calls) == 2
+    transfer._named_at.cache_clear()  # drop the values of the spied series
+
+
 # ---------------------------------------------------------------- pow10
 
 def test_pow10_monomials():

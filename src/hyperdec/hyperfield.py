@@ -607,14 +607,7 @@ class HyperValue:
         b, a = pair._key
         key = (_whole(b * k), _whole(a * k))
         if self.ctx.mode == "exact":
-            size = max(c.numerator.bit_length(), c.denominator.bit_length())
-            bits = k * size
-            if size > 1 and bits > _POW_BITS_CAP:  # a power of +-1 stays one bit
-                raise ResourceLimit(
-                    f"the coefficient of this power would take about {bits} bits,"
-                    f" past the {_POW_BITS_CAP}-bit cap"
-                )
-            out = c**k
+            out = _exact_power(c, k)
         elif c.as_tuple()[1:] == ((1,), 0):  # Decimal 1 or -1
             out = c if k % 2 else c.copy_abs()
         elif k - 1 > _POW_PRODUCTS_CAP:
@@ -710,9 +703,9 @@ class HyperValue:
             if not pair.is_infinite:
                 continue
             if pair.b.denominator != 1 or pair.a.denominator != 1:
-                return f"non-integer exponents {pair}"
+                return f"non-integer exponents {_format_monomial(pair)}"
             if pair.b > 0 or pair.a < 0:
-                return f"mixed-scale monomial {pair}"
+                return f"mixed-scale monomial {_format_monomial(pair)}"
             if pair.b < 0:
                 den = _denominator_of(c)
                 if den is None or _ten_power(den) is None:
@@ -788,6 +781,19 @@ class HyperValue:
     def __repr__(self) -> str:
         flag = ", truncated" if self.truncated else ""
         return f"<HyperValue {format_value(self)}{flag}>"
+
+
+def _exact_power(c: Fraction, k: int) -> Fraction:
+    """c**k for k >= 0, refused when k times the bit length of c passes
+    _POW_BITS_CAP; a power of 0 or +-1 stays one bit and is never refused."""
+    size = max(c.numerator.bit_length(), c.denominator.bit_length())
+    bits = k * size
+    if size > 1 and bits > _POW_BITS_CAP:
+        raise ResourceLimit(
+            f"the coefficient of this power would take about {bits} bits,"
+            f" past the {_POW_BITS_CAP}-bit cap"
+        )
+    return c**k
 
 
 def _denominator_of(c: Coefficient) -> int | None:

@@ -45,6 +45,7 @@ from .hyperfield import (
     HyperValue,
     NumContext,
     UNIT_PAIR,
+    _format_monomial,
     _ten_power,
     format_coeff,
     nines,
@@ -95,8 +96,10 @@ def digit_at(x: HyperValue, position) -> int:
     _unit_interval_check(x)
     for (b, h), c in coeffs.items():
         if b < m and h > 0:
-            raise FloorUndecidable(f"mixed-scale monomial {ExponentPair(b, -h)}")
-        if b == m and h < 0 and (c * Fraction(10) ** (j - 1)).denominator != 1:
+            raise FloorUndecidable(
+                f"mixed-scale monomial {_format_monomial(ExponentPair(b, -h))}"
+            )
+        if b == m and h < 0 and not _place_floor(c, j - 1, 1)[1]:
             raise FloorUndecidable(
                 f"coefficient {c} of a power of H times 10^{j - 1} is not whole"
             )
@@ -239,6 +242,26 @@ def _shallower_check(coeffs: _Coeffs, m: int) -> None:
             )
 
 
+def _place_floor(c: Fraction, e: int, count: int) -> tuple[int, bool]:
+    """(floor(c * 10^e) mod 10^count, whether c * 10^e is whole).
+
+    With n/d = c and M = d * 10^count, n * 10^e = q*M + r gives the floor
+    q * 10^count + r // d, whole iff d divides r; for e >= 0, r comes from
+    pow(10, e, M), so no power of ten grows with the place.  For e < 0 a
+    numerator below 8^-e < 10^-e puts c * 10^e in (-1, 1), so its floor
+    is 0 or -1; a larger numerator makes 10^-e no longer than it is.
+    """
+    num, den = c.numerator, c.denominator
+    if e < 0:
+        if abs(num).bit_length() <= -3 * e:
+            return (-1 if num < 0 else 0) % 10**count, num == 0
+        den *= 10**-e
+        e = 0
+    mod = den * 10**count
+    r = num * pow(10, e, mod) % mod
+    return r // den, r % den == 0
+
+
 def _digits(coeffs: _Coeffs, m: int, lo: int, hi: int, flagged: bool) -> str:
     """Digits at places m*H + lo .. m*H + hi of an on-grid y in [0, 1).
 
@@ -248,20 +271,15 @@ def _digits(coeffs: _Coeffs, m: int, lo: int, hi: int, flagged: bool) -> str:
     """
     c = coeffs.get((m, 0), Fraction(0))
     s = _deeper_sign(coeffs, m)
-    num, den = c.numerator, c.denominator
-    if hi >= 0:
-        num *= 10**hi
-    else:
-        den *= 10**-hi
-    z, rem = divmod(num, den)
-    if rem == 0:
+    count = hi - lo + 1
+    z, whole = _place_floor(c, hi, count)
+    if whole:
         if s == 0 and flagged:
             raise FloorUndecidable(
                 "integer standard part with a truncated tail of unknown sign"
             )
         if s < 0:
             z -= 1
-    count = hi - lo + 1
     return str(z % 10**count).zfill(count)
 
 

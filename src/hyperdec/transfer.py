@@ -25,6 +25,10 @@ goes through the general product loop.
 
 Everything downstream (slopes, limits, continuity probes) reduces to
 evaluating f at finitely many hyperreal points and taking standard parts.
+One case needs less: the slope of an arithmetic tree in exact mode is
+the e^1 coefficient of f(x0 + e), which every intermediate holds exactly
+at any K >= 2, so the fold runs over first-order jets v + d*e with
+e^2 = 0 in Fractions instead of over hypervalues (``derivative``).
 """
 
 import math
@@ -35,6 +39,7 @@ from functools import lru_cache
 from typing import Union
 
 from .errors import (
+    DivisionByZero,
     DomainError,
     ExactTranscendental,
     HyperError,
@@ -42,7 +47,14 @@ from .errors import (
     NotFinite,
     ResourceLimit,
 )
-from .hyperfield import HyperValue, NumContext, UNIT_PAIR, ExponentPair, _decimal_ctx
+from .hyperfield import (
+    HyperValue,
+    NumContext,
+    UNIT_PAIR,
+    ExponentPair,
+    _decimal_ctx,
+    _exact_power,
+)
 
 
 # --------------------------------------------------------------------------
@@ -653,6 +665,63 @@ class _Hypers(_Function):
     elementary = staticmethod(_apply_elementary)
 
 
+class _Jet:
+    """v + d*e with e**2 = 0: a value and its slope, both Fractions.
+
+    Division and powers refuse as HyperValue does at a standard point: a
+    zero divisor with DivisionByZero at the division itself, and a power
+    past the bit cap with the same ResourceLimit.
+    """
+
+    __slots__ = ("v", "d")
+
+    def __init__(self, v: Fraction, d: Fraction):
+        self.v = v
+        self.d = d
+
+    def __add__(self, other: "_Jet") -> "_Jet":
+        return _Jet(self.v + other.v, self.d + other.d)
+
+    def __sub__(self, other: "_Jet") -> "_Jet":
+        return _Jet(self.v - other.v, self.d - other.d)
+
+    def __neg__(self) -> "_Jet":
+        return _Jet(-self.v, -self.d)
+
+    def __mul__(self, other: "_Jet") -> "_Jet":
+        return _Jet(self.v * other.v, self.v * other.d + self.d * other.v)
+
+    def __truediv__(self, other: "_Jet") -> "_Jet":
+        if not other.v:
+            raise DivisionByZero("cannot invert zero")
+        q = self.v / other.v
+        return _Jet(q, (self.d - q * other.d) / other.v)
+
+    def __pow__(self, k: int) -> "_Jet":
+        # a negative power inverts first, as HyperValue.__pow__ does
+        base = self.v
+        if k < 0:
+            if not base:
+                raise DivisionByZero("cannot invert zero")
+            base = 1 / base
+        w = _exact_power(base, abs(k))
+        if not self.v:  # k > 0: d(v**k) = k * v**(k-1) * dv is dv or 0
+            return _Jet(w, self.d if k == 1 else w)
+        return _Jet(w, k * w / self.v * self.d)
+
+
+class _Jets(_Function):
+    """First-order jets; derivative sends only exact arithmetic trees here."""
+
+    @staticmethod
+    def const(c: Fraction) -> _Jet:
+        return _Jet(c, Fraction(0))
+
+    @staticmethod
+    def divisor(d: _Jet) -> _Jet:
+        return d  # _Jet division refuses zero, as HyperValue.inv does
+
+
 # the refusal of a float result past the decimal exponent range
 _OVERFLOW = "a float result overflows the decimal exponent range"
 
@@ -755,7 +824,21 @@ def derivative(
     Each infinitesimal probe e yields st((f(x0+e) - f(x0))/e); the probes
     must agree (exactly in exact mode, to half the working precision in
     float mode) or a NoDerivative witness is returned.
+
+    An arithmetic tree in exact mode with the default probes takes one
+    first-order jet instead.  There f(x0+e) is a series in the probe e,
+    and every divisor in it has the nonzero constant term of its value at
+    x0 (a zero one is refused while f(x0) is evaluated).  Sums, products
+    and inverses keep the K largest terms, so every intermediate is exact
+    through e^1 at any K >= 2, and each probe's quotient has the standard
+    part that the fold over v + d*e with e^2 = 0 gives as d, with no term
+    cut.  The jet refuses at the same node with the same error as f(x0)
+    over hypervalues.  Where a power's base vanishes at x0, the jet never
+    forms the probe's power, so it answers where a probe can pass the bit
+    cap (x^3000000 at 0 is 0).
     """
+    if probes is None and ctx.mode == "exact" and is_arithmetic(f):
+        return _fold(f, _Jet(ctx.coeff(x0), Fraction(1)), _Jets).d
     probes = probes or ProbeSet.default(ctx)
     base_point = ctx.constant(x0)
     base = eval_star(f, base_point)

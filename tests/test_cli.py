@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -209,6 +210,36 @@ def test_huge_coefficient_is_a_resource_limit(capsys, argv):
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 1
     assert json.loads(out)["error"]["type"] == "ResourceLimit"
+
+
+def test_exact_slope_of_a_huge_power_refuses_at_print_at_once(capsys):
+    # the slope 100000/2^99999 is one jet product; five hypervalue
+    # evaluations of (1/2 + e)^100000 would run for minutes
+    start = time.perf_counter()
+    code, out, err = run(capsys, "deriv", "x^100000", "--at", "1/2")
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (1, "")
+    assert err == "error: a coefficient with more than 4300 digits is too large to print\n"
+
+
+@pytest.mark.parametrize("place, digit", [
+    ("1:10000000", 3),
+    ("1:100000000", 3),
+    ("1:-100000000", 0),
+])
+def test_digits_far_from_the_block_are_read_at_once(capsys, place, digit):
+    start = time.perf_counter()
+    got = run(capsys, "digits", "eps/3", place)
+    assert time.perf_counter() - start < 10
+    assert got == (0, f"{place}: {digit}\n", "")
+
+
+@pytest.mark.parametrize("argv, monomial", [
+    (("digits", "eps^2 + eps/H", "2:0"), "eps*H^-1"),
+    (("eval", "floor(1/(eps*H))"), "eps^-1*H^-1"),
+])
+def test_mixed_scale_refusal_prints_the_monomial(capsys, argv, monomial):
+    assert run(capsys, *argv) == (1, "", f"error: mixed-scale monomial {monomial}\n")
 
 
 def test_power_past_the_bit_cap_is_refused_at_once(capsys):

@@ -693,6 +693,15 @@ def test_floor_examples():
         (CTX.omega() / 2).floor()
 
 
+def test_floor_refusals_print_the_monomial():
+    # the expression language builds no fractional exponent, so this
+    # refusal is only reachable through the API
+    with pytest.raises(FloorUndecidable, match=r"^non-integer exponents eps\^-1/2$"):
+        CTX.monomial(1, Fraction(-1, 2), 0).floor()
+    with pytest.raises(FloorUndecidable, match=r"^mixed-scale monomial eps\^-1\*H\^-1$"):
+        CTX.monomial(1, -1, -1).floor()
+
+
 def test_floor_scaled_powers_of_ten():
     # (1/10) * eps**-1 is the hyperinteger 10**(H-1)
     x = CTX.monomial(Fraction(1, 10), -1, 0) - CTX.constant(Fraction(1, 10))

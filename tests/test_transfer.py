@@ -15,7 +15,9 @@ import pytest
 from hyperdec.errors import (
     DomainError,
     ExactTranscendental,
+    HyperError,
     InfiniteArgument,
+    ResourceLimit,
 )
 from hyperdec import transfer
 from hyperdec.hyperfield import ExponentPair, HyperValue, NumContext, UNIT_PAIR
@@ -29,6 +31,7 @@ from hyperdec.transfer import (
     Log,
     Mul,
     NamedConst,
+    Neg,
     NoDerivative,
     Pow10,
     PowInt,
@@ -323,6 +326,82 @@ def test_derivative_polynomial_matches_oracle_exactly():
             got = derivative(f, x0, EXACT)
             want = eval_real(fp, x0, EXACT)
             assert got == want
+
+
+def random_tree(rng, depth):
+    """A random arithmetic tree with negative powers, at most depth deep."""
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.6:
+            return X
+        return const(Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)))
+    kind = rng.choice((Add, Sub, Mul, Div, PowInt, Neg))
+    if kind is PowInt:
+        return PowInt(random_tree(rng, depth - 1), rng.randrange(-3, 4))
+    if kind is Neg:
+        return Neg(random_tree(rng, depth - 1))
+    return kind(random_tree(rng, depth - 1), random_tree(rng, depth - 1))
+
+
+def slope_or_refusal(f, x0, probes=None):
+    try:
+        return derivative(f, x0, EXACT, probes)
+    except HyperError as exc:
+        return type(exc), str(exc)
+
+
+def test_jet_slope_matches_the_probe_route():
+    # the probe route is the oracle for the first-order jet: the same
+    # Fraction, or the same refusal type and text
+    rng = random.Random(10)
+    probes = ProbeSet.default(EXACT)
+    refused = 0
+    for _ in range(300):
+        f = random_tree(rng, 4)
+        x0 = Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+        got = slope_or_refusal(f, x0)
+        assert got == slope_or_refusal(f, x0, probes), (f, x0)
+        refused += isinstance(got, tuple)
+    assert 0 < refused < 150
+
+
+@pytest.mark.parametrize("f, x0", [
+    (Div(const(1), X), 0),
+    (Div(X, Sub(X, const(1))), 1),
+    (PowInt(Sub(X, const(1)), -2), 1),
+    (PowInt(X, 4_000_000), Fraction(3, 2)),
+    # the dividend fails before the zero divisor is refused
+    (Div(PowInt(X, 4_000_000), Sub(X, X)), Fraction(3, 2)),
+    (Div(PowInt(X, -1), Sub(X, X)), 0),
+])
+def test_jet_refuses_as_the_probe_route(f, x0):
+    got = slope_or_refusal(f, Fraction(x0))
+    assert isinstance(got, tuple)
+    assert got == slope_or_refusal(f, Fraction(x0), ProbeSet.default(EXACT))
+
+
+def test_jet_slope_where_a_probe_power_passes_the_bit_cap():
+    # x^3000000 vanishes at 0, so the jet forms no large power; the probe
+    # 2*eps gives (2*eps)^3000000, whose coefficient passes the bit cap
+    f = PowInt(X, 3_000_000)
+    assert derivative(f, Fraction(0), EXACT) == 0
+    with pytest.raises(ResourceLimit, match="bit cap"):
+        derivative(f, Fraction(0), EXACT, ProbeSet.default(EXACT))
+
+
+def test_exact_arithmetic_slope_takes_no_probe(monkeypatch):
+    def no_probe(f, x):
+        raise AssertionError("eval_star was called")
+
+    monkeypatch.setattr(transfer, "eval_star", no_probe)
+    f = Div(const(1), PowInt(X, 2))
+    assert derivative(f, Fraction(1, 2), EXACT) == -16
+    for args in [
+        (f, Fraction(1, 2), FLOAT),
+        (Sin(X), Fraction(0), EXACT),
+        (f, Fraction(1, 2), EXACT, ProbeSet.default(EXACT)),
+    ]:
+        with pytest.raises(AssertionError, match="eval_star was called"):
+            derivative(*args)
 
 
 def test_derivative_elementary_float_vs_central_difference():

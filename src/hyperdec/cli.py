@@ -20,7 +20,6 @@ from .hypercalc import newton_trace, theorem_check
 from .lightstone import digit_at, render
 from .microscope import MicroscopeScene, microscope, preset_scene
 from .transfer import (
-    NoDerivative,
     derivative,
     evt_demo,
     limit_fun,
@@ -129,13 +128,7 @@ def _cmd_digits(args, ctx: NumContext) -> _Result:
 def _cmd_deriv(args, ctx: NumContext) -> _Result:
     f = to_function(parse_expr(args.expr), args.var)
     point = _standard_point(args.at, ctx)
-    slope = derivative(f, point, ctx)
-    if isinstance(slope, NoDerivative):
-        return _Result(
-            value={"slope": None, "note": slope.note},
-            lines=[f"no derivative: {slope.note}"],
-        )
-    text = format_coeff(slope)
+    text = format_coeff(derivative(f, point, ctx))
     return _Result(value=text, lines=[text])
 
 
@@ -370,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_digits)
 
     p = sub.add_parser("deriv", parents=[common],
-                       help="slope at a point via infinitesimal probes")
+                       help="slope at a point: st of the quotient at an infinitesimal offset")
     p.add_argument("expr")
     p.add_argument("--at", required=True, help="expansion point")
     p.add_argument("--var", default="x")

@@ -23,7 +23,6 @@ from .errors import AssertionFailed, DerivativeVanishes, DomainError
 from .hyperfield import NumContext
 from .transfer import (
     FuncExpr,
-    NoDerivative,
     derivative,
     eval_real,
     is_arithmetic,
@@ -77,8 +76,6 @@ def _start_fraction(x0) -> Fraction:
 
 def _slope_at(f: FuncExpr, x, ctx: NumContext) -> Scalar:
     d = derivative(f, x, ctx)
-    if isinstance(d, NoDerivative):
-        raise DomainError(f"no slope at iterate {x}: {d.note}")
     if d == 0:
         raise DerivativeVanishes(f"slope vanishes at iterate {x}")
     if d < 0:

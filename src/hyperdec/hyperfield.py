@@ -65,6 +65,11 @@ _POW_BITS_CAP = 2**22
 # Most rounded products that a float power of a monomial may take.
 _POW_PRODUCTS_CAP = 2**20
 
+# 10**j is refused for |j| at or past this cap: 10**4299 still prints
+# (4300 digits, Python's default limit for int-to-str), and a larger power
+# would take memory and time out of all proportion to the input text.
+_POW10_CAP = 4300
+
 
 def _whole(x: Union[int, Fraction]) -> Union[int, Fraction]:
     """x as an int when it is a whole number, else the Fraction itself."""
@@ -837,13 +842,12 @@ def _coeff_floor(c: Coefficient):
 
 
 def nines(ctx: NumContext, n: int) -> HyperValue:
-    """0.99...9 with n nines, built by summing digit contributions."""
+    """0.99...9 with n nines: the constant 1 - 10**(-n)."""
     if n < 0:
         raise ValueError("digit count must be non-negative")
-    out = ctx.zero()
-    for j in range(1, n + 1):
-        out = out + ctx.monomial(Fraction(9, 10**j), 0, 0)
-    return out
+    if n >= _POW10_CAP:
+        raise ResourceLimit(f"nines(n) needs n < {_POW10_CAP}; this count is larger")
+    return ctx.constant(Fraction(10**n - 1, 10**n))
 
 
 def nines_hyper(ctx: NumContext) -> HyperValue:

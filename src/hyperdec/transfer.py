@@ -23,12 +23,13 @@ down term by term: one running product of coefficients, keys that
 strictly decrease, nothing summed and nothing cut.  A compound delta
 goes through the general product loop.
 
-Everything downstream (slopes, limits, continuity probes) reduces to
-evaluating f at finitely many hyperreal points and taking standard parts.
-One case needs less: the slope of an arithmetic tree in exact mode is
-the e^1 coefficient of f(x0 + e), which every intermediate holds exactly
-at any K >= 2, so the fold runs over first-order jets v + d*e with
-e^2 = 0 in Fractions instead of over hypervalues (``derivative``).
+Limits and continuity probes reduce to evaluating f at finitely many
+hyperreal points and taking standard parts.  Slopes need less: the
+standard part of (f(x0 + e) - f(x0))/e is the e^1 coefficient of
+f(x0 + e), so ``derivative`` runs the fold over first-order jets
+v + d*e with e^2 = 0, in the context's coefficient type, and each
+elementary function contributes the first two coefficients of the
+Taylor stream above.
 """
 
 import math
@@ -52,6 +53,7 @@ from .hyperfield import (
     NumContext,
     UNIT_PAIR,
     ExponentPair,
+    _POW10_CAP,
     _decimal_ctx,
     _exact_power,
 )
@@ -196,7 +198,7 @@ def is_arithmetic(f: FuncExpr) -> bool:
 def symbolic_derivative(f: FuncExpr) -> FuncExpr:
     """Derivative of f as a new expression tree.
 
-    Used as the independent oracle for the probe-based slope below; no
+    Used as the independent oracle for the jet slope below; no
     simplification is attempted.
     """
     if isinstance(f, Var):
@@ -266,15 +268,21 @@ def _dec_pi() -> Decimal:
 
 
 def _dec_reduce(x: Decimal) -> Decimal:
-    # bring the angle near zero so the alternating series converges fast
+    # bring the angle near zero so the alternating series converges fast;
+    # 2*pi gets a digit for each digit of x before the point, so r keeps prec
     if abs(x) <= 10:
         return x
+    if x.adjusted() >= _POW10_CAP:
+        raise ResourceLimit(
+            f"sin and cos need |x| < 10^{_POW10_CAP}; this argument is larger"
+        )
+    extra = x.adjusted() + 12
     ctx = getcontext()
-    ctx.prec += 12
+    ctx.prec += extra
     two_pi = 2 * _dec_pi()
     k = (x / two_pi).to_integral_value()
     r = x - k * two_pi
-    ctx.prec -= 12
+    ctx.prec -= extra
     return +r
 
 
@@ -307,6 +315,15 @@ def _dec_trig(x: Decimal, i: int) -> Decimal:
 def _named_decimal(name: str) -> Decimal:
     """pi, e or ln10 at the current precision."""
     return _named_at(name, getcontext().prec)
+
+
+def _named_value(ctx: NumContext, name: str) -> Decimal:
+    """pi, e or ln10 at a float context's precision; exact mode refuses."""
+    if ctx.mode == "exact":
+        raise ExactTranscendental(
+            f"{name} has no exact rational value; use float mode"
+        )
+    return _named_at(name, ctx.prec)
 
 
 @lru_cache(maxsize=64)
@@ -417,6 +434,10 @@ def _trig_taylor(kind: str, sn, cs, count: int) -> list:
     return [cycle[k % 4] / math.factorial(k) for k in range(count)]
 
 
+# the Taylor stream g_k(s), k < count, of each mode's coefficient type
+_TAYLOR = {"exact": _taylor_exact, "float": _taylor_float}
+
+
 def _apply_elementary(kind: str, u: HyperValue) -> HyperValue:
     """g(u) for an elementary g, by its Taylor series about s = st(u).
 
@@ -441,10 +462,7 @@ def _apply_elementary(kind: str, u: HyperValue) -> HyperValue:
     delta = u - s
     count = ctx.max_terms
     with ctx.arith():
-        if ctx.mode == "exact":
-            coeffs = _taylor_exact(kind, s, count)
-        else:
-            coeffs = _taylor_float(kind, s, count)
+        coeffs = _TAYLOR[ctx.mode](kind, s, count)
     if len(delta.terms) > 1:
         return _taylor_by_products(ctx, coeffs, delta)
     # a zero delta has d = 0, so the walk stops after the constant term
@@ -481,19 +499,31 @@ def _taylor_by_products(ctx: NumContext, coeffs: list, delta: HyperValue) -> Hyp
     return HyperValue(ctx=ctx, terms=acc.terms, truncated=True)
 
 
-# 10**j is refused for |j| at or past this cap: 10**4299 still prints
-# (4300 digits, Python's default limit for int-to-str), and a larger power
-# would take memory and time out of all proportion to the input text.
-_POW10_CAP = 4300
+def _ten_to(ctx: NumContext, j, whole: bool):
+    """10**j for a standard j, refused for |j| >= _POW10_CAP, and in exact
+    mode unless j is an integer and the whole exponent (whole)."""
+    if abs(j) >= _POW10_CAP:
+        raise ResourceLimit(
+            f"10^j needs |j| < {_POW10_CAP}; this exponent is larger"
+        )
+    if ctx.mode == "float":
+        return Decimal(10) ** j
+    if whole and j.denominator == 1:
+        return Fraction(10) ** int(j)
+    raise ExactTranscendental(
+        "pow10 of a non-integer finite exponent has no exact rational "
+        "value; use float mode"
+    )
 
 
 def _pow10_value(w: HyperValue) -> HyperValue:
     """10**w for exponents of the shape k*H + f, k integer, f finite.
 
-    The H part maps to the exact monomial eps**(-k); the finite part f
-    contributes 10**f, which in exact mode must be a plain integer and in
-    float mode goes through exp(f * ln 10).  Either way |st f| must stay
-    below _POW10_CAP.
+    The H part maps to the exact monomial eps**(-k).  The finite part f
+    has the standard part j and the infinitesimal tail t = f - j; 10**f
+    is 10**j (see _ten_to) times exp(t * ln 10), lifted by its Taylor
+    series about 0, which exact mode refuses for a nonzero t.  A
+    standard integer j thus gives an exact power of ten in both modes.
     """
     ctx = w.ctx
     if w.truncated:
@@ -512,25 +542,15 @@ def _pow10_value(w: HyperValue) -> HyperValue:
             finite_terms.append((c, pair))
     if k.denominator != 1:
         raise DomainError("pow10 needs an integer coefficient on H")
-    grid = ctx.monomial(1, -int(k), 0)
     rest = ctx.from_terms(finite_terms)
-    if rest.is_zero:
-        return grid
-    j = rest.coefficient_at(UNIT_PAIR)
-    if abs(j) >= _POW10_CAP:
-        raise ResourceLimit(
-            f"10^j needs |j| < {_POW10_CAP}; this exponent is larger"
-        )
-    if ctx.mode == "exact":
-        if rest.infinitesimal_part().is_zero and j.denominator == 1:
-            return ctx.monomial(Fraction(10) ** int(j), -int(k), 0)
-        raise ExactTranscendental(
-            "pow10 of a non-integer finite exponent has no exact rational "
-            "value; use float mode"
-        )
+    tail = rest.infinitesimal_part()
     with ctx.arith():
-        ln10 = ctx.constant(Decimal(10).ln())
-    return grid * _apply_elementary("exp", rest * ln10)
+        scale = _ten_to(ctx, rest.coefficient_at(UNIT_PAIR), tail.is_zero)
+        grid = ctx.monomial(scale, -int(k), 0)
+        if tail.is_zero:
+            return grid
+        ln10 = ctx.constant(_named_decimal("ln10"))
+    return grid * _apply_elementary("exp", tail * ln10)
 
 
 # --------------------------------------------------------------------------
@@ -654,23 +674,19 @@ class _Hypers(_Function):
         return d  # HyperValue.inv refuses zero with DivisionByZero
 
     def named(self, name: str) -> HyperValue:
-        if self.ctx.mode == "exact":
-            raise ExactTranscendental(
-                f"{name} has no exact rational value; use float mode"
-            )
-        with self.ctx.arith():
-            return self.ctx.constant(_named_decimal(name))
+        return self.ctx.constant(_named_value(self.ctx, name))
 
     pow10 = staticmethod(_pow10_value)
     elementary = staticmethod(_apply_elementary)
 
 
 class _Jet:
-    """v + d*e with e**2 = 0: a value and its slope, both Fractions.
+    """v + d*e with e**2 = 0: a value and its slope, both Fractions or
+    both Decimals.
 
     Division and powers refuse as HyperValue does at a standard point: a
-    zero divisor with DivisionByZero at the division itself, and a power
-    past the bit cap with the same ResourceLimit.
+    zero divisor with DivisionByZero at the division itself, and an exact
+    power past the bit cap with the same ResourceLimit.
     """
 
     __slots__ = ("v", "d")
@@ -698,28 +714,49 @@ class _Jet:
         return _Jet(q, (self.d - q * other.d) / other.v)
 
     def __pow__(self, k: int) -> "_Jet":
-        # a negative power inverts first, as HyperValue.__pow__ does
-        base = self.v
-        if k < 0:
-            if not base:
-                raise DivisionByZero("cannot invert zero")
-            base = 1 / base
-        w = _exact_power(base, abs(k))
-        if not self.v:  # k > 0: d(v**k) = k * v**(k-1) * dv is dv or 0
+        v = self.v
+        if k < 0 and not v:
+            raise DivisionByZero("cannot invert zero")
+        if isinstance(v, Fraction):
+            # a negative power inverts first, as HyperValue.__pow__ does
+            w = _exact_power(1 / v if k < 0 else v, abs(k))
+        else:
+            w = v**k
+        if not v:  # k > 0: d(v**k) = k * v**(k-1) * dv is dv or 0
             return _Jet(w, self.d if k == 1 else w)
-        return _Jet(w, k * w / self.v * self.d)
+        return _Jet(w, k * w / v * self.d)
 
 
 class _Jets(_Function):
-    """First-order jets; derivative sends only exact arithmetic trees here."""
+    """First-order jets in one context, folded under its arith(); a hook
+    refuses where the hypervalue backend refuses at a standard point, with
+    the same error, and an elementary g takes [g(v), g'(v)] from the mode's
+    Taylor stream."""
 
-    @staticmethod
-    def const(c: Fraction) -> _Jet:
-        return _Jet(c, Fraction(0))
+    def __init__(self, ctx: NumContext):
+        self.ctx = ctx
+        self.zero = ctx.coeff(0)
+
+    def const(self, c: Fraction) -> _Jet:
+        return _Jet(self.ctx.coeff(c), self.zero)
 
     @staticmethod
     def divisor(d: _Jet) -> _Jet:
         return d  # _Jet division refuses zero, as HyperValue.inv does
+
+    def named(self, name: str) -> _Jet:
+        return _Jet(_named_value(self.ctx, name), self.zero)
+
+    def pow10(self, j: _Jet) -> _Jet:
+        # an exponent that moves with x is refused in exact mode
+        w = _ten_to(self.ctx, j.v, not j.d)
+        if not j.d:
+            return _Jet(w, self.zero)
+        return _Jet(w, w * _named_decimal("ln10") * j.d)
+
+    def elementary(self, kind: str, j: _Jet) -> _Jet:
+        g, slope = _TAYLOR[self.ctx.mode](kind, j.v, 2)
+        return _Jet(g, slope * j.d)
 
 
 # the refusal of a float result past the decimal exponent range
@@ -802,6 +839,8 @@ def _default_probes(ctx: NumContext) -> ProbeSet:
 # slope at a point
 # --------------------------------------------------------------------------
 
+# nothing here returns it; kept for the probe oracle in the tests and
+# for perfbench/calculus.py, which name it
 @dataclass(frozen=True)
 class NoDerivative:
     """Witness that the probe slopes did not settle on one value."""
@@ -813,60 +852,24 @@ class NoDerivative:
     note: str
 
 
-def derivative(
-    f: FuncExpr,
-    x0,
-    ctx: NumContext,
-    probes: ProbeSet | None = None,
-) -> Union[Fraction, Decimal, NoDerivative]:
-    """Slope of f at the standard point x0.
+def derivative(f: FuncExpr, x0, ctx: NumContext) -> Union[Fraction, Decimal]:
+    """Slope of f at the standard point x0: st((f(x0 + e) - f(x0))/e).
 
-    Each infinitesimal probe e yields st((f(x0+e) - f(x0))/e); the probes
-    must agree (exactly in exact mode, to half the working precision in
-    float mode) or a NoDerivative witness is returned.
-
-    An arithmetic tree in exact mode with the default probes takes one
-    first-order jet instead.  There f(x0+e) is a series in the probe e,
-    and every divisor in it has the nonzero constant term of its value at
-    x0 (a zero one is refused while f(x0) is evaluated).  Sums, products
-    and inverses keep the K largest terms, so every intermediate is exact
-    through e^1 at any K >= 2, and each probe's quotient has the standard
-    part that the fold over v + d*e with e^2 = 0 gives as d, with no term
-    cut.  The jet refuses at the same node with the same error as f(x0)
-    over hypervalues.  Where a power's base vanishes at x0, the jet never
-    forms the probe's power, so it answers where a probe can pass the bit
-    cap (x^3000000 at 0 is 0).
+    For an infinitesimal e that standard part is the e^1 coefficient of
+    f(x0 + e), so the fold runs over first-order jets v + d*e with e^2 = 0
+    from x0 + 1*e, under the context's arithmetic, and returns d: a
+    Fraction in exact mode, a Decimal rounded to prec in float mode.
+    Every node is smooth wherever the fold accepts its argument, so there
+    is no other outcome.  A jet refuses where f(x0) over hypervalues does,
+    with the same error; in exact mode it also refuses a power of ten
+    whose exponent moves with x.  A power whose base vanishes at x0 is
+    never formed, so x^3000000 at 0 has slope 0.
     """
-    if probes is None and ctx.mode == "exact" and is_arithmetic(f):
-        return _fold(f, _Jet(ctx.coeff(x0), Fraction(1)), _Jets).d
-    probes = probes or ProbeSet.default(ctx)
-    base_point = ctx.constant(x0)
-    base = eval_star(f, base_point)
-    slopes = []
-    for e in probes.infinitesimals:
-        shifted = eval_star(f, base_point + e)
-        quotient = (shifted - base) / e
-        try:
-            slopes.append((e, quotient.standard_part()))
-        except NotFinite:
-            return NoDerivative(
-                probe_a=e,
-                probe_b=None,
-                slope_a=None,
-                slope_b=None,
-                note="difference quotient is infinite; no finite slope",
-            )
-    first_e, first = slopes[0]
-    for e, s in slopes[1:]:
-        if not _slopes_agree(first, s, ctx):
-            return NoDerivative(
-                probe_a=first_e,
-                probe_b=e,
-                slope_a=first,
-                slope_b=s,
-                note="probe slopes disagree",
-            )
-    return first
+    try:
+        with ctx.arith():
+            return _fold(f, _Jet(ctx.coeff(x0), ctx.coeff(1)), _Jets(ctx)).d
+    except Overflow as exc:
+        raise ResourceLimit(_OVERFLOW) from exc
 
 
 def _slopes_agree(a, b, ctx: NumContext) -> bool:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,23 @@ def test_ucheck(capsys):
     code, out, _ = run(capsys, "ucheck", "3*x + 1")
     assert code == 0
     assert out.splitlines()[0] == "pass_all_probes"
+
+
+@pytest.mark.parametrize("expr, value", [
+    ("10^2", "100"),
+    ("2^(10^2)", str(2**100)),
+    ("10^(-2)", "0.01"),
+])
+def test_float_power_of_ten_at_an_integer_is_exact(capsys, expr, value):
+    assert run(capsys, "eval", expr, "--mode", "float") == (0, value + "\n", "")
+
+
+def test_float_ucheck_of_a_power_of_ten_fails_at_an_infinite_point(capsys):
+    # the exact 10^j at a standard point and its lift next to it agree,
+    # so the witness is the true one at x = H
+    code, out, _ = run(capsys, "ucheck", "10^x", "--mode", "float")
+    assert code == 0
+    assert out.splitlines()[:2] == ["fail", "witness: x = H, y = H + eps"]
 
 
 def test_evt(capsys):
@@ -222,6 +240,42 @@ def test_exact_slope_of_a_huge_power_refuses_at_print_at_once(capsys):
     assert err == "error: a coefficient with more than 4300 digits is too large to print\n"
 
 
+@pytest.mark.parametrize("argv, slope", [
+    # a slope of 8.3e26, far past any absolute tolerance
+    (("exp(exp(x*x)-x)", "--at", "-2"), "-834615066882906189251762779.73389959318172239379529"),
+    # the power of the vanishing base is never formed
+    (("x^3000000", "--at", "0"), "0"),
+])
+def test_float_slope_of_one_jet(capsys, argv, slope):
+    start = time.perf_counter()
+    got = run(capsys, "deriv", *argv, "--mode", "float")
+    assert time.perf_counter() - start < 2
+    assert got == (0, slope + "\n", "")
+
+
+@pytest.mark.parametrize("expr, k", [
+    ("x^100000", 100000),
+    # a negative power is one Decimal power, not 2999999 rounded products
+    ("x^-3000000", -3000000),
+])
+def test_float_slope_of_a_huge_power_answers_at_once(capsys, expr, k):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "deriv", expr, "--at", "1/2", "--mode", "float")
+    assert time.perf_counter() - start < 2
+    assert (code, err) == (0, "")
+    with localcontext() as dc:
+        dc.prec = 60
+        want = k * Decimal(2) ** (1 - k)  # k * (1/2)^(k-1)
+        assert abs(Decimal(out) - want) <= abs(want) * Decimal("1e-45")
+
+
+def test_nines_past_the_cap_is_refused_at_once(capsys):
+    start = time.perf_counter()
+    got = run(capsys, "lightstone", "nines(20000)")
+    assert time.perf_counter() - start < 2
+    assert got == (1, "", "error: nines(n) needs n < 4300; this count is larger\n")
+
+
 @pytest.mark.parametrize("place, digit", [
     ("1:10000000", 3),
     ("1:100000000", 3),
@@ -252,8 +306,6 @@ def test_power_past_the_bit_cap_is_refused_at_once(capsys):
 
 
 def test_float_power_past_the_product_cap_is_refused_at_once(capsys):
-    # the exponent is spelled out: in float mode 10^8 goes through exp and is
-    # refused as an exponent that is not a standard integer
     argv = ("eval", "1.0000001^100000000", "--mode", "float")
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
@@ -261,6 +313,9 @@ def test_float_power_past_the_product_cap_is_refused_at_once(capsys):
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 1
     assert json.loads(out)["error"]["type"] == "ResourceLimit"
+    # 10^8 is the exact integer 100000000 in float mode too
+    code, _, err2 = run(capsys, "eval", "1.0000001^(10^8)", "--mode", "float")
+    assert (code, err2) == (1, err)
     code, out, _ = run(capsys, "eval", "eps^10000000", "--mode", "float")
     assert (code, out) == (0, "eps^10000000\n")
 

@@ -781,6 +781,25 @@ def test_nines_identity_chain():
         assert lhs == rhs
 
 
+@pytest.mark.parametrize("ctx", [
+    CTX,
+    *(NumContext(mode="float", prec=p) for p in (10, 20, 50, 60)),
+])
+def test_nines_is_the_sum_of_its_digits(ctx):
+    # one rounding of 1 - 10^-n gives what adding 9/10^j for j = 1..n does
+    for n in range(0, 120, 7):
+        summed = ctx.zero()
+        for j in range(1, n + 1):
+            summed = summed + ctx.monomial(Fraction(9, 10**j), 0, 0)
+        assert nines(ctx, n) == summed
+
+
+def test_nines_past_the_cap_is_refused_before_it_is_built():
+    assert nines(CTX, 4299).standard_part() == 1 - Fraction(1, 10**4299)
+    with pytest.raises(ResourceLimit, match="nines"):
+        nines(CTX, 10**9)
+
+
 def test_hyper_nines_value_and_order():
     x = nines_hyper(CTX)
     assert as_map(x) == {UNIT_PAIR: Fraction(1), ExponentPair(1, 0): Fraction(-1)}

@@ -225,13 +225,20 @@ class NumContext:
         return HyperValue(ctx=self, terms=(), truncated=False)
 
     def constant(self, v: CoeffLike) -> "HyperValue":
-        return self.monomial(v, 0, 0)
+        cc = self.coeff(v)
+        if cc == 0:
+            return self.zero()
+        return HyperValue(ctx=self, terms=((cc, UNIT_PAIR),), truncated=False)
 
     def monomial(self, c: CoeffLike, b, a) -> "HyperValue":
         cc = self.coeff(c)
         if cc == 0:
             return self.zero()
-        return HyperValue(ctx=self, terms=((cc, ExponentPair(b, a)),), truncated=False)
+        if b.__class__ is int and a.__class__ is int:
+            pair = ExponentPair._of((-b, a))
+        else:
+            pair = ExponentPair(b, a)
+        return HyperValue(ctx=self, terms=((cc, pair),), truncated=False)
 
     def omega(self, power=1) -> "HyperValue":
         """The infinite unit H (or an integer power of it)."""
@@ -457,14 +464,18 @@ class HyperValue:
 
     def _mul_monomial(self, m: "HyperValue") -> "HyperValue":
         """self * m for a one-term m: a shift of every key keeps the order,
-        so the product needs neither a term map nor a sort."""
+        so the product needs neither a term map nor a sort; a standard m
+        keeps every pair as it is."""
         (cm, pm), = m.terms
         shift = pm._key
         with self.ctx.arith():
-            terms = [
-                (c * cm, ExponentPair._of(_key_sum(p._key, shift)))
-                for c, p in self.terms
-            ]
+            if shift == (0, 0):
+                terms = [(c * cm, p) for c, p in self.terms]
+            else:
+                terms = [
+                    (c * cm, ExponentPair._of(_key_sum(p._key, shift)))
+                    for c, p in self.terms
+                ]
         # no more terms than self, so no K cut; a float product can underflow to 0
         return HyperValue(
             ctx=self.ctx,
@@ -593,6 +604,9 @@ class HyperValue:
             return base  # every product of zeros is zero with the same flag
         if len(base.terms) == 1:
             return base._pow_monomial(k)
+        if len(base.terms) == 2 and k > 1 and self.ctx.mode == "exact":
+            return base._pow_binomial(k)
+        # float mode keeps the products: their rounding is what it prints
         out = base
         for _ in range(k - 1):
             out = out * base
@@ -631,6 +645,41 @@ class HyperValue:
             ctx=self.ctx,
             terms=((out, ExponentPair._of(key)),),
             truncated=self.truncated,
+        )
+
+    def _pow_binomial(self, k: int) -> "HyperValue":
+        """self**k for an exact two-term self = u + w and k >= 2.
+
+        The terms are the K leading C(k, j) * u**(k-j) * w**j, formed on
+        int numerators and denominators.  Their keys fall strictly with j,
+        so nothing cancels: they are exactly the terms that k-1 products
+        keep, and those products cut only when the k+1 terms pass K.  Both
+        coefficient powers are refused past _POW_BITS_CAP.
+        """
+        (cu, pu), (cw, pw) = self.terms
+        top = min(k, self.ctx.max_terms - 1)
+        _check_power_bits(cu, k)
+        _check_power_bits(cw, top)
+        nu, du, nw, dw = cu.numerator, cu.denominator, cw.numerator, cw.denominator
+        bu, au = pu._key
+        sb, sa = pw._key[0] - bu, pw._key[1] - au  # key step from u to w
+        bu, au = bu * k, au * k
+        un, ud = nu**k, du**k  # u**(k-j)
+        wn = wd = binom = 1  # w**j and C(k, j)
+        terms = []
+        for j in range(top + 1):
+            if j:
+                un //= nu
+                ud //= du
+                wn *= nw
+                wd *= dw
+                binom = binom * (k - j + 1) // j
+            key = _whole_key((bu + j * sb, au + j * sa))
+            terms.append((Fraction(binom * un * wn, ud * wd), ExponentPair._of(key)))
+        return HyperValue(
+            ctx=self.ctx,
+            terms=tuple(terms),
+            truncated=self.truncated or k + 1 > self.ctx.max_terms,
         )
 
     def __abs__(self) -> "HyperValue":
@@ -788,9 +837,9 @@ class HyperValue:
         return f"<HyperValue {format_value(self)}{flag}>"
 
 
-def _exact_power(c: Fraction, k: int) -> Fraction:
-    """c**k for k >= 0, refused when k times the bit length of c passes
-    _POW_BITS_CAP; a power of 0 or +-1 stays one bit and is never refused."""
+def _check_power_bits(c: Fraction, k: int) -> None:
+    """Refuse c**k when k times the bit length of c passes _POW_BITS_CAP;
+    a power of 0 or +-1 stays one bit and is never refused."""
     size = max(c.numerator.bit_length(), c.denominator.bit_length())
     bits = k * size
     if size > 1 and bits > _POW_BITS_CAP:
@@ -798,6 +847,11 @@ def _exact_power(c: Fraction, k: int) -> Fraction:
             f"the coefficient of this power would take about {bits} bits,"
             f" past the {_POW_BITS_CAP}-bit cap"
         )
+
+
+def _exact_power(c: Fraction, k: int) -> Fraction:
+    """c**k for k >= 0 under _check_power_bits."""
+    _check_power_bits(c, k)
     return c**k
 
 

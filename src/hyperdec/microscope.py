@@ -13,7 +13,6 @@ which the golden-file tests rely on.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from xml.sax.saxutils import escape
 
 from .errors import InvalidScale, NotFinite
 from .hyperfield import HyperValue, NumContext, format_value
@@ -28,6 +27,13 @@ _X0 = SVG_WIDTH // 2
 
 _COLS = 61                 # ascii axis columns, center col 30
 _COLS_PER_UNIT = 12
+
+
+def escape(text: str) -> str:
+    """Escape &, > and < for SVG text, in that order, as
+    xml.sax.saxutils.escape does (importing it would load urllib and
+    http.client)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 @dataclass(frozen=True)

@@ -1065,10 +1065,19 @@ def uniform_continuity_probe(
     points.extend(probes.infinite_points)
     trouble = None
     for x in points:
+        fx = None  # f(x) or its HyperError, taken after the first f(x + e)
         for e in probes.infinitesimals:
             y = x + e
             try:
-                gap = eval_star(f, y) - eval_star(f, x)
+                fy = eval_star(f, y)
+                if fx is None:
+                    try:
+                        fx = eval_star(f, x)
+                    except HyperError as exc:
+                        fx = exc
+                if isinstance(fx, HyperError):
+                    raise fx
+                gap = fy - fx
             except HyperError as exc:
                 trouble = trouble or f"evaluation failed near {x}: {exc}"
                 continue

@@ -240,6 +240,23 @@ def test_exact_slope_of_a_huge_power_refuses_at_print_at_once(capsys):
     assert err == "error: a coefficient with more than 4300 digits is too large to print\n"
 
 
+def test_limit_of_a_huge_power_refuses_at_print_at_once(capsys):
+    # (1/2 + e)^100000 is formed in closed form; the limit 2^-100000 has
+    # more digits than the print cap
+    start = time.perf_counter()
+    got = run(capsys, "limfun", "x^100000", "--at", "1/2")
+    assert time.perf_counter() - start < 2
+    assert got == (1, "", "error: a coefficient with more than 4300 digits is too large to print\n")
+
+
+def test_limit_of_a_large_power_prints_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "limfun", "x^1000", "--at", "1/2")
+    assert time.perf_counter() - start < 2
+    assert (code, err) == (0, "")
+    assert out == f"limit 1/{2**1000}\n"
+
+
 @pytest.mark.parametrize("argv, slope", [
     # a slope of 8.3e26, far past any absolute tolerance
     (("exp(exp(x*x)-x)", "--at", "-2"), "-834615066882906189251762779.73389959318172239379529"),
@@ -456,6 +473,27 @@ def test_parser_reuse_shares_no_state(capsys):
         first = run(capsys, *argv)
         assert first[0] == 2 and first[2]
         assert run(capsys, *argv) == first
+
+
+def test_import_loads_no_xml_or_network_modules(tmp_path):
+    # compared with what the interpreter had before the import, since the
+    # site may preload some of these on its own
+    src = str(Path(hyperdec.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys; before = set(sys.modules); import hyperdec, hyperdec.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    new = proc.stdout.split()
+    assert "hyperdec.microscope" in new
+    for heavy in ("xml.sax", "urllib.request", "http.client", "email"):
+        assert heavy not in new
 
 
 def test_python_dash_m(tmp_path):

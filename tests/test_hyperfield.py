@@ -9,6 +9,7 @@ for inversion) rather than against the implementation's own plumbing.
 import json
 import math
 import random
+import time
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
@@ -596,6 +597,100 @@ def test_float_pow_of_unit_coefficient_is_immediate():
         for k in (10**8, 10**8 + 1, -(10**9 + 1)):
             sign = 1 if c > 0 or k % 2 == 0 else -1
             assert [(str(d), p) for d, p in (m**k).terms] == [(str(sign), ExponentPair(k, 0))]
+
+
+def typed_terms(x):
+    """Terms with the types of the coefficient and of both key entries, so
+    that an int exponent and an equal Fraction one do not compare equal."""
+    return [
+        (type(c), c, p, tuple(type(e) for e in p._key)) for c, p in x.terms
+    ]
+
+
+def random_two_terms(rng, ctx, count):
+    """Two-term values in ctx: rational exponents, a fifth with 30-digit
+    coefficients, and about one in four carrying the truncated flag."""
+    def pair():
+        return ExponentPair(
+            Fraction(rng.randrange(-3, 4), rng.choice((1, 2, 3))),
+            Fraction(rng.randrange(-3, 4), rng.choice((1, 2, 3))),
+        )
+
+    while count:
+        digits = 30 if rng.random() < 0.2 else 3
+        x = ctx.from_terms([
+            (Fraction(rng.choice((-1, 1)) * rng.randrange(1, 10**digits),
+                      rng.randrange(1, 10**digits)), pair())
+            for _ in range(2)
+        ])
+        if len(x.terms) == 2:
+            count -= 1
+            yield HyperValue(ctx=ctx, terms=x.terms, truncated=rng.random() < 0.25)
+
+
+def test_two_term_pow_matches_repeated_products():
+    """The closed-form power of an exact u + w keeps exactly the terms,
+    key entry types and flag of the k - 1 products."""
+    rng = random.Random(2475)
+    checked = cut = 0
+    for max_terms, count in ((2, 60), (3, 60), (4, 60), (16, 25), (40, 10)):
+        ctx = NumContext(max_terms=max_terms)
+        for x in random_two_terms(rng, ctx, count):
+            ks = [2, 3, rng.randrange(4, 41)]
+            if max_terms == 2:  # the inverse keeps two terms only at K = 2
+                ks.append(-rng.randrange(2, 41))
+            for k in ks:
+                got, want = x**k, power_by_products(x, k)
+                assert typed_terms(got) == typed_terms(want)
+                assert got.truncated is want.truncated
+                checked += 1
+                cut += want.truncated and not x.truncated
+    assert checked > 500 and cut > 100
+
+
+def test_exact_pow_of_two_terms_is_capped():
+    x = CTX.constant(Fraction(3, 7)) + CTX.tau()
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit):
+        x ** 2**22
+    # the lower coefficient's power is checked too, up to the K-th term
+    with pytest.raises(ResourceLimit):
+        (CTX.constant(1) + CTX.monomial(Fraction(2**300000, 3), 1, 0)) ** 100
+    assert time.perf_counter() - start < 1
+    # a base of 1 + eps never grows its coefficients past the binomials
+    assert [str(c) for c, _ in ((CTX.constant(1) + CTX.tau()) ** 10**6).terms][:3] == [
+        "1", "1000000", "499999500000"
+    ]
+
+
+@pytest.mark.parametrize("ctx", [CTX, NumContext(mode="float", prec=12)])
+def test_constant_is_the_unit_monomial(ctx):
+    for v in (0, 3, -7, Fraction(-2, 9), Fraction(0), Decimal("1.25"), Decimal("-0")):
+        got, want = ctx.constant(v), ctx.monomial(v, 0, 0)
+        assert typed_terms(got) == typed_terms(want)
+        assert got.truncated is want.truncated is False
+    # int exponents take a fast path to the same pair as Fraction ones
+    for b, a in ((0, 0), (2, -1), (-3, 5)):
+        got = ctx.monomial(Fraction(5, 2), b, a)
+        assert typed_terms(got) == typed_terms(ctx.monomial(Fraction(5, 2), Fraction(b), Fraction(a)))
+
+
+@pytest.mark.parametrize("ctx", [CTX, NumContext(mode="float", prec=12)])
+def test_standard_factor_keeps_the_pairs(ctx):
+    """A product by a standard constant equals the general convolution."""
+    rng = random.Random(f"standard-{ctx.mode}")
+    for x, m in random_monomial_products(rng, ctx, 200):
+        s = ctx.constant(m.terms[0][0])
+        for got in (x * s, s * x):
+            want = oracle_mul(x, s)
+            assert as_map(got) == want
+            assert [p for _, p in got.terms] == sorted(want, reverse=True)
+            assert [p._key for _, p in got.terms] == [p._key for _, p in x.terms]
+            assert [tuple(map(type, p._key)) for _, p in got.terms] == [
+                tuple(map(type, p._key)) for _, p in x.terms
+            ]
+        cut = HyperValue(ctx=ctx, terms=x.terms, truncated=True)
+        assert (cut * s).truncated and (s * cut).truncated
 
 
 # ---------------------------------------------------------------- compare / order

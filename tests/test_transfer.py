@@ -678,6 +678,35 @@ def test_uniform_continuity_affine_passes():
     assert "not a proof" in rep.note
 
 
+@pytest.mark.parametrize("f, verdict, calls", [
+    # 8 sample points by 4 infinitesimals: each f(x + e), and f(x) once
+    (Add(Mul(const(2), X), const(1)), "pass_all_probes", 32 + 8),
+    # fails at the 23rd pair, the 3rd of the 6th point
+    (PowInt(X, 2), "fail", 23 + 6),
+])
+def test_uniform_probe_evaluates_f_once_per_point(monkeypatch, f, verdict, calls):
+    seen = []
+
+    def spy(g, x):
+        seen.append(x)
+        return eval_star(g, x)
+
+    monkeypatch.setattr(transfer, "eval_star", spy)
+    assert uniform_continuity_probe(f, EXACT).verdict == verdict
+    assert len(seen) == calls
+
+
+def test_uniform_probe_reports_the_first_refusal_near_a_point():
+    # at 0, f(0 + e) refuses in log and f(0) in 1/x; the note keeps the
+    # refusal of f(0 + e), which comes first
+    f = Add(Div(const(1), X), Log(X))
+    with pytest.raises(HyperError, match="cannot invert zero"):
+        eval_star(f, EXACT.zero())
+    rep = uniform_continuity_probe(f, EXACT)
+    assert rep.verdict == "inconclusive"
+    assert rep.note == "evaluation failed near 0: log needs a positive standard part"
+
+
 # ---------------------------------------------------------------- evt demo
 
 def test_evt_demo_parabola():

@@ -17,7 +17,7 @@ from .errors import HyperError, ParseError
 from .expr import eval_command, parse_command, parse_expr, to_function
 from .hyperfield import NumContext, format_coeff, format_value
 from .hypercalc import newton_trace, theorem_check
-from .lightstone import digit_at, render
+from .lightstone import digits_at, render
 from .microscope import MicroscopeScene, microscope, preset_scene
 from .transfer import (
     derivative,
@@ -117,8 +117,7 @@ def _cmd_digits(args, ctx: NumContext) -> _Result:
     v = eval_command(parse_command(args.expr), ctx)
     rows = {}
     lines = []
-    for pos in args.positions:
-        d = digit_at(v, pos)
+    for pos, d in zip(args.positions, digits_at(v, args.positions)):
         key = f"{pos[0]}:{pos[1]}" if isinstance(pos, tuple) else str(pos)
         rows[key] = d
         lines.append(f"{key}: {d}")

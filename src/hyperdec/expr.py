@@ -20,19 +20,18 @@ messages and excluded from equality so that reparsing a printed tree
 reproduces the tree exactly.
 """
 
-import dataclasses
 import functools
 import re
-from dataclasses import dataclass
 from decimal import Overflow
 from fractions import Fraction
 from typing import Optional
 
 from . import transfer
+from ._record import Record
 from .errors import DomainError, ParseError, ResourceLimit, UnknownIdentifier
 from .hyperfield import HyperValue, NumContext, _ten_power, nines, nines_hyper
 from .transfer import Add, Const, Div, FuncExpr, Mul, NamedConst, Neg, Pow10, PowInt, Sub, Var
-from .transfer import limit_seq
+from .transfer import _set_span, limit_seq
 
 # --------------------------------------------------------------------------
 # tokens
@@ -50,11 +49,20 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str      # num | name | arrow | op | end
-    text: str
-    pos: int
+class Token(Record):
+    """kind is num, name, arrow, op or end; pos indexes the source."""
+
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int) -> None:
+        _set_kind(self, kind)
+        _set_text(self, text)
+        _set_pos(self, pos)
+
+
+_set_kind = Token.kind.__set__
+_set_text = Token.text.__set__
+_set_pos = Token.pos.__set__
 
 
 def _tokenize(src: str) -> list:
@@ -75,41 +83,62 @@ def _tokenize(src: str) -> list:
 # value-only nodes
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Unit(FuncExpr):
+class Unit(transfer._Named):
     """H, the infinite unit, or eps = 10^(-H)."""
 
-    name: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class HyperCall(FuncExpr):
     """st, floor, abs or nines of one argument."""
 
-    func: str
-    arg: FuncExpr
+    __slots__ = ("func", "arg")
+
+    def __init__(self, func: str, arg: FuncExpr, *, span: tuple = (0, 0)) -> None:
+        _set_func(self, func)
+        _set_arg(self, arg)
+        _set_span(self, span)
 
 
-@dataclass(frozen=True)
+_set_func = HyperCall.func.__set__
+_set_arg = HyperCall.arg.__set__
+
+
 class Power(FuncExpr):
     """base^exponent, where the exponent must evaluate to a standard integer."""
 
-    base: FuncExpr
-    exponent: FuncExpr
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: FuncExpr, exponent: FuncExpr, *, span: tuple = (0, 0)) -> None:
+        _set_base(self, base)
+        _set_exponent(self, exponent)
+        _set_span(self, span)
 
 
-@dataclass(frozen=True)
+_set_base = Power.base.__set__
+_set_exponent = Power.exponent.__set__
+
+
 class LimSeq(FuncExpr):
     """lim(var -> inf, body), the limit of the sequence body(var)."""
 
-    var: str
-    body: FuncExpr
+    __slots__ = ("var", "body")
+
+    def __init__(self, var: str, body: FuncExpr, *, span: tuple = (0, 0)) -> None:
+        _set_var(self, var)
+        _set_body(self, body)
+        _set_span(self, span)
 
 
-@dataclass(frozen=True)
-class Command:
-    expr: FuncExpr
-    binding: Optional[tuple] = None    # (name, FuncExpr)
+_set_var = LimSeq.var.__set__
+_set_body = LimSeq.body.__set__
+
+
+class Command(Record):
+    """A parsed line: expr, and binding, a (name, FuncExpr) pair or None."""
+
+    __slots__ = ("expr", "binding")
+    _defaults = {"binding": None}
 
 
 # --------------------------------------------------------------------------
@@ -244,7 +273,7 @@ class _Parser:
             span = (tok.pos, closing.pos + 1)
             if self.fault is not None and self.fault.span == node.span:
                 self.fault.span = span    # the faulty call is this node
-            return dataclasses.replace(node, span=span)
+            return node.with_span(span)
         raise ParseError(
             f"expected a value, found {tok.text or 'end of input'!r}",
             (tok.pos, tok.pos + max(1, len(tok.text))),
@@ -485,6 +514,5 @@ def _check_function(f: FuncExpr, var: str) -> None:
     elif isinstance(f, LimSeq):
         raise DomainError("a sequence limit is not a pointwise function")
     else:
-        for child in vars(f).values():
-            if isinstance(child, FuncExpr):
-                _check_function(child, var)
+        for child in f.children():
+            _check_function(child, var)

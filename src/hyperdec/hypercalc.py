@@ -19,6 +19,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Union
 
+from ._record import Record
 from .errors import AssertionFailed, DerivativeVanishes, DomainError
 from .hyperfield import NumContext
 from .transfer import (
@@ -33,6 +34,8 @@ Scalar = Union[Fraction, Decimal]
 _NINES_GAP_EXP = 2  # halt when 1 - x_n < 10**(2 - precision)
 
 
+# a dataclass still: perfbench/test_oracles.py builds altered copies of
+# one with dataclasses.replace
 @dataclass(frozen=True)
 class NewtonTrace:
     f: FuncExpr
@@ -191,24 +194,18 @@ def _all_nines_from(displays, digits: int) -> Optional[int]:
 # invariant checking
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckRow:
-    n: int
-    x: Scalar
-    margin_lt1: Scalar
-    margin_monotone: Optional[Scalar]   # None on the final iterate
-    mvt_margin: Optional[Scalar]        # None on the final iterate
+class CheckRow(Record):
+    """The margins at iterate n; margin_monotone and mvt_margin are None
+    on the final iterate."""
+
+    __slots__ = ("n", "x", "margin_lt1", "margin_monotone", "mvt_margin")
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    x0: Fraction
-    precision: int
-    mode: str
-    rows: tuple
-    boundary: tuple          # (index, margin name) pairs that landed on 0
-    halt_reason: Optional[str]
-    trace: NewtonTrace
+class CheckReport(Record):
+    """The rows of theorem_check; boundary holds the (index, margin name)
+    pairs whose margin landed on 0."""
+
+    __slots__ = ("x0", "precision", "mode", "rows", "boundary", "halt_reason", "trace")
 
     def to_json(self) -> dict:
         return {

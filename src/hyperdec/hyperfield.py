@@ -22,7 +22,6 @@ import heapq
 import math
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
 from decimal import Context as _DecimalContext
 from decimal import Decimal, ROUND_FLOOR, localcontext
 from enum import Enum
@@ -31,6 +30,7 @@ from functools import lru_cache, total_ordering
 from operator import itemgetter
 from typing import Iterable, Union
 
+from ._record import Record
 from .errors import (
     ContextMismatch,
     DivisionByZero,
@@ -172,25 +172,42 @@ def _decimal_ctx(prec: int) -> _DecimalContext:
     return _DecimalContext(prec=prec)
 
 
-@dataclass(frozen=True)
-class NumContext:
+# exact coefficient arithmetic needs no decimal context; one reusable
+# no-op manager serves every exact-mode operation
+_EXACT_ARITH = nullcontext()
+
+
+class NumContext(Record):
     """Shared numeric policy: term budget K and coefficient arithmetic.
 
     mode "exact" keeps coefficients as Fractions and never rounds; mode
     "float" works in fixed-precision decimal with prec digits.
     """
 
-    max_terms: int = 16
-    mode: str = "exact"
-    prec: int = 50
+    __slots__ = ("max_terms", "mode", "prec")
 
-    def __post_init__(self) -> None:
-        if self.max_terms < 2:
+    def __init__(self, max_terms: int = 16, mode: str = "exact", prec: int = 50) -> None:
+        if max_terms < 2:
             raise ValueError("term budget must be at least 2")
-        if self.mode not in ("exact", "float"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.prec < 10:
+        if mode not in ("exact", "float"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if prec < 10:
             raise ValueError("precision must be at least 10 digits")
+        _set_max_terms(self, max_terms)
+        _set_mode(self, mode)
+        _set_prec(self, prec)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                self.max_terms == other.max_terms
+                and self.mode == other.mode
+                and self.prec == other.prec
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.max_terms, self.mode, self.prec))
 
     # --- coefficient plumbing ---------------------------------------------
     def coeff(self, v: CoeffLike) -> Coefficient:
@@ -217,7 +234,7 @@ class NumContext:
     def arith(self):
         """Context manager under which coefficient arithmetic runs."""
         if self.mode == "exact":
-            return nullcontext()
+            return _EXACT_ARITH
         return localcontext(_decimal_ctx(self.prec))
 
     # --- constructors -----------------------------------------------------
@@ -260,6 +277,11 @@ class NumContext:
                 key = pair._key
                 acc[key] = acc[key] + cc if key in acc else cc
         return _build(self, acc, truncated)
+
+
+_set_max_terms = NumContext.max_terms.__set__
+_set_mode = NumContext.mode.__set__
+_set_prec = NumContext.prec.__set__
 
 
 class Ordering(Enum):
@@ -316,13 +338,31 @@ def _build(
     return HyperValue(ctx=ctx, terms=terms, truncated=truncated)
 
 
-@dataclass(frozen=True)
-class HyperValue:
-    """An immutable truncated series, terms sorted largest-first."""
+class HyperValue(Record):
+    """An immutable truncated series, terms sorted largest-first.
 
-    ctx: NumContext
-    terms: tuple[tuple[Coefficient, ExponentPair], ...]
-    truncated: bool
+    Fields: ctx (a NumContext), terms (a tuple of (coefficient,
+    ExponentPair) pairs) and truncated (a bool).
+    """
+
+    __slots__ = ("ctx", "terms", "truncated")
+
+    def __init__(self, ctx: NumContext, terms: tuple, truncated: bool) -> None:
+        _set_ctx(self, ctx)
+        _set_terms(self, terms)
+        _set_truncated(self, truncated)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                (self.ctx is other.ctx or self.ctx == other.ctx)
+                and self.terms == other.terms
+                and self.truncated == other.truncated
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.ctx, self.terms, self.truncated))
 
     # --- inspection ---------------------------------------------------------
     @property
@@ -360,7 +400,7 @@ class HyperValue:
 
     # --- arithmetic -----------------------------------------------------------
     def _check(self, other: "HyperValue") -> None:
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextMismatch(
                 f"operands use different contexts: {self.ctx} vs {other.ctx}"
             )
@@ -835,6 +875,11 @@ class HyperValue:
     def __repr__(self) -> str:
         flag = ", truncated" if self.truncated else ""
         return f"<HyperValue {format_value(self)}{flag}>"
+
+
+_set_ctx = HyperValue.ctx.__set__
+_set_terms = HyperValue.terms.__set__
+_set_truncated = HyperValue.truncated.__set__
 
 
 def _check_power_bits(c: Fraction, k: int) -> None:

@@ -31,9 +31,9 @@ is the classical reading (".999…" parses to 1).
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import (
     FloorUndecidable,
     NotFinite,
@@ -61,20 +61,24 @@ _BLOCK_CAP = 40
 _Coeffs = dict[tuple[int, int], Fraction]
 
 
-@dataclass(frozen=True)
-class Position:
+class Position(Record):
     """Decimal place m*H + offset; block 0 is the standard prefix."""
 
-    block: int
-    offset: int
+    __slots__ = ("block", "offset")
 
-    def __post_init__(self):
-        if self.block < 0:
+    def __init__(self, block: int, offset: int) -> None:
+        if block < 0:
             raise PositionOutOfModel("block index must be nonnegative")
-        if self.block == 0 and self.offset < 1:
+        if block == 0 and offset < 1:
             raise PositionOutOfModel(
                 "standard positions count fractional places and start at 1"
             )
+        _set_block(self, block)
+        _set_offset(self, offset)
+
+
+_set_block = Position.block.__set__
+_set_offset = Position.offset.__set__
 
 
 def _as_position(position) -> Position:
@@ -90,10 +94,25 @@ def _as_position(position) -> Position:
 def digit_at(x: HyperValue, position) -> int:
     """Digit of x in [0, 1) at the given place: the engine's digit under
     the five term rules of the module docstring, or a typed refusal."""
-    pos = _as_position(position)
-    m, j = pos.block, pos.offset
-    coeffs = _coeffs(x)
-    _unit_interval_check(x)
+    return digits_at(x, (position,))[0]
+
+
+def digits_at(x: HyperValue, positions) -> list[int]:
+    """digit_at of x at each place in turn, with the checks on x as a
+    whole made once; the first refusal is the one digit_at would give."""
+    out = []
+    coeffs = None
+    for position in positions:
+        pos = _as_position(position)
+        if coeffs is None:
+            coeffs = _coeffs(x)
+            _unit_interval_check(x)
+        out.append(_digit(coeffs, pos.block, pos.offset, x.truncated))
+    return out
+
+
+def _digit(coeffs: _Coeffs, m: int, j: int, flagged: bool) -> int:
+    """The digit at place m*H + j, or the refusal of a term rule."""
     for (b, h), c in coeffs.items():
         if b < m and h > 0:
             raise FloorUndecidable(
@@ -104,7 +123,7 @@ def digit_at(x: HyperValue, position) -> int:
                 f"coefficient {c} of a power of H times 10^{j - 1} is not whole"
             )
     _shallower_check(coeffs, m)
-    return int(_digits(coeffs, m, j, j, x.truncated))
+    return int(_digits(coeffs, m, j, j, flagged))
 
 
 # --------------------------------------------------------------------------

@@ -11,11 +11,11 @@ pure functions of the scene: equal scenes give byte-identical output,
 which the golden-file tests rely on.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import InvalidScale, NotFinite
-from .hyperfield import HyperValue, NumContext, format_value
+from .hyperfield import NumContext, format_value
 
 VIEW_HALF_WIDTH = Fraction(5, 2)   # abscissa range drawn: [-2.5, 2.5]
 
@@ -36,15 +36,13 @@ def escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
-@dataclass(frozen=True)
-class MicroscopeScene:
-    center: HyperValue
-    scale: HyperValue
-    points: tuple            # (label, HyperValue) pairs
-    fmt: str = "svg"         # "svg" | "ascii"
-    caption: tuple = ()
+class MicroscopeScene(Record):
+    """points holds (label, HyperValue) pairs; fmt is "svg" or "ascii"."""
 
-    def __post_init__(self):
+    __slots__ = ("center", "scale", "points", "fmt", "caption")
+    _defaults = {"fmt": "svg", "caption": ()}
+
+    def _validate(self):
         if self.fmt not in ("svg", "ascii"):
             raise ValueError(f"unknown format {self.fmt!r}")
         if self.scale.sign() <= 0:

@@ -33,12 +33,13 @@ Taylor stream above.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, Overflow, getcontext, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
+from ._record import Record, _set
 from .errors import (
     DivisionByZero,
     DomainError,
@@ -63,83 +64,139 @@ from .hyperfield import (
 # expression trees
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FuncExpr:
+class FuncExpr(Record):
     """Base class for expression nodes.
 
     span is the (start, end) character range of the node in the text it
-    was parsed from, kept for error messages and left out of equality.
+    was parsed from, a keyword-only argument of every node kept for error
+    messages and left out of equality, hash and repr.
     """
 
-    span: tuple = field(default=(0, 0), compare=False, repr=False, kw_only=True)
+    __slots__ = ("span",)
+    _hidden = ("span",)
+
+    def __init__(self, *, span: tuple = (0, 0)) -> None:
+        _set_span(self, span)
+
+    def with_span(self, span: tuple) -> "FuncExpr":
+        """This node with another source span."""
+        node = object.__new__(self.__class__)
+        for field in self._fields:
+            _set(node, field, getattr(self, field))
+        _set_span(node, span)
+        return node
+
+    def children(self) -> tuple:
+        """The subtrees right under this node."""
+        return tuple([v for v in self._astuple() if isinstance(v, FuncExpr)])
 
 
-@dataclass(frozen=True)
-class Var(FuncExpr):
-    name: str = "x"
+_set_span = FuncExpr.span.__set__
 
 
-@dataclass(frozen=True)
+class _Named(FuncExpr):
+    """A node that holds one name."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str, *, span: tuple = (0, 0)) -> None:
+        _set_name(self, name)
+        _set_span(self, span)
+
+
+_set_name = _Named.name.__set__
+
+
+class Var(_Named):
+    __slots__ = ()
+
+    def __init__(self, name: str = "x", *, span: tuple = (0, 0)) -> None:
+        _set_name(self, name)
+        _set_span(self, span)
+
+
 class Const(FuncExpr):
-    value: Fraction
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
+    def __init__(self, value, *, span: tuple = (0, 0)) -> None:
+        _set_value(self, Fraction(value))
+        _set_span(self, span)
 
 
-@dataclass(frozen=True)
-class NamedConst(FuncExpr):
+_set_value = Const.value.__set__
+
+
+class NamedConst(_Named):
     """One of the built-in constants: pi, e, ln10."""
 
-    name: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.name not in ("pi", "e", "ln10"):
-            raise ValueError(f"unknown constant {self.name!r}")
+    def __init__(self, name: str, *, span: tuple = (0, 0)) -> None:
+        if name not in ("pi", "e", "ln10"):
+            raise ValueError(f"unknown constant {name!r}")
+        _set_name(self, name)
+        _set_span(self, span)
 
 
-@dataclass(frozen=True)
 class Neg(FuncExpr):
-    operand: FuncExpr
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: FuncExpr, *, span: tuple = (0, 0)) -> None:
+        _set_operand(self, operand)
+        _set_span(self, span)
 
 
-@dataclass(frozen=True)
-class Add(FuncExpr):
-    left: FuncExpr
-    right: FuncExpr
+_set_operand = Neg.operand.__set__
 
 
-@dataclass(frozen=True)
-class Sub(FuncExpr):
-    left: FuncExpr
-    right: FuncExpr
+class _Binary(FuncExpr):
+    """A node with two operands: Add, Sub, Mul and Div."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: FuncExpr, right: FuncExpr, *, span: tuple = (0, 0)) -> None:
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_span(self, span)
 
 
-@dataclass(frozen=True)
-class Mul(FuncExpr):
-    left: FuncExpr
-    right: FuncExpr
+_set_left = _Binary.left.__set__
+_set_right = _Binary.right.__set__
 
 
-@dataclass(frozen=True)
-class Div(FuncExpr):
-    left: FuncExpr
-    right: FuncExpr
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+class Sub(_Binary):
+    __slots__ = ()
+
+
+class Mul(_Binary):
+    __slots__ = ()
+
+
+class Div(_Binary):
+    __slots__ = ()
+
+
 class PowInt(FuncExpr):
     """Integer power of a subexpression."""
 
-    base: FuncExpr
-    power: int
+    __slots__ = ("base", "power")
 
-    def __post_init__(self):
-        if not isinstance(self.power, int):
+    def __init__(self, base: FuncExpr, power: int, *, span: tuple = (0, 0)) -> None:
+        if not isinstance(power, int):
             raise ValueError("power must be a plain integer")
+        _set_base(self, base)
+        _set_power(self, power)
+        _set_span(self, span)
 
 
-@dataclass(frozen=True)
+_set_base = PowInt.base.__set__
+_set_power = PowInt.power.__set__
+
+
 class Pow10(FuncExpr):
     """10 raised to a subexpression.
 
@@ -147,32 +204,47 @@ class Pow10(FuncExpr):
     integers; the result is then the exact monomial 10**j * eps**(-k).
     """
 
-    exponent: FuncExpr
+    __slots__ = ("exponent",)
+
+    def __init__(self, exponent: FuncExpr, *, span: tuple = (0, 0)) -> None:
+        _set_exponent(self, exponent)
+        _set_span(self, span)
 
 
-@dataclass(frozen=True)
-class Exp(FuncExpr):
-    arg: FuncExpr
+_set_exponent = Pow10.exponent.__set__
 
 
-@dataclass(frozen=True)
-class Log(FuncExpr):
-    arg: FuncExpr
+class _Elementary(FuncExpr):
+    """An elementary function of one argument: Exp, Log, Sin, Cos, Sqrt."""
+
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: FuncExpr, *, span: tuple = (0, 0)) -> None:
+        _set_arg(self, arg)
+        _set_span(self, span)
 
 
-@dataclass(frozen=True)
-class Sin(FuncExpr):
-    arg: FuncExpr
+_set_arg = _Elementary.arg.__set__
 
 
-@dataclass(frozen=True)
-class Cos(FuncExpr):
-    arg: FuncExpr
+class Exp(_Elementary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Sqrt(FuncExpr):
-    arg: FuncExpr
+class Log(_Elementary):
+    __slots__ = ()
+
+
+class Sin(_Elementary):
+    __slots__ = ()
+
+
+class Cos(_Elementary):
+    __slots__ = ()
+
+
+class Sqrt(_Elementary):
+    __slots__ = ()
 
 
 _ELEMENTARY = {Exp: "exp", Log: "log", Sin: "sin", Cos: "cos", Sqrt: "sqrt"}
@@ -793,18 +865,16 @@ def eval_real(f: FuncExpr, x, ctx: NumContext):
 # probe sets
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProbeSet:
+class ProbeSet(Record):
     """Evaluation points used by the slope and limit routines.
 
     Order matters: the first witnesses found follow probe order, and the
     first infinite point is the one a sequence limit is read from.
     """
 
-    infinitesimals: tuple
-    infinite_points: tuple
+    __slots__ = ("infinitesimals", "infinite_points")
 
-    def __post_init__(self):
+    def _validate(self):
         if not self.infinitesimals:
             raise ValueError("need at least one infinitesimal probe")
         if not self.infinite_points:
@@ -841,15 +911,10 @@ def _default_probes(ctx: NumContext) -> ProbeSet:
 
 # nothing here returns it; kept for the probe oracle in the tests and
 # for perfbench/calculus.py, which name it
-@dataclass(frozen=True)
-class NoDerivative:
+class NoDerivative(Record):
     """Witness that the probe slopes did not settle on one value."""
 
-    probe_a: HyperValue
-    probe_b: HyperValue | None
-    slope_a: object
-    slope_b: object
-    note: str
+    __slots__ = ("probe_a", "probe_b", "slope_a", "slope_b", "note")
 
 
 def derivative(f: FuncExpr, x0, ctx: NumContext) -> Union[Fraction, Decimal]:
@@ -883,15 +948,16 @@ def _slopes_agree(a, b, ctx: NumContext) -> bool:
 # limits
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SeqLimit:
-    """Outcome of reading a sequence off at an infinite index."""
+class SeqLimit(Record):
+    """Outcome of reading a sequence off at an infinite index.
 
-    outcome: str  # "converges" | "diverges" | "indeterminate"
-    value: object = None
-    sign: int | None = None
-    cross_check_agrees: bool | None = None
-    note: str = ""
+    outcome is "converges" (with value), "diverges" (with sign) or
+    "indeterminate" (with note); cross_check_agrees is None when no second
+    infinite index was read.
+    """
+
+    __slots__ = ("outcome", "value", "sign", "cross_check_agrees", "note")
+    _defaults = {"value": None, "sign": None, "cross_check_agrees": None, "note": ""}
 
 
 def limit_seq(
@@ -941,6 +1007,8 @@ def _cross_check(f, point, result: SeqLimit, ctx: NumContext):
     return None
 
 
+# a dataclass still: perfbench/test_oracles.py builds altered copies of
+# one with dataclasses.replace
 @dataclass(frozen=True)
 class FunLimit:
     """Two-sided limit probe of f(x) as x approaches a standard point."""
@@ -986,11 +1054,12 @@ def limit_fun(
 # continuity probes
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ContinuityReport:
-    verdict: str  # "pass" | "fail" | "inconclusive"
-    witness: HyperValue | None = None
-    detail: str = ""
+class ContinuityReport(Record):
+    """verdict is "pass", "fail" or "inconclusive"; witness is the probe
+    offset that failed or could not be evaluated."""
+
+    __slots__ = ("verdict", "witness", "detail")
+    _defaults = {"witness": None, "detail": ""}
 
 
 def continuity_probe(
@@ -1033,16 +1102,15 @@ def continuity_probe(
     return ContinuityReport(verdict="pass", detail="all probes landed infinitely close")
 
 
-@dataclass(frozen=True)
-class UniformReport:
-    """Outcome of the two-point uniform continuity probe."""
+class UniformReport(Record):
+    """Outcome of the two-point uniform continuity probe.
 
-    verdict: str  # "fail" | "pass_all_probes" | "inconclusive"
-    witness_x: HyperValue | None = None
-    witness_y: HyperValue | None = None
-    gap: HyperValue | None = None
-    gap_standard: object = None
-    note: str = ""
+    verdict is "fail", "pass_all_probes" or "inconclusive"; a failure
+    carries the two points, the gap f(y) - f(x) and its standard part.
+    """
+
+    __slots__ = ("verdict", "witness_x", "witness_y", "gap", "gap_standard", "note")
+    _defaults = {"witness_x": None, "witness_y": None, "gap": None, "gap_standard": None, "note": ""}
 
 
 _STANDARD_SAMPLES = (0, 1, -1, Fraction(1, 2), 2)
@@ -1107,16 +1175,14 @@ def uniform_continuity_probe(
 # extreme value demo
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EvtRow:
-    n: int
-    argmax: Fraction
-    value: object
+class EvtRow(Record):
+    """Grid size n, the first grid point of the maximum and the maximum."""
+
+    __slots__ = ("n", "argmax", "value")
 
 
-@dataclass(frozen=True)
-class EvtReport:
-    rows: tuple
+class EvtReport(Record):
+    __slots__ = ("rows",)
 
     def stabilized(self) -> bool:
         if len(self.rows) < 2:

@@ -24,7 +24,7 @@ from hyperdec.errors import (
 )
 from hyperdec.expr import eval_command, parse_command
 from hyperdec.hyperfield import ExponentPair, HyperValue, NumContext, nines_hyper
-from hyperdec.lightstone import Position, digit_at, parse, render
+from hyperdec.lightstone import Position, digit_at, digits_at, parse, render
 
 CTX = NumContext()
 TAU = CTX.tau()
@@ -463,3 +463,31 @@ def test_digit_at_matches_the_floor_oracle_place_by_place():
                         assert isinstance(got, tuple) and got[0] is want[0], (x, m, j)
                         refused += 1
     assert answered > 800 and refused > 600 and widened > 30
+
+
+def test_digits_at_matches_digit_at_place_by_place():
+    """digits_at gives digit_at's digits, and its first refusal, in type
+    and text, over values that refuse as a whole or at some places."""
+
+    def place_by_place(x, positions):
+        return [digit_at(x, p) for p in positions]
+
+    rng = random.Random(1155)
+    half_power = CTX.monomial(1, Fraction(1, 2), 0)
+    whole_refusals = [c(2), -TAU, half_power, CTX.omega() * TAU]
+    answered = refused = 0
+    for ctx in (CTX, NumContext(max_terms=4, mode="float", prec=12)):
+        for n in range(120):
+            m = rng.randrange(0, 4)
+            x = whole_refusals[n % 4] if n < 8 else _random_scaled_value(rng, ctx, m)
+            positions = [(m, j) for j in rng.sample(range(1 if m == 0 else -4, 26), 5)]
+            if rng.random() < 0.2:
+                positions = [p[1] if m == 0 else Position(*p) for p in positions]
+            if rng.random() < 0.2:
+                positions.insert(rng.randrange(0, 6), rng.choice([0, (-1, 2), "first"]))
+            want = _refusal(place_by_place, x, positions)
+            assert _refusal(digits_at, x, positions) == want, (x, positions)
+            answered += isinstance(want, list)
+            refused += isinstance(want, tuple)
+    assert answered > 40 and refused > 40
+    assert digits_at(c(2), []) == []

@@ -399,13 +399,13 @@ def slope_or_refusal(f, x0, ctx=EXACT, route=derivative):
 def has_x(f):
     if isinstance(f, Var):
         return True
-    return any(has_x(g) for g in vars(f).values() if isinstance(g, transfer.FuncExpr))
+    return any(has_x(g) for g in f.children())
 
 
 def pow10_moves_with_x(f):
     if isinstance(f, Pow10) and has_x(f.exponent):
         return True
-    return any(pow10_moves_with_x(g) for g in vars(f).values() if isinstance(g, transfer.FuncExpr))
+    return any(pow10_moves_with_x(g) for g in f.children())
 
 
 def slope_error(got, want):

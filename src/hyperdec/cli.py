@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import HyperError, ParseError
 from .expr import eval_command, parse_command, parse_expr, to_function
 from .hyperfield import NumContext, format_coeff, format_value
-from .hypercalc import newton_trace, theorem_check
+from .hypercalc import _check_trace, newton_trace
 from .lightstone import digits_at, render
 from .microscope import MicroscopeScene, microscope, preset_scene
 from .transfer import (
@@ -223,7 +223,7 @@ def _cmd_newton(args, ctx: NumContext) -> _Result:
         "all_nines_from": trace.all_nines_from,
     }
     if args.check:
-        report = theorem_check(f, args.x0, args.steps, precision=args.prec)
+        report = _check_trace(trace)
         payload["check"] = report.to_json()
         for row in report.rows:
             lines.append(

@@ -12,6 +12,9 @@ exp/log/sqrt/trig runs in Decimal at the requested precision, and the
 iteration halts with a recorded reason once the gap 1 - x_n falls
 within two guard digits of the precision floor, instead of letting the
 next iterate flush to 1 and silently destroy the gap.
+
+Each step takes f(x_n) and f'(x_n) from one first-order jet fold, the
+one transfer.derivative reads its slope from.
 """
 
 from dataclasses import dataclass
@@ -20,14 +23,9 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from ._record import Record
-from .errors import AssertionFailed, DerivativeVanishes, DomainError
+from .errors import AssertionFailed, DerivativeVanishes, DomainError, HyperError
 from .hyperfield import NumContext
-from .transfer import (
-    FuncExpr,
-    derivative,
-    eval_real,
-    is_arithmetic,
-)
+from .transfer import FuncExpr, _jet, eval_real, is_arithmetic
 
 Scalar = Union[Fraction, Decimal]
 
@@ -48,10 +46,6 @@ class NewtonTrace:
     halt_reason: Optional[str]
     quadratic_constant: Optional[Scalar]
     all_nines_from: Optional[int]
-
-    def gap(self, n: int) -> Scalar:
-        with NumContext(mode=self.mode, prec=self.precision).arith():
-            return 1 - self.iterates[n]
 
 
 def calculator_display(v, digits: int) -> str:
@@ -77,8 +71,24 @@ def _start_fraction(x0) -> Fraction:
         raise DomainError(f"not a rational starting point: {x0!r}") from exc
 
 
-def _slope_at(f: FuncExpr, x, ctx: NumContext) -> Scalar:
-    d = derivative(f, x, ctx)
+def _value_and_slope(f: FuncExpr, x, ctx: NumContext) -> tuple:
+    """f(x) and f'(x) from one jet; a slope the jet refused is its error.
+
+    The jet refuses at some points where f(x) has a value, and words a
+    refusal of f(x) itself differently, so a refusing jet hands over to
+    eval_real: its refusal propagates first, as it always has, and
+    otherwise the slope's refusal waits for a step that uses it.
+    """
+    try:
+        jet = _jet(f, x, ctx)
+    except HyperError as exc:
+        return eval_real(f, x, ctx), exc
+    return jet.v, jet.d
+
+
+def _usable_slope(d, x) -> Scalar:
+    if isinstance(d, HyperError):
+        raise d
     if d == 0:
         raise DerivativeVanishes(f"slope vanishes at iterate {x}")
     if d < 0:
@@ -118,24 +128,23 @@ def newton_trace(
     ctx = NumContext(mode=mode, prec=precision)
     x: Scalar = ctx.coeff(start)
 
-    v0 = eval_real(f, x, ctx)
-    if not v0 < 0:
+    v, d = _value_and_slope(f, x, ctx)
+    if not v < 0:
         raise DomainError("need f(x0) < 0: the iteration climbs from below")
 
     iterates = [x]
     halt = None
     floor_gap = Fraction(1, 10 ** (precision - _NINES_GAP_EXP))
-    v = v0
     for n in range(steps):
         if n:
-            v = eval_real(f, x, ctx)
+            v, d = _value_and_slope(f, x, ctx)
         if v == 0:
             halt = f"root reached exactly at step {n}"
             break
         if v > 0:
             halt = f"iterate overshot the root at step {n}"
             break
-        slope = _slope_at(f, x, ctx)
+        slope = _usable_slope(d, x)
         with ctx.arith():
             x_new = x + (-v) / slope
             gap_new = 1 - x_new
@@ -249,7 +258,12 @@ def theorem_check(
     inputs land their first step exactly on the root); a strictly
     negative margin raises AssertionFailed with the offending index.
     """
-    trace = newton_trace(f, x0, steps, precision=precision)
+    return _check_trace(newton_trace(f, x0, steps, precision=precision))
+
+
+def _check_trace(trace: NewtonTrace) -> CheckReport:
+    """theorem_check's report on a trace already run; the rows read only
+    the iterates, so the display width does not matter."""
     rows = []
     boundary = []
 
@@ -263,7 +277,7 @@ def theorem_check(
         return value
 
     xs = trace.iterates
-    with NumContext(mode=trace.mode, prec=precision).arith():
+    with NumContext(mode=trace.mode, prec=trace.precision).arith():
         for n, x in enumerate(xs):
             lt1 = margin(n, "lt1", 1 - x)
             if n + 1 < len(xs):
@@ -280,7 +294,7 @@ def theorem_check(
 
     return CheckReport(
         x0=trace.x0,
-        precision=precision,
+        precision=trace.precision,
         mode=trace.mode,
         rows=tuple(rows),
         boundary=tuple(boundary),

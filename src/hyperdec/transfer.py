@@ -24,12 +24,14 @@ strictly decrease, nothing summed and nothing cut.  A compound delta
 goes through the general product loop.
 
 Limits and continuity probes reduce to evaluating f at finitely many
-hyperreal points and taking standard parts.  Slopes need less: the
-standard part of (f(x0 + e) - f(x0))/e is the e^1 coefficient of
-f(x0 + e), so ``derivative`` runs the fold over first-order jets
-v + d*e with e^2 = 0, in the context's coefficient type, and each
-elementary function contributes the first two coefficients of the
-Taylor stream above.
+hyperreal points, one fixed pair of point sets per context, and taking
+standard parts.  Slopes need less: the standard part of
+(f(x0 + e) - f(x0))/e is the e^1 coefficient of f(x0 + e), so one fold
+over first-order jets v + d*e with e^2 = 0, in the context's coefficient
+type, gives f(x0) and the slope together; each elementary function
+contributes the first two coefficients of the Taylor stream above.
+``derivative`` reads the slope off that jet, and hypercalc's Newton
+steps read both parts of it.
 """
 
 import math
@@ -850,58 +852,33 @@ def eval_real(f: FuncExpr, x, ctx: NumContext):
     """Evaluate f at a standard point.
 
     A Fraction argument with an arithmetic-only tree stays exact;
-    everything else runs in Decimal under the context precision.
+    everything else runs in Decimal under the context precision, in
+    either mode.
     """
     if isinstance(x, Fraction) and is_arithmetic(f):
         return _fold(f, x, _Fractions)
     try:
-        with ctx.arith():
+        with localcontext(_decimal_ctx(ctx.prec)):
             return _fold(f, _to_decimal(x), _Decimals)
     except Overflow as exc:
         raise ResourceLimit(_OVERFLOW) from exc
 
 
 # --------------------------------------------------------------------------
-# probe sets
+# probe points
 # --------------------------------------------------------------------------
 
-class ProbeSet(Record):
-    """Evaluation points used by the slope and limit routines.
+@lru_cache(maxsize=64)
+def _probe_points(ctx: NumContext) -> tuple:
+    """(infinitesimals, infinite_points): the points the limit and
+    continuity probes evaluate at, built once per context.
 
     Order matters: the first witnesses found follow probe order, and the
     first infinite point is the one a sequence limit is read from.
     """
-
-    __slots__ = ("infinitesimals", "infinite_points")
-
-    def _validate(self):
-        if not self.infinitesimals:
-            raise ValueError("need at least one infinitesimal probe")
-        if not self.infinite_points:
-            raise ValueError("need at least one infinite probe")
-        for v in self.infinitesimals:
-            if v.is_zero or not v.is_finite or v.standard_part() != 0:
-                raise ValueError(f"not a nonzero infinitesimal: {v}")
-        for v in self.infinite_points:
-            if v.is_finite:
-                raise ValueError(f"not an infinite point: {v}")
-
-    @classmethod
-    def default(cls, ctx: NumContext) -> "ProbeSet":
-        return _default_probes(ctx)
-
-
-@lru_cache(maxsize=64)
-def _default_probes(ctx: NumContext) -> ProbeSet:
-    # built once per context: the values are immutable, so callers share them
-    return ProbeSet(
-        infinitesimals=(
-            ctx.tau(),
-            2 * ctx.tau(),
-            ctx.omega(-1),
-            ctx.omega(-2),
-        ),
-        infinite_points=(ctx.omega(), ctx.omega(2), ctx.tau(-1)),
+    return (
+        (ctx.tau(), 2 * ctx.tau(), ctx.omega(-1), ctx.omega(-2)),
+        (ctx.omega(), ctx.omega(2), ctx.tau(-1)),
     )
 
 
@@ -917,24 +894,33 @@ class NoDerivative(Record):
     __slots__ = ("probe_a", "probe_b", "slope_a", "slope_b", "note")
 
 
+def _jet(f: FuncExpr, x0, ctx: NumContext) -> _Jet:
+    """f(x0 + e) over first-order jets: f(x0) and the slope in one fold.
+
+    The fold runs from x0 + 1*e under the context's arithmetic: Fractions
+    in exact mode, Decimals rounded to prec in float mode.  Every node is
+    smooth wherever the fold accepts its argument.  A jet refuses where
+    f(x0) over hypervalues does, with the same error; in exact mode it
+    also refuses a power of ten whose exponent moves with x.  A power
+    whose base vanishes at x0 is never formed, so x^3000000 at 0 has
+    slope 0.
+    """
+    try:
+        with ctx.arith():
+            return _fold(f, _Jet(ctx.coeff(x0), ctx.coeff(1)), _Jets(ctx))
+    except Overflow as exc:
+        raise ResourceLimit(_OVERFLOW) from exc
+
+
 def derivative(f: FuncExpr, x0, ctx: NumContext) -> Union[Fraction, Decimal]:
     """Slope of f at the standard point x0: st((f(x0 + e) - f(x0))/e).
 
     For an infinitesimal e that standard part is the e^1 coefficient of
-    f(x0 + e), so the fold runs over first-order jets v + d*e with e^2 = 0
-    from x0 + 1*e, under the context's arithmetic, and returns d: a
-    Fraction in exact mode, a Decimal rounded to prec in float mode.
-    Every node is smooth wherever the fold accepts its argument, so there
-    is no other outcome.  A jet refuses where f(x0) over hypervalues does,
-    with the same error; in exact mode it also refuses a power of ten
-    whose exponent moves with x.  A power whose base vanishes at x0 is
-    never formed, so x^3000000 at 0 has slope 0.
+    f(x0 + e): the slope part of the jet _jet(f, x0, ctx), which refuses
+    as that jet does.  hypercalc's Newton steps share the same jet for
+    f(x_n) and f'(x_n).
     """
-    try:
-        with ctx.arith():
-            return _fold(f, _Jet(ctx.coeff(x0), ctx.coeff(1)), _Jets(ctx)).d
-    except Overflow as exc:
-        raise ResourceLimit(_OVERFLOW) from exc
+    return _jet(f, x0, ctx).d
 
 
 def _slopes_agree(a, b, ctx: NumContext) -> bool:
@@ -952,59 +938,47 @@ class SeqLimit(Record):
     """Outcome of reading a sequence off at an infinite index.
 
     outcome is "converges" (with value), "diverges" (with sign) or
-    "indeterminate" (with note); cross_check_agrees is None when no second
-    infinite index was read.
+    "indeterminate" (with note); cross_check_agrees is None when the
+    second infinite index was not read or could not be evaluated.
     """
 
     __slots__ = ("outcome", "value", "sign", "cross_check_agrees", "note")
     _defaults = {"value": None, "sign": None, "cross_check_agrees": None, "note": ""}
 
 
-def limit_seq(
-    f: FuncExpr,
-    ctx: NumContext,
-    probes: ProbeSet | None = None,
-) -> SeqLimit:
+def limit_seq(f: FuncExpr, ctx: NumContext) -> SeqLimit:
     """Limit of the sequence n -> f(n), read at an infinite index.
 
-    The value comes from the first infinite probe; the second, when
-    present, is evaluated as a consistency check and any disagreement is
-    reported in ``cross_check_agrees``.
+    The value comes from the first infinite probe point; the second is
+    evaluated as a consistency check and any disagreement is reported in
+    ``cross_check_agrees``.
     """
-    probes = probes or ProbeSet.default(ctx)
-    point = probes.infinite_points[0]
+    first, second = _probe_points(ctx)[1][:2]
     try:
-        v = eval_star(f, point)
+        v = eval_star(f, first)
     except HyperError as exc:
         return SeqLimit(outcome="indeterminate", note=str(exc))
     if v.is_finite:
-        result = SeqLimit(outcome="converges", value=v.standard_part())
+        value, sign = v.standard_part(), None
     else:
-        result = SeqLimit(outcome="diverges", sign=v.sign())
-    if len(probes.infinite_points) < 2:
-        return result
-    agrees = _cross_check(f, probes.infinite_points[1], result, ctx)
+        value, sign = None, v.sign()
     return SeqLimit(
-        outcome=result.outcome,
-        value=result.value,
-        sign=result.sign,
-        cross_check_agrees=agrees,
-        note=result.note,
+        outcome="converges" if sign is None else "diverges",
+        value=value,
+        sign=sign,
+        cross_check_agrees=_cross_check(f, second, value, sign, ctx),
     )
 
 
-def _cross_check(f, point, result: SeqLimit, ctx: NumContext):
+def _cross_check(f, point, value, sign, ctx: NumContext):
+    # None when f cannot be evaluated at the second point
     try:
         v = eval_star(f, point)
     except HyperError:
         return None
-    if result.outcome == "converges":
-        if not v.is_finite:
-            return False
-        return _slopes_agree(result.value, v.standard_part(), ctx)
-    if result.outcome == "diverges":
-        return (not v.is_finite) and v.sign() == result.sign
-    return None
+    if sign is None:
+        return v.is_finite and _slopes_agree(value, v.standard_part(), ctx)
+    return (not v.is_finite) and v.sign() == sign
 
 
 # a dataclass still: perfbench/test_oracles.py builds altered copies of
@@ -1018,17 +992,11 @@ class FunLimit:
     witnesses: tuple = ()
 
 
-def limit_fun(
-    f: FuncExpr,
-    a,
-    ctx: NumContext,
-    probes: ProbeSet | None = None,
-) -> FunLimit:
-    probes = probes or ProbeSet.default(ctx)
+def limit_fun(f: FuncExpr, a, ctx: NumContext) -> FunLimit:
     base = ctx.constant(a)
     seen = []
     witnesses = []
-    for e in probes.infinitesimals:
+    for e in _probe_points(ctx)[0]:
         for side in (1, -1):
             point = base + side * e
             label = f"x = {a} {'+' if side > 0 else '-'} ({e})"
@@ -1062,17 +1030,11 @@ class ContinuityReport(Record):
     _defaults = {"witness": None, "detail": ""}
 
 
-def continuity_probe(
-    f: FuncExpr,
-    x0,
-    ctx: NumContext,
-    probes: ProbeSet | None = None,
-) -> ContinuityReport:
+def continuity_probe(f: FuncExpr, x0, ctx: NumContext) -> ContinuityReport:
     """Check f(x0 + e) ~ f(x0) for every infinitesimal probe e, both sides.
 
-    A pass is evidence over the probe set, not a proof.
+    A pass is evidence over the probe points, not a proof.
     """
-    probes = probes or ProbeSet.default(ctx)
     base_point = ctx.constant(x0)
     try:
         base = eval_star(f, base_point)
@@ -1080,7 +1042,7 @@ def continuity_probe(
         return ContinuityReport(
             verdict="inconclusive", detail=f"evaluation failed at x0: {exc}"
         )
-    for e in probes.infinitesimals:
+    for e in _probe_points(ctx)[0]:
         for side in (1, -1):
             probe = side * e
             try:
@@ -1116,11 +1078,7 @@ class UniformReport(Record):
 _STANDARD_SAMPLES = (0, 1, -1, Fraction(1, 2), 2)
 
 
-def uniform_continuity_probe(
-    f: FuncExpr,
-    ctx: NumContext,
-    probes: ProbeSet | None = None,
-) -> UniformReport:
+def uniform_continuity_probe(f: FuncExpr, ctx: NumContext) -> UniformReport:
     """Look for x, y infinitely close with f(x), f(y) not infinitely close.
 
     Sample points run through a few standard values and then the infinite
@@ -1128,13 +1086,13 @@ def uniform_continuity_probe(
     continuity breaks while plain continuity holds.  A pass verdict only
     says no probe pair separated the function, it is not a proof.
     """
-    probes = probes or ProbeSet.default(ctx)
+    infinitesimals, infinite_points = _probe_points(ctx)
     points = [ctx.constant(s) for s in _STANDARD_SAMPLES]
-    points.extend(probes.infinite_points)
+    points.extend(infinite_points)
     trouble = None
     for x in points:
         fx = None  # f(x) or its HyperError, taken after the first f(x + e)
-        for e in probes.infinitesimals:
+        for e in infinitesimals:
             y = x + e
             try:
                 fy = eval_star(f, y)
@@ -1214,7 +1172,8 @@ def evt_demo(
         for i in range(m + 1):
             t = Fraction(i, m)
             if not exact:
-                with ctx.arith():  # the grid point at the context precision
+                # the grid point at the context precision, in either mode
+                with localcontext(_decimal_ctx(ctx.prec)):
                     t = _to_decimal(t)
             v = eval_real(f, t, ctx)
             if best is None or v > best:

@@ -158,6 +158,42 @@ def test_newton_check(capsys):
     assert "boundary cases:" in out
 
 
+def test_newton_check_runs_the_iteration_once(capsys, monkeypatch):
+    import hyperdec.cli
+    import hyperdec.hypercalc
+
+    calls = []
+    real = hyperdec.hypercalc.newton_trace
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hyperdec.cli, "newton_trace", spy)
+    monkeypatch.setattr(hyperdec.hypercalc, "newton_trace", spy)
+    argv = ("newton", "log(x)", "--x0", "1/2", "--steps", "4", "--check")
+    code, out, _ = run(capsys, *argv, "--display", "3")
+    assert (code, len(calls)) == (0, 1)
+    checks = [line for line in out.splitlines() if line.startswith("check ")]
+    assert len(checks) == 5
+    # the check rows read the iterates, not the display width
+    _, wide, _ = run(capsys, *argv, "--display", "9")
+    assert [line for line in wide.splitlines() if line.startswith("check ")] == checks
+
+
+@pytest.mark.parametrize("argv, want", [
+    (("newton", "sqrt(x) - 1", "--x0", "0", "--steps", "0"),
+     (0, " 0  0.000000\nfinal display: 0.000000\n", "")),
+    (("newton", "sqrt(x) - 1", "--x0", "0", "--steps", "2"),
+     (1, "", "error: sqrt needs a positive standard part\n")),
+    (("newton", "log(x - 1/2) + 0*x", "--x0", "0", "--steps", "3"),
+     (1, "", "error: log needs a positive argument\n")),
+])
+def test_newton_refuses_a_slope_only_when_a_step_uses_it(capsys, argv, want):
+    # the jet refuses at these starts; f(x0) words its own refusal first
+    assert run(capsys, *argv) == want
+
+
 def test_exit_code_math_error(capsys):
     code, out, err = run(capsys, "eval", "floor(H/3)")
     assert code == 1
@@ -494,6 +530,26 @@ def test_import_loads_no_xml_or_network_modules(tmp_path):
     assert "hyperdec.microscope" in new
     for heavy in ("xml.sax", "urllib.request", "http.client", "email"):
         assert heavy not in new
+
+
+def test_star_import_resolves_every_exported_name(tmp_path):
+    src = str(Path(hyperdec.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "from hyperdec import *\n"
+        "import hyperdec\n"
+        "missing = [n for n in hyperdec.__all__ if n not in globals()]\n"
+        "assert len(set(hyperdec.__all__)) == len(hyperdec.__all__)\n"
+        "print(len(hyperdec.__all__), missing)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    count, missing = proc.stdout.split(" ", 1)
+    assert int(count) == len(hyperdec.__all__) and missing.strip() == "[]"
 
 
 def test_python_dash_m(tmp_path):

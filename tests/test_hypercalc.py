@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+import hyperdec.hypercalc
 from hyperdec.errors import AssertionFailed, DerivativeVanishes, DomainError
 from hyperdec.hypercalc import calculator_display, newton_trace, theorem_check
 from hyperdec.hyperfield import NumContext
@@ -30,6 +31,7 @@ from hyperdec.transfer import (
     Sub,
     Var,
     derivative,
+    eval_real,
 )
 
 X = Var()
@@ -184,6 +186,26 @@ def test_flat_function_raises():
     with pytest.raises(DerivativeVanishes):
         newton_trace(Sub(Const(Fraction(0)), Const(Fraction(1))),
                      Fraction(1, 2), 3)
+
+
+@pytest.mark.parametrize("f, steps, mode", [
+    (LOG, 10, "float"),
+    (RECIP_SQUARE, 5, "exact"),
+])
+def test_answering_steps_read_the_value_off_the_jet(monkeypatch, f, steps, mode):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return eval_real(*args)
+
+    monkeypatch.setattr(hyperdec.hypercalc, "eval_real", spy)
+    t = newton_trace(f, Fraction(1, 2), steps)
+    assert (t.mode, calls) == (mode, [])
+    ctx = NumContext(mode=mode, prec=50)
+    with ctx.arith():
+        for x, y in zip(t.iterates, t.iterates[1:]):
+            assert y == x - eval_real(f, x, ctx) / derivative(f, x, ctx)
 
 
 def test_zero_steps_returns_start_only():

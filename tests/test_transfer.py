@@ -36,7 +36,6 @@ from hyperdec.transfer import (
     NoDerivative,
     Pow10,
     PowInt,
-    ProbeSet,
     Sin,
     Sqrt,
     Sub,
@@ -329,7 +328,7 @@ def test_derivative_polynomial_matches_oracle_exactly():
             assert got == want
 
 
-def slope_by_probes(f, x0, ctx, probes=None):
+def slope_by_probes(f, x0, ctx):
     """The slope oracle: st((f(x0 + e) - f(x0))/e) for each infinitesimal
     probe e, over hypervalues.
 
@@ -337,11 +336,10 @@ def slope_by_probes(f, x0, ctx, probes=None):
     precision in float mode); otherwise, or when a quotient is infinite,
     the answer is a NoDerivative witness.
     """
-    probes = probes or ProbeSet.default(ctx)
     base_point = ctx.constant(x0)
     base = transfer.eval_star(f, base_point)
     slopes = []
-    for e in probes.infinitesimals:
+    for e in transfer._probe_points(ctx)[0]:
         quotient = (transfer.eval_star(f, base_point + e) - base) / e
         try:
             slopes.append((e, quotient.standard_part()))
@@ -728,6 +726,16 @@ def test_evt_demo_tie_keeps_first_index():
     assert rep.rows[0].argmax == 0
 
 
+def test_eval_real_runs_at_the_context_precision_in_both_modes():
+    f = Sin(X)
+    for prec in (12, 60):
+        exact = eval_real(f, Fraction(1, 2), NumContext(prec=prec))
+        assert exact == eval_real(f, Fraction(1, 2), NumContext(mode="float", prec=prec))
+        assert len(exact.as_tuple().digits) == prec
+    rows = evt_demo(f, NumContext(prec=60), n=4, doublings=0).rows
+    assert rows[0].value == evt_demo(f, NumContext(mode="float", prec=60), n=4, doublings=0).rows[0].value
+
+
 def test_evt_demo_grid_cap():
     with pytest.raises(ValueError):
         evt_demo(const(0), EXACT, n=1_000_000, doublings=3)
@@ -736,20 +744,27 @@ def test_evt_demo_grid_cap():
 # ---------------------------------------------------------------- probes
 
 def test_probe_set_validation():
-    with pytest.raises(ValueError):
-        ProbeSet(infinitesimals=(EXACT.constant(1),), infinite_points=(EXACT.omega(),))
-    with pytest.raises(ValueError):
-        ProbeSet(infinitesimals=(EXACT.tau(),), infinite_points=(EXACT.constant(2),))
-    with pytest.raises(ValueError):
-        ProbeSet(infinitesimals=(), infinite_points=(EXACT.omega(),))
+    # the one probe pair per context holds what its callers rely on
+    for ctx in (EXACT, FLOAT, NumContext(max_terms=4)):
+        infinitesimals, infinite_points = transfer._probe_points(ctx)
+        assert infinitesimals and len(infinite_points) >= 2
+        for v in infinitesimals:
+            assert not v.is_zero and v.is_finite and v.standard_part() == 0
+        assert not any(v.is_finite for v in infinite_points)
+    assert transfer._probe_points(EXACT) == (
+        (EXACT.tau(), 2 * EXACT.tau(), EXACT.omega(-1), EXACT.omega(-2)),
+        (EXACT.omega(), EXACT.omega(2), EXACT.tau(-1)),
+    )
 
 
 def test_default_probes_are_built_once_per_context():
     ctx = NumContext(mode="float", prec=30)
-    probes = ProbeSet.default(ctx)
-    assert ProbeSet.default(NumContext(mode="float", prec=30)) is probes
-    assert all(v.ctx == ctx for v in probes.infinitesimals + probes.infinite_points)
-    assert ProbeSet.default(EXACT) is not ProbeSet.default(FLOAT)
+    infinitesimals, infinite_points = transfer._probe_points(ctx)
+    assert transfer._probe_points(NumContext(mode="float", prec=30)) == (
+        infinitesimals, infinite_points)
+    assert transfer._probe_points(NumContext(mode="float", prec=30))[0] is infinitesimals
+    assert all(v.ctx == ctx for v in infinitesimals + infinite_points)
+    assert transfer._probe_points(EXACT) is not transfer._probe_points(FLOAT)
 
 
 def test_is_arithmetic():

@@ -28,10 +28,6 @@ from .transfer import (
 )
 
 
-def _context(args) -> NumContext:
-    return NumContext(mode=args.mode, prec=args.prec, max_terms=args.terms)
-
-
 def _rational(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -429,8 +425,9 @@ def run_cli(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    ctx = _context(args)
     try:
+        # NumContext refuses an out-of-range --prec or --terms with ValueError
+        ctx = NumContext(mode=args.mode, prec=args.prec, max_terms=args.terms)
         result = args.handler(args, ctx)
     except ParseError as exc:
         return _fail(args, exc, 2)

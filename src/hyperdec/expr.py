@@ -22,13 +22,12 @@ reproduces the tree exactly.
 
 import functools
 import re
-from decimal import Overflow
 from fractions import Fraction
 from typing import Optional
 
 from . import transfer
 from ._record import Record
-from .errors import DomainError, ParseError, ResourceLimit, UnknownIdentifier
+from .errors import DomainError, ParseError, UnknownIdentifier
 from .hyperfield import HyperValue, NumContext, _ten_power, nines, nines_hyper
 from .transfer import Add, Const, Div, FuncExpr, Mul, NamedConst, Neg, Pow10, PowInt, Sub, Var
 from .transfer import _set_span, limit_seq
@@ -465,10 +464,8 @@ def evaluate(node: FuncExpr, ctx: NumContext, env: Optional[dict] = None) -> Hyp
     reciprocal power of ten.  pi and e are available in float mode only;
     a 10^w head applies the full power-of-ten rule for hyper exponents w.
     """
-    try:
+    with transfer._refuse_overflow:
         return transfer._fold(node, None, _Values(ctx, env or {}))
-    except Overflow as exc:
-        raise ResourceLimit(transfer._OVERFLOW) from exc
 
 
 def eval_command(cmd: Command, ctx: NumContext, env: Optional[dict] = None) -> HyperValue:

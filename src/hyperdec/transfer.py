@@ -15,23 +15,24 @@ an argument ``s + delta`` with delta infinitesimal evaluates to
 
     sum_{k < K} g_k(s) * delta**k
 
-where ``g_k = g^(k)/k!`` and K is the context's term budget.  The series
-remainder is what the sticky ``truncated`` flag reports.  When delta is
-a single term ``d * X**o`` (X standing for the monomial eps**b * H**a),
-its powers are the monomials ``d**k * X**(k*o)`` and the sum is written
-down term by term: one running product of coefficients, keys that
-strictly decrease, nothing summed and nothing cut.  A compound delta
-goes through the general product loop.
+where ``g_k = g^(k)/k!`` and K is the context's term budget.  One
+coefficient stream serves both modes: only g(s) depends on the mode (a
+rational value or a refusal in exact mode, the Decimal function in float
+mode), and one recurrence per g gives the rest.  One loop of products
+of delta sums the series for every increment.  The series remainder is
+what the sticky ``truncated`` flag reports.
 
-Limits and continuity probes reduce to evaluating f at finitely many
-hyperreal points, one fixed pair of point sets per context, and taking
-standard parts.  Slopes need less: the standard part of
-(f(x0 + e) - f(x0))/e is the e^1 coefficient of f(x0 + e), so one fold
-over first-order jets v + d*e with e^2 = 0, in the context's coefficient
-type, gives f(x0) and the slope together; each elementary function
-contributes the first two coefficients of the Taylor stream above.
-``derivative`` reads the slope off that jet, and hypercalc's Newton
-steps read both parts of it.
+Limits and the uniform continuity probe reduce to evaluating f at
+finitely many hyperreal points, one fixed pair of point sets per
+context, and taking standard parts.  Slopes need less: the standard part
+of (f(x0 + e) - f(x0))/e is the e^1 coefficient of f(x0 + e), so one
+fold over first-order jets v + d*e with e^2 = 0, in the context's
+coefficient type, gives f(x0) and the slope together; each elementary
+function contributes the first two coefficients of the Taylor stream
+above.  ``derivative`` reads the slope off that jet, and hypercalc's
+Newton steps read both parts of it.  A float result past the decimal
+exponent range is refused with ResourceLimit at one boundary that every
+fold passes through.
 """
 
 import math
@@ -386,6 +387,16 @@ def _dec_trig(x: Decimal, i: int) -> Decimal:
     return +s
 
 
+# g(v) of each elementary g in Decimal, under the current context
+_DECIMAL_ELEMENTARY = {
+    "exp": Decimal.exp,
+    "log": Decimal.ln,
+    "sqrt": Decimal.sqrt,
+    "sin": _dec_sin,
+    "cos": _dec_cos,
+}
+
+
 def _named_decimal(name: str) -> Decimal:
     """pi, e or ln10 at the current precision."""
     return _named_at(name, getcontext().prec)
@@ -422,108 +433,82 @@ def _half_binomial(k: int) -> Fraction:
 
 
 # --------------------------------------------------------------------------
-# Taylor coefficient streams
+# Taylor lifting
 # --------------------------------------------------------------------------
 
-def _taylor_exact(kind: str, s: Fraction, count: int) -> list:
-    if kind == "exp":
-        if s != 0:
-            raise ExactTranscendental(
-                "exp at a nonzero standard part has no rational value; "
-                "use float mode"
-            )
-        return [Fraction(1, math.factorial(k)) for k in range(count)]
-    if kind in ("sin", "cos"):
-        if s != 0:
-            raise ExactTranscendental(
-                f"{kind} away from 0 has no rational value; use float mode"
-            )
-        return _trig_taylor(kind, Fraction(0), Fraction(1), count)
-    if kind == "log":
-        if s <= 0:
-            raise DomainError("log needs a positive standard part")
-        if s != 1:
-            raise ExactTranscendental(
-                "log at a standard part other than 1 has no rational value; "
-                "use float mode"
-            )
-        out = [Fraction(0)]
-        for k in range(1, count):
-            sign = 1 if k % 2 else -1
-            out.append(Fraction(sign, k))
-        return out
+# exact mode, for each g but sqrt: the one standard part where g has a
+# rational value, that value, and where the refusal says g is irrational
+_RATIONAL_AT = {
+    "exp": (0, Fraction(1), "at a nonzero standard part"),
+    "sin": (0, Fraction(0), "away from 0"),
+    "cos": (0, Fraction(1), "away from 0"),
+    "log": (1, Fraction(0), "at a standard part other than 1"),
+}
+# 1 in each mode's coefficient type, where the recurrences start s**k
+_ONE = {"exact": Fraction(1), "float": Decimal(1)}
+
+
+def _value(kind: str, s, ctx: NumContext):
+    """g(s) in the context's coefficient type: float mode reads the
+    Decimal functions eval_real uses, exact mode gives the rational value
+    or refuses with ExactTranscendental."""
+    if ctx.mode == "float":
+        return _DECIMAL_ELEMENTARY[kind](s)
     if kind == "sqrt":
-        if s <= 0:
-            raise DomainError("sqrt needs a positive standard part")
-        root = _exact_sqrt(s)
-        if root is None:
-            raise ExactTranscendental(
-                f"sqrt({s}) is irrational; use float mode"
-            )
-        return [_half_binomial(k) * root / s**k for k in range(count)]
-    raise ValueError(kind)
-
-
-def _exact_sqrt(s: Fraction):
-    n = math.isqrt(s.numerator)
-    d = math.isqrt(s.denominator)
-    if n * n == s.numerator and d * d == s.denominator:
+        n, d = math.isqrt(s.numerator), math.isqrt(s.denominator)
+        if n * n != s.numerator or d * d != s.denominator:
+            raise ExactTranscendental(f"sqrt({s}) is irrational; use float mode")
         return Fraction(n, d)
-    return None
+    at, value, where = _RATIONAL_AT[kind]
+    if s != at:
+        raise ExactTranscendental(
+            f"{kind} {where} has no rational value; use float mode"
+        )
+    return value
 
 
-def _taylor_float(kind: str, s: Decimal, count: int) -> list:
+def _taylor(kind: str, s, count: int, ctx: NumContext) -> list:
+    """The Taylor stream g_k(s) = g^(k)(s)/k!, k < count, of an elementary g.
+
+    Only g(s) depends on the mode (see _value); one recurrence per g runs
+    on the context's coefficient type, under its arithmetic, which the
+    caller sets.  log and sqrt refuse a standard part s <= 0.
+    """
+    if kind in ("log", "sqrt") and s <= 0:
+        raise DomainError(f"{kind} needs a positive standard part")
+    g = _value(kind, s, ctx)
     if kind == "exp":
-        base = s.exp()
-        return [base / math.factorial(k) for k in range(count)]
+        return [g / math.factorial(k) for k in range(count)]
+    if kind in ("sin", "cos"):
+        # derivatives of sin and cos repeat with period 4
+        h = _value("cos" if kind == "sin" else "sin", s, ctx)
+        cycle = (g, h, -g, -h) if kind == "sin" else (g, -h, -g, h)
+        return [cycle[k % 4] / math.factorial(k) for k in range(count)]
+    p = _ONE[ctx.mode]  # s**k
     if kind == "log":
-        if s <= 0:
-            raise DomainError("log needs a positive standard part")
-        out = [s.ln()]
-        p = Decimal(1)
+        out = [g]
         for k in range(1, count):
             p *= s
-            sign = 1 if k % 2 else -1
-            out.append(sign / (k * p))
+            out.append((1 if k % 2 else -1) / (k * p))
         return out
-    if kind == "sqrt":
-        if s <= 0:
-            raise DomainError("sqrt needs a positive standard part")
-        root = s.sqrt()
-        out = []
-        p = Decimal(1)
-        for k in range(count):
-            c = _half_binomial(k)
-            out.append(root * Decimal(c.numerator) / (Decimal(c.denominator) * p))
-            p *= s
-        return out
-    if kind in ("sin", "cos"):
-        return _trig_taylor(kind, _dec_sin(s), _dec_cos(s), count)
-    raise ValueError(kind)
-
-
-def _trig_taylor(kind: str, sn, cs, count: int) -> list:
-    # derivatives of sin and cos repeat with period 4
-    cycle = (sn, cs, -sn, -cs) if kind == "sin" else (cs, -sn, -cs, sn)
-    return [cycle[k % 4] / math.factorial(k) for k in range(count)]
-
-
-# the Taylor stream g_k(s), k < count, of each mode's coefficient type
-_TAYLOR = {"exact": _taylor_exact, "float": _taylor_float}
+    out = []  # sqrt: g_k = (1/2 choose k) * g / s**k
+    for k in range(count):
+        c = _half_binomial(k)
+        out.append(g * c.numerator / (c.denominator * p))
+        p *= s
+    return out
 
 
 def _apply_elementary(kind: str, u: HyperValue) -> HyperValue:
     """g(u) for an elementary g, by its Taylor series about s = st(u).
 
-    With delta = u - s the value is sum_{k < K} g_k(s) * delta**k.  The
-    coefficients g_k come in the context's type, rounded under its
-    arithmetic.  A delta of at most one term d * X**o has the power
-    d**k * X**(k*o): one running product p = d**k, formed by the same
-    rounded steps as repeated multiplication, gives the term p * g_k at
-    key k*o.  The keys strictly decrease and there are at most K of
-    them, so nothing is summed or cut, and the result is bit for bit
-    what the product loop gives.  The walk stops when p underflows to 0.
-    A delta of two or more terms goes through the product loop.
+    With delta = u - s the value is sum_{k < K} g_k(s) * delta**k: the
+    coefficients come from _taylor, rounded under the context's
+    arithmetic, and the powers of delta from repeated products, for
+    every delta.  The loop stops once the power is zero, after the
+    constant term for a zero delta or where a float power underflows.
+    The result is flagged when the sum or u is, or when delta is
+    nonzero: the series remainder.
     """
     ctx = u.ctx
     if not u.is_finite:
@@ -534,43 +519,19 @@ def _apply_elementary(kind: str, u: HyperValue) -> HyperValue:
         )
     s = u.standard_part()
     delta = u - s
-    count = ctx.max_terms
     with ctx.arith():
-        coeffs = _TAYLOR[ctx.mode](kind, s, count)
-    if len(delta.terms) > 1:
-        return _taylor_by_products(ctx, coeffs, delta)
-    # a zero delta has d = 0, so the walk stops after the constant term
-    d, step = delta.terms[0] if delta.terms else (ctx.coeff(0), UNIT_PAIR)
-    p, pair = ctx.coeff(1), UNIT_PAIR
-    terms = []
-    with ctx.arith():
-        for k, c in enumerate(coeffs):
-            if k:
-                p = p * d
-                if p == 0:
-                    break
-                pair = pair + step
-            if c:
-                t = p * c
-                if t != 0:  # a float product can underflow
-                    terms.append((t, pair))
-    flag = u.truncated or not delta.is_zero
-    return HyperValue(ctx=ctx, terms=tuple(terms), truncated=flag)
-
-
-def _taylor_by_products(ctx: NumContext, coeffs: list, delta: HyperValue) -> HyperValue:
-    """sum c_k * delta**k by repeated products, for a compound delta.
-
-    The result is flagged: a nonzero delta leaves the series remainder.
-    """
+        coeffs = _taylor(kind, s, ctx.max_terms, ctx)
     acc = ctx.zero()
     power = ctx.constant(1)
     for k, c in enumerate(coeffs):
         if k:
             power = power * delta
+            if power.is_zero:
+                break
         if c:
             acc = acc + power * c
-    return HyperValue(ctx=ctx, terms=acc.terms, truncated=True)
+    flag = acc.truncated or u.truncated or not delta.is_zero
+    return HyperValue(ctx=ctx, terms=acc.terms, truncated=flag)
 
 
 def _ten_to(ctx: NumContext, j, whole: bool):
@@ -705,15 +666,6 @@ class _Fractions(_Function):
     divisor = staticmethod(_nonzero)
 
 
-_DECIMAL_ELEMENTARY = {
-    "exp": Decimal.exp,
-    "log": Decimal.ln,
-    "sqrt": Decimal.sqrt,
-    "sin": _dec_sin,
-    "cos": _dec_cos,
-}
-
-
 class _Decimals(_Function):
     """Decimals under the caller's context (eval_real sets it)."""
 
@@ -804,7 +756,7 @@ class _Jet:
 class _Jets(_Function):
     """First-order jets in one context, folded under its arith(); a hook
     refuses where the hypervalue backend refuses at a standard point, with
-    the same error, and an elementary g takes [g(v), g'(v)] from the mode's
+    the same error, and an elementary g takes [g(v), g'(v)] from the
     Taylor stream."""
 
     def __init__(self, ctx: NumContext):
@@ -829,12 +781,26 @@ class _Jets(_Function):
         return _Jet(w, w * _named_decimal("ln10") * j.d)
 
     def elementary(self, kind: str, j: _Jet) -> _Jet:
-        g, slope = _TAYLOR[self.ctx.mode](kind, j.v, 2)
+        g, slope = _taylor(kind, j.v, 2, self.ctx)
         return _Jet(g, slope * j.d)
 
 
-# the refusal of a float result past the decimal exponent range
-_OVERFLOW = "a float result overflows the decimal exponent range"
+class _RefuseOverflow:
+    """A with-block that refuses a float result past the decimal exponent
+    range with ResourceLimit: the one Overflow boundary of every fold
+    (eval_star, eval_real, _jet and expr.evaluate)."""
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if kind is not None and issubclass(kind, Overflow):
+            raise ResourceLimit(
+                "a float result overflows the decimal exponent range"
+            ) from exc
+
+
+_refuse_overflow = _RefuseOverflow()
 
 
 def eval_star(f: FuncExpr, x: HyperValue) -> HyperValue:
@@ -842,10 +808,8 @@ def eval_star(f: FuncExpr, x: HyperValue) -> HyperValue:
 
     Every Var node binds to x; the model is single-variable.
     """
-    try:
+    with _refuse_overflow:
         return _fold(f, x, _Hypers(x.ctx))
-    except Overflow as exc:
-        raise ResourceLimit(_OVERFLOW) from exc
 
 
 def eval_real(f: FuncExpr, x, ctx: NumContext):
@@ -857,11 +821,8 @@ def eval_real(f: FuncExpr, x, ctx: NumContext):
     """
     if isinstance(x, Fraction) and is_arithmetic(f):
         return _fold(f, x, _Fractions)
-    try:
-        with localcontext(_decimal_ctx(ctx.prec)):
-            return _fold(f, _to_decimal(x), _Decimals)
-    except Overflow as exc:
-        raise ResourceLimit(_OVERFLOW) from exc
+    with _refuse_overflow, localcontext(_decimal_ctx(ctx.prec)):
+        return _fold(f, _to_decimal(x), _Decimals)
 
 
 # --------------------------------------------------------------------------
@@ -905,11 +866,8 @@ def _jet(f: FuncExpr, x0, ctx: NumContext) -> _Jet:
     whose base vanishes at x0 is never formed, so x^3000000 at 0 has
     slope 0.
     """
-    try:
-        with ctx.arith():
-            return _fold(f, _Jet(ctx.coeff(x0), ctx.coeff(1)), _Jets(ctx))
-    except Overflow as exc:
-        raise ResourceLimit(_OVERFLOW) from exc
+    with _refuse_overflow, ctx.arith():
+        return _fold(f, _Jet(ctx.coeff(x0), ctx.coeff(1)), _Jets(ctx))
 
 
 def derivative(f: FuncExpr, x0, ctx: NumContext) -> Union[Fraction, Decimal]:
@@ -923,16 +881,18 @@ def derivative(f: FuncExpr, x0, ctx: NumContext) -> Union[Fraction, Decimal]:
     return _jet(f, x0, ctx).d
 
 
-def _slopes_agree(a, b, ctx: NumContext) -> bool:
+# --------------------------------------------------------------------------
+# limits
+# --------------------------------------------------------------------------
+
+def _values_agree(a, b, ctx: NumContext) -> bool:
+    # standard limit values: equal in exact mode, within half the
+    # working precision in float mode
     if ctx.mode == "exact":
         return a == b
     with ctx.arith():
         return abs(a - b) <= Decimal(10) ** (-(ctx.prec // 2))
 
-
-# --------------------------------------------------------------------------
-# limits
-# --------------------------------------------------------------------------
 
 class SeqLimit(Record):
     """Outcome of reading a sequence off at an infinite index.
@@ -977,7 +937,7 @@ def _cross_check(f, point, value, sign, ctx: NumContext):
     except HyperError:
         return None
     if sign is None:
-        return v.is_finite and _slopes_agree(value, v.standard_part(), ctx)
+        return v.is_finite and _values_agree(value, v.standard_part(), ctx)
     return (not v.is_finite) and v.sign() == sign
 
 
@@ -1011,7 +971,7 @@ def limit_fun(f: FuncExpr, a, ctx: NumContext) -> FunLimit:
             seen.append((label, v.standard_part()))
     first_label, first = seen[0]
     for label, s in seen[1:]:
-        if not _slopes_agree(first, s, ctx):
+        if not _values_agree(first, s, ctx):
             witnesses.append(f"{first_label}: {first}")
             witnesses.append(f"{label}: {s}")
             return FunLimit(outcome="no_limit", witnesses=tuple(witnesses))
@@ -1019,50 +979,8 @@ def limit_fun(f: FuncExpr, a, ctx: NumContext) -> FunLimit:
 
 
 # --------------------------------------------------------------------------
-# continuity probes
+# uniform continuity probe
 # --------------------------------------------------------------------------
-
-class ContinuityReport(Record):
-    """verdict is "pass", "fail" or "inconclusive"; witness is the probe
-    offset that failed or could not be evaluated."""
-
-    __slots__ = ("verdict", "witness", "detail")
-    _defaults = {"witness": None, "detail": ""}
-
-
-def continuity_probe(f: FuncExpr, x0, ctx: NumContext) -> ContinuityReport:
-    """Check f(x0 + e) ~ f(x0) for every infinitesimal probe e, both sides.
-
-    A pass is evidence over the probe points, not a proof.
-    """
-    base_point = ctx.constant(x0)
-    try:
-        base = eval_star(f, base_point)
-    except HyperError as exc:
-        return ContinuityReport(
-            verdict="inconclusive", detail=f"evaluation failed at x0: {exc}"
-        )
-    for e in _probe_points(ctx)[0]:
-        for side in (1, -1):
-            probe = side * e
-            try:
-                v = eval_star(f, base_point + probe)
-                same = v.approx_eq(base)
-            except HyperError as exc:
-                return ContinuityReport(
-                    verdict="inconclusive",
-                    witness=probe,
-                    detail=f"evaluation failed: {exc}",
-                )
-            if not same:
-                gap = v - base
-                return ContinuityReport(
-                    verdict="fail",
-                    witness=probe,
-                    detail=f"f(x0 + e) - f(x0) = {gap} is not infinitesimal",
-                )
-    return ContinuityReport(verdict="pass", detail="all probes landed infinitely close")
-
 
 class UniformReport(Record):
     """Outcome of the two-point uniform continuity probe.

@@ -404,6 +404,24 @@ def test_exit_code_usage(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--prec", "5", "precision must be at least 10 digits"),
+    ("--terms", "1", "term budget must be at least 2"),
+])
+def test_out_of_range_context_flag_is_a_usage_error(capsys, flag, value, message):
+    code, out, err = run(capsys, "eval", "1", flag, value)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_out_of_range_context_flag_json_envelope(capsys):
+    code, out, err = run(capsys, "eval", "1", "--terms", "0", "--json")
+    assert (code, err) == (2, "")
+    assert json.loads(out) == {
+        "ok": False,
+        "error": {"type": "ValueError", "message": "term budget must be at least 2"},
+    }
+
+
 def test_json_envelope(capsys):
     code, out, _ = run(capsys, "eval", "nines(H)", "--json", "--lightstone")
     assert code == 0

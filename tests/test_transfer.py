@@ -45,7 +45,6 @@ from hyperdec.transfer import (
     eval_real,
     eval_star,
     evt_demo,
-    continuity_probe,
     is_arithmetic,
     limit_fun,
     limit_seq,
@@ -133,13 +132,12 @@ def test_exact_transcendental_refusals():
 
 def taylor_by_products(kind, u):
     """The lift of `kind` at u as sum c_k * delta**k, delta = u - st(u),
-    by repeated products of delta: the oracle for the closed form."""
+    by repeated products of delta, with no stop on a zero power."""
     ctx = u.ctx
     s = u.standard_part()
     delta = u - s
     with ctx.arith():
-        stream = transfer._taylor_exact if ctx.mode == "exact" else transfer._taylor_float
-        coeffs = stream(kind, s, ctx.max_terms)
+        coeffs = transfer._taylor(kind, s, ctx.max_terms, ctx)
     acc = ctx.zero()
     power = ctx.constant(1)
     for k, c in enumerate(coeffs):
@@ -149,6 +147,38 @@ def taylor_by_products(kind, u):
             acc = acc + power * c
     flag = acc.truncated or u.truncated or not delta.is_zero
     return HyperValue(ctx=ctx, terms=acc.terms, truncated=flag)
+
+
+def lift_by_one_term(kind, u):
+    """The lift of `kind` at u when delta = u - st(u) has at most one term
+    d * X**o, written down in closed form: the oracle for the product loop.
+
+    The power delta**k is the monomial d**k * X**(k*o); one running
+    product p = d**k, formed by the same rounded steps as repeated
+    multiplication, gives the term p * g_k at key k*o.  The keys strictly
+    decrease, so nothing is summed or cut.  The walk stops when p is 0.
+    """
+    ctx = u.ctx
+    s = u.standard_part()
+    delta = u - s
+    assert len(delta.terms) <= 1
+    d, step = delta.terms[0] if delta.terms else (ctx.coeff(0), UNIT_PAIR)
+    p, pair = ctx.coeff(1), UNIT_PAIR
+    terms = []
+    with ctx.arith():
+        coeffs = transfer._taylor(kind, s, ctx.max_terms, ctx)
+        for k, c in enumerate(coeffs):
+            if k:
+                p = p * d
+                if p == 0:
+                    break
+                pair = pair + step
+            if c:
+                t = p * c
+                if t != 0:  # a float product can underflow
+                    terms.append((t, pair))
+    flag = u.truncated or not delta.is_zero
+    return HyperValue(ctx=ctx, terms=tuple(terms), truncated=flag)
 
 
 def shape(v):
@@ -201,18 +231,10 @@ def test_lift_by_one_term_matches_products(ctx):
             for flagged in (False, True):
                 u = HyperValue(ctx=ctx, terms=base.terms, truncated=flagged)
                 got = eval_star(LIFTS[kind](X), u)
-                assert shape(got) == shape(taylor_by_products(kind, u)), (kind, s, inc, flagged)
+                assert shape(got) == shape(lift_by_one_term(kind, u)), (kind, s, inc, flagged)
 
 
-def test_lift_by_compound_increment_uses_products(monkeypatch):
-    calls = []
-    loop = transfer._taylor_by_products
-
-    def spy(*args):
-        calls.append(args)
-        return loop(*args)
-
-    monkeypatch.setattr(transfer, "_taylor_by_products", spy)
+def test_lift_by_compound_increment_uses_products():
     # exp(x^2) at 1/2 + eps lifts 1/4 + eps + eps^2
     point = FLOAT.constant(Fraction(1, 2)) + FLOAT.tau()
     got = eval_star(Exp(PowInt(X, 2)), point)
@@ -221,7 +243,31 @@ def test_lift_by_compound_increment_uses_products(monkeypatch):
         [(1, UNIT_PAIR), (1, ExponentPair(1, 0)), (3, ExponentPair(0, -1))]
     )
     assert shape(eval_star(Log(X), u)) == shape(taylor_by_products("log", u))
-    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("prec", [10, 12, 50])
+def test_float_stream_is_the_exact_stream_rounded_once(prec):
+    # where both modes answer, every float coefficient is the exact one
+    # rounded once to prec digits
+    exact = NumContext(max_terms=40)
+    rounded = NumContext(mode="float", prec=prec, max_terms=40)
+    for kind, s in (("exp", 0), ("sin", 0), ("cos", 0), ("log", 1)):
+        for count in range(1, 41):
+            want = transfer._taylor(kind, Fraction(s), count, exact)
+            with rounded.arith():
+                got = transfer._taylor(kind, rounded.coeff(s), count, rounded)
+            assert [str(c) for c in got] == [str(rounded.coeff(c)) for c in want], (kind, count)
+
+
+@pytest.mark.parametrize("f, ctx, s, value", [
+    (Exp(X), EXACT, 0, 1),
+    (Log(X), EXACT, 1, 0),
+    (Cos(X), FLOAT, 0, 1),
+])
+def test_zero_increment_lifts_unflagged(f, ctx, s, value):
+    v = eval_star(f, ctx.constant(s))
+    assert not v.truncated
+    assert v == ctx.constant(value)
 
 
 def test_domain_errors():
@@ -353,7 +399,7 @@ def slope_by_probes(f, x0, ctx):
             )
     first_e, first = slopes[0]
     for e, s in slopes[1:]:
-        if not transfer._slopes_agree(first, s, ctx):
+        if not transfer._values_agree(first, s, ctx):
             return NoDerivative(
                 probe_a=first_e,
                 probe_b=e,
@@ -648,16 +694,6 @@ def test_limit_fun_blowup():
 
 
 # ---------------------------------------------------------------- continuity
-
-def test_continuity_pass():
-    rep = continuity_probe(PowInt(X, 2), Fraction(3), EXACT)
-    assert rep.verdict == "pass"
-
-
-def test_continuity_inconclusive_at_pole():
-    rep = continuity_probe(Div(const(1), X), Fraction(0), EXACT)
-    assert rep.verdict == "inconclusive"
-
 
 def test_uniform_continuity_square_fails_at_infinite_point():
     rep = uniform_continuity_probe(PowInt(X, 2), EXACT)

@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import HyperError, ParseError
+from .errors import HyperError, ParseError, ResourceLimit
 from .expr import eval_command, parse_command, parse_expr, to_function
 from .hyperfield import NumContext, format_coeff, format_value
 from .hypercalc import _check_trace, newton_trace
@@ -26,6 +26,9 @@ from .transfer import (
     limit_seq,
     uniform_continuity_probe,
 )
+
+# the refusal of a RecursionError: parsing and folding recurse per nesting level
+_TOO_DEEP = "the expression nests too deeply to evaluate"
 
 
 def _rational(text: str) -> Fraction:
@@ -154,6 +157,12 @@ def _cmd_limfun(args, ctx: NumContext) -> _Result:
         return _Result(
             value={"outcome": "limit", "value": text},
             lines=[f"limit {text}"],
+        )
+    if r.outcome == "indeterminate":
+        note, = r.witnesses
+        return _Result(
+            value={"outcome": r.outcome, "note": note},
+            lines=[f"indeterminate: {note}"],
         )
     return _Result(
         value={"outcome": r.outcome},
@@ -290,6 +299,8 @@ def _cmd_repl(args, ctx: NumContext) -> _Result:
             print(text)
         except HyperError as exc:
             print(f"error: {exc}", file=sys.stderr)
+        except RecursionError:
+            print(f"error: {_TOO_DEEP}", file=sys.stderr)
     return _Result(value=None, lines=[])
 
 
@@ -433,6 +444,8 @@ def run_cli(argv=None) -> int:
         return _fail(args, exc, 2)
     except HyperError as exc:
         return _fail(args, exc, 1)
+    except RecursionError:
+        return _fail(args, ResourceLimit(_TOO_DEEP), 1)
     except ValueError as exc:
         return _fail(args, exc, 2)
     if args.json:

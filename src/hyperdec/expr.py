@@ -4,10 +4,11 @@ Tokenizer, recursive-descent parser, canonical printer and evaluator.
 The parser builds the function trees of ``transfer`` directly, plus four
 value-only nodes defined here: Unit (H, eps), HyperCall (st, floor, abs,
 nines), Power (a power other than 10^w or b^k with an integer literal k)
-and LimSeq.  ``evaluate`` is ``transfer._fold``, the one walk over these
-trees, with a backend that adds an environment of names and the
-value-only nodes; ``to_function`` checks that a tree is a standard
-function of one variable and returns it.
+and LimSeq.  ``evaluate`` runs ``transfer._fold``, the one walk over
+these trees, through the fold entry of a hypervalue backend that adds
+an environment of names and the value-only nodes.  ``to_function``
+checks that a tree is a standard function of one variable and returns
+it.
 
 Precedence, loosest to tightest: + -, * /, unary minus, ^ (right
 associative; the exponent position accepts a sign, so 2^-3 parses and
@@ -464,8 +465,7 @@ def evaluate(node: FuncExpr, ctx: NumContext, env: Optional[dict] = None) -> Hyp
     reciprocal power of ten.  pi and e are available in float mode only;
     a 10^w head applies the full power-of-ten rule for hyper exponents w.
     """
-    with transfer._refuse_overflow:
-        return transfer._fold(node, None, _Values(ctx, env or {}))
+    return _Values(ctx, env or {}).fold(node, None)
 
 
 def eval_command(cmd: Command, ctx: NumContext, env: Optional[dict] = None) -> HyperValue:

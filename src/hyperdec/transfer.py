@@ -2,12 +2,16 @@
 
 An expression tree built from the constructors below describes a real
 function f.  One fold walks the tree for every number type: ``eval_star``
-runs it over hypervalues, ``eval_real`` over Fractions (arithmetic trees
-at rational points) or Decimals.  The walk and the field operations are
-shared; a small backend per number type supplies the rest: the variable,
-the lift of rational constants, the zero check on divisors, the named
-constants, powers of ten, the elementary functions and any other node.
-``expr`` parses to these trees and evaluates them with this same fold.
+over hypervalues, ``eval_real`` and ``evt_demo`` over one scalar backend
+(Fractions for arithmetic trees at rational points, else Decimals).
+Every backend is bound to a NumContext and enters through its ``fold``,
+which runs the walk under the context's arithmetic and is the one
+boundary where a float result past the decimal exponent range is
+refused with ResourceLimit.  The backend supplies the rest: the point,
+the variable, rational and named constants, the zero check on divisors,
+powers (an exact one under the bit cap HyperValue keeps), powers of
+ten, the elementary functions and any other node.  ``expr`` parses to
+these trees and evaluates them with this same fold.
 
 Over hypervalues the elementary functions (exp, log, sin, cos, sqrt)
 expand as a Taylor series about the standard part of their argument, so
@@ -30,9 +34,7 @@ fold over first-order jets v + d*e with e^2 = 0, in the context's
 coefficient type, gives f(x0) and the slope together; each elementary
 function contributes the first two coefficients of the Taylor stream
 above.  ``derivative`` reads the slope off that jet, and hypercalc's
-Newton steps read both parts of it.  A float result past the decimal
-exponent range is refused with ResourceLimit at one boundary that every
-fold passes through.
+Newton steps read both parts of it.
 """
 
 import math
@@ -397,11 +399,6 @@ _DECIMAL_ELEMENTARY = {
 }
 
 
-def _named_decimal(name: str) -> Decimal:
-    """pi, e or ln10 at the current precision."""
-    return _named_at(name, getcontext().prec)
-
-
 def _named_value(ctx: NumContext, name: str) -> Decimal:
     """pi, e or ln10 at a float context's precision; exact mode refuses."""
     if ctx.mode == "exact":
@@ -584,7 +581,7 @@ def _pow10_value(w: HyperValue) -> HyperValue:
         grid = ctx.monomial(scale, -int(k), 0)
         if tail.is_zero:
             return grid
-        ln10 = ctx.constant(_named_decimal("ln10"))
+        ln10 = ctx.constant(_named_value(ctx, "ln10"))
     return grid * _apply_elementary("exp", tail * ln10)
 
 
@@ -598,7 +595,8 @@ def _fold(f: FuncExpr, x, num):
     The walk and the field operations are shared; `num` is one of the
     backends below and supplies what depends on the number type: a Var
     is num.var(f, x), which is x itself for a function, and a node the
-    walk does not know goes to num.other(f, x).
+    walk does not know goes to num.other(f, x).  Callers enter through
+    num.fold, which sets the arithmetic and the Overflow boundary.
     """
     if isinstance(f, Var):
         return num.var(f, x)
@@ -619,7 +617,7 @@ def _fold(f: FuncExpr, x, num):
         base = _fold(f.base, x, num)
         if f.power == 0:
             return num.const(Fraction(1))  # Decimal 0 ** 0 is an invalid operation
-        return (num.divisor(base) if f.power < 0 else base) ** f.power
+        return num.power(num.divisor(base) if f.power < 0 else base, f.power)
     if isinstance(f, Neg):
         return -_fold(f.operand, x, num)
     if isinstance(f, NamedConst):
@@ -632,46 +630,68 @@ def _fold(f: FuncExpr, x, num):
     return num.other(f, x)
 
 
-def _to_decimal(x) -> Decimal:
-    if isinstance(x, Decimal):
-        return +x
-    if isinstance(x, Fraction):
-        return Decimal(x.numerator) / Decimal(x.denominator)
-    return Decimal(x)
+def _power(v, k: int):
+    """v**k for a standard v, nonzero when k < 0; an exact power inverts
+    first and keeps the bit cap, as HyperValue.__pow__ does."""
+    if isinstance(v, Fraction):
+        return _exact_power(1 / v if k < 0 else v, abs(k))
+    return v**k
 
 
-def _nonzero(d):
-    if d == 0:
-        raise DomainError("division by zero at a sample point")
-    return d
+class _Backend:
+    """A number type for _fold, bound to one context; fold is the entry.
 
-
-class _Function:
-    """The hooks of the function backends: every Var is the point x."""
+    The defaults: the point enters as it is and is every Var; a divisor
+    passes as it is (a hypervalue or a jet refuses zero itself); a named
+    constant is lifted by const; a power is base**k; a node the walk
+    does not know is refused.
+    """
 
     var = staticmethod(lambda f, x: x)
+    point = divisor = staticmethod(lambda x: x)
+
+    def __init__(self, ctx: NumContext):
+        self.ctx = ctx
+
+    def named(self, name: str):
+        return self.const(_named_value(self.ctx, name))
+
+    @staticmethod
+    def power(base, k: int):
+        return base**k
 
     @staticmethod
     def other(f: FuncExpr, x):
         raise TypeError(f"cannot evaluate {type(f).__name__}")
 
+    def fold(self, f: FuncExpr, x):
+        """f at x, brought into this number type by self.point; a float
+        result past the decimal exponent range is refused."""
+        try:
+            with self.ctx.arith():
+                return _fold(f, self.point(x), self)
+        except Overflow as exc:
+            raise ResourceLimit(
+                "a float result overflows the decimal exponent range"
+            ) from exc
 
-class _Fractions(_Function):
-    """Exact rationals; eval_real sends only arithmetic trees here."""
+
+class _Scalars(_Backend):
+    """Standard-point values: Fractions in an exact context, which gets
+    only arithmetic trees (see eval_real), Decimals rounded to prec in a
+    float one.  The point and each constant enter through ctx.coeff."""
+
+    def __init__(self, ctx: NumContext):
+        super().__init__(ctx)
+        self.point = self.const = ctx.coeff
+
+    power = staticmethod(_power)
 
     @staticmethod
-    def const(c: Fraction) -> Fraction:
-        return c
-
-    divisor = staticmethod(_nonzero)
-
-
-class _Decimals(_Function):
-    """Decimals under the caller's context (eval_real sets it)."""
-
-    const = staticmethod(_to_decimal)
-    divisor = staticmethod(_nonzero)
-    named = staticmethod(_named_decimal)
+    def divisor(d):
+        if d == 0:
+            raise DomainError("division by zero at a sample point")
+        return d
 
     @staticmethod
     def pow10(v: Decimal) -> Decimal:
@@ -686,21 +706,18 @@ class _Decimals(_Function):
         return _DECIMAL_ELEMENTARY[kind](v)
 
 
-class _Hypers(_Function):
+@lru_cache(maxsize=64)
+def _scalars(ctx: NumContext, exact: bool) -> _Scalars:
+    """The scalar backend at ctx's term budget and precision, exact or float."""
+    mode = "exact" if exact else "float"
+    return _Scalars(NumContext(max_terms=ctx.max_terms, mode=mode, prec=ctx.prec))
+
+
+class _Hypers(_Backend):
     """Hypervalues in one context; transcendental pieces go by Taylor."""
 
-    def __init__(self, ctx: NumContext):
-        self.ctx = ctx
-
-    def const(self, c: Fraction) -> HyperValue:
+    def const(self, c) -> HyperValue:
         return self.ctx.constant(c)
-
-    @staticmethod
-    def divisor(d: HyperValue) -> HyperValue:
-        return d  # HyperValue.inv refuses zero with DivisionByZero
-
-    def named(self, name: str) -> HyperValue:
-        return self.ctx.constant(_named_value(self.ctx, name))
 
     pow10 = staticmethod(_pow10_value)
     elementary = staticmethod(_apply_elementary)
@@ -743,64 +760,38 @@ class _Jet:
         v = self.v
         if k < 0 and not v:
             raise DivisionByZero("cannot invert zero")
-        if isinstance(v, Fraction):
-            # a negative power inverts first, as HyperValue.__pow__ does
-            w = _exact_power(1 / v if k < 0 else v, abs(k))
-        else:
-            w = v**k
+        w = _power(v, k)
         if not v:  # k > 0: d(v**k) = k * v**(k-1) * dv is dv or 0
             return _Jet(w, self.d if k == 1 else w)
         return _Jet(w, k * w / v * self.d)
 
 
-class _Jets(_Function):
-    """First-order jets in one context, folded under its arith(); a hook
+class _Jets(_Backend):
+    """First-order jets in one context, entered at x0 + 1*e; a hook
     refuses where the hypervalue backend refuses at a standard point, with
     the same error, and an elementary g takes [g(v), g'(v)] from the
     Taylor stream."""
 
     def __init__(self, ctx: NumContext):
-        self.ctx = ctx
+        super().__init__(ctx)
         self.zero = ctx.coeff(0)
 
-    def const(self, c: Fraction) -> _Jet:
+    def point(self, x0) -> _Jet:
+        return _Jet(self.ctx.coeff(x0), self.ctx.coeff(1))
+
+    def const(self, c) -> _Jet:
         return _Jet(self.ctx.coeff(c), self.zero)
-
-    @staticmethod
-    def divisor(d: _Jet) -> _Jet:
-        return d  # _Jet division refuses zero, as HyperValue.inv does
-
-    def named(self, name: str) -> _Jet:
-        return _Jet(_named_value(self.ctx, name), self.zero)
 
     def pow10(self, j: _Jet) -> _Jet:
         # an exponent that moves with x is refused in exact mode
         w = _ten_to(self.ctx, j.v, not j.d)
         if not j.d:
             return _Jet(w, self.zero)
-        return _Jet(w, w * _named_decimal("ln10") * j.d)
+        return _Jet(w, w * _named_value(self.ctx, "ln10") * j.d)
 
     def elementary(self, kind: str, j: _Jet) -> _Jet:
         g, slope = _taylor(kind, j.v, 2, self.ctx)
         return _Jet(g, slope * j.d)
-
-
-class _RefuseOverflow:
-    """A with-block that refuses a float result past the decimal exponent
-    range with ResourceLimit: the one Overflow boundary of every fold
-    (eval_star, eval_real, _jet and expr.evaluate)."""
-
-    def __enter__(self) -> None:
-        pass
-
-    def __exit__(self, kind, exc, tb) -> None:
-        if kind is not None and issubclass(kind, Overflow):
-            raise ResourceLimit(
-                "a float result overflows the decimal exponent range"
-            ) from exc
-
-
-_refuse_overflow = _RefuseOverflow()
 
 
 def eval_star(f: FuncExpr, x: HyperValue) -> HyperValue:
@@ -808,8 +799,7 @@ def eval_star(f: FuncExpr, x: HyperValue) -> HyperValue:
 
     Every Var node binds to x; the model is single-variable.
     """
-    with _refuse_overflow:
-        return _fold(f, x, _Hypers(x.ctx))
+    return _Hypers(x.ctx).fold(f, x)
 
 
 def eval_real(f: FuncExpr, x, ctx: NumContext):
@@ -817,12 +807,9 @@ def eval_real(f: FuncExpr, x, ctx: NumContext):
 
     A Fraction argument with an arithmetic-only tree stays exact;
     everything else runs in Decimal under the context precision, in
-    either mode.
+    either mode, from x rounded once to that precision.
     """
-    if isinstance(x, Fraction) and is_arithmetic(f):
-        return _fold(f, x, _Fractions)
-    with _refuse_overflow, localcontext(_decimal_ctx(ctx.prec)):
-        return _fold(f, _to_decimal(x), _Decimals)
+    return _scalars(ctx, isinstance(x, Fraction) and is_arithmetic(f)).fold(f, x)
 
 
 # --------------------------------------------------------------------------
@@ -866,8 +853,7 @@ def _jet(f: FuncExpr, x0, ctx: NumContext) -> _Jet:
     whose base vanishes at x0 is never formed, so x^3000000 at 0 has
     slope 0.
     """
-    with _refuse_overflow, ctx.arith():
-        return _fold(f, _Jet(ctx.coeff(x0), ctx.coeff(1)), _Jets(ctx))
+    return _Jets(ctx).fold(f, x0)
 
 
 def derivative(f: FuncExpr, x0, ctx: NumContext) -> Union[Fraction, Decimal]:
@@ -947,15 +933,16 @@ def _cross_check(f, point, value, sign, ctx: NumContext):
 class FunLimit:
     """Two-sided limit probe of f(x) as x approaches a standard point."""
 
-    outcome: str  # "limit" | "no_limit"
+    outcome: str  # "limit" | "no_limit" | "indeterminate" (a probe point refused)
     value: object = None
     witnesses: tuple = ()
 
 
 def limit_fun(f: FuncExpr, a, ctx: NumContext) -> FunLimit:
+    """Two-sided limit of f at a from f at a +- e, e the probe
+    infinitesimals; a refusal at a probe point is no verdict."""
     base = ctx.constant(a)
     seen = []
-    witnesses = []
     for e in _probe_points(ctx)[0]:
         for side in (1, -1):
             point = base + side * e
@@ -963,18 +950,17 @@ def limit_fun(f: FuncExpr, a, ctx: NumContext) -> FunLimit:
             try:
                 v = eval_star(f, point)
             except HyperError as exc:
-                witnesses.append(f"{label}: evaluation failed ({exc})")
-                return FunLimit(outcome="no_limit", witnesses=tuple(witnesses))
+                witness = f"{label}: evaluation failed ({exc})"
+                return FunLimit(outcome="indeterminate", witnesses=(witness,))
             if not v.is_finite:
-                witnesses.append(f"{label}: value is infinite (sign {v.sign():+d})")
-                return FunLimit(outcome="no_limit", witnesses=tuple(witnesses))
+                witness = f"{label}: value is infinite (sign {v.sign():+d})"
+                return FunLimit(outcome="no_limit", witnesses=(witness,))
             seen.append((label, v.standard_part()))
     first_label, first = seen[0]
     for label, s in seen[1:]:
         if not _values_agree(first, s, ctx):
-            witnesses.append(f"{first_label}: {first}")
-            witnesses.append(f"{label}: {s}")
-            return FunLimit(outcome="no_limit", witnesses=tuple(witnesses))
+            witnesses = (f"{first_label}: {first}", f"{label}: {s}")
+            return FunLimit(outcome="no_limit", witnesses=witnesses)
     return FunLimit(outcome="limit", value=first)
 
 
@@ -1081,19 +1067,15 @@ def evt_demo(
         raise ValueError("need n >= 1")
     if n * 2**doublings > 1_000_000:
         raise ValueError("final grid exceeds 10^6 points")
-    exact = ctx.mode == "exact" and is_arithmetic(f)
+    # one backend for every grid point; a float one rounds each to prec
+    num = _scalars(ctx, ctx.mode == "exact" and is_arithmetic(f))
     rows = []
     m = n
     for _ in range(doublings + 1):
         best_i = 0
         best = None
         for i in range(m + 1):
-            t = Fraction(i, m)
-            if not exact:
-                # the grid point at the context precision, in either mode
-                with localcontext(_decimal_ctx(ctx.prec)):
-                    t = _to_decimal(t)
-            v = eval_real(f, t, ctx)
+            v = num.fold(f, Fraction(i, m))
             if best is None or v > best:
                 best, best_i = v, i
         rows.append(EvtRow(n=m, argmax=Fraction(best_i, m), value=best))

@@ -76,6 +76,32 @@ def test_limfun(capsys):
     assert (code, out) == (0, "limit 2\n")
 
 
+@pytest.mark.parametrize("expr, at, mode, why", [
+    # the limit is e, but exact mode refuses exp at a nonzero standard part
+    ("exp(x)", "1", "exact", "exp at a nonzero standard part has no rational value"),
+    # the limit is 0, but the lift of sin refuses the infinite 1/x
+    ("x*sin(1/x)", "0", "exact", "sin of an infinite argument"),
+    ("x*sin(1/x)", "0", "float", "sin of an infinite argument"),
+])
+def test_limfun_refusal_is_indeterminate(capsys, expr, at, mode, why):
+    argv = ("limfun", expr, "--at", at, "--mode", mode)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"indeterminate: x = {at} + (eps): evaluation failed (")
+    assert why in out and out.count("\n") == 1
+    code, out, _ = run(capsys, *argv, "--json")
+    value = json.loads(out)["value"]
+    assert value == {"outcome": "indeterminate", "note": value["note"]}
+    assert f"indeterminate: {value['note']}\n" == run(capsys, *argv)[1]
+
+
+def test_limfun_of_infinite_values_is_no_limit(capsys):
+    code, out, _ = run(capsys, "limfun", "1/x", "--at", "0")
+    assert (code, out) == (0, "no limit: approach values disagree or are unbounded\n")
+    code, out, _ = run(capsys, "limfun", "1/x", "--at", "0", "--json")
+    assert json.loads(out)["value"] == {"outcome": "no_limit"}
+
+
 def test_ucheck(capsys):
     code, out, _ = run(capsys, "ucheck", "x^2")
     assert code == 0
@@ -385,6 +411,59 @@ def test_float_overflow_is_a_resource_limit(capsys, argv):
     code, out, _ = run(capsys, *argv, "--mode", "float", "--json")
     assert code == 1
     assert json.loads(out)["error"]["type"] == "ResourceLimit"
+
+
+_SUM_OF_XS = "+".join(["x"] * 1200)
+_TOO_DEEP = "the expression nests too deeply to evaluate"
+_BIT_CAP = "the coefficient of this power would take about 700000000 bits"
+
+# Hostile CLI lines: deep nesting, huge powers and huge results.  Each
+# row is (argv, exit code, text): the start of the error message, or a
+# piece of the answer on exit 0.
+HOSTILE_LINES = [
+    pytest.param(("eval", "(" * 200 + "1" + ")" * 200), 1, _TOO_DEEP,
+                 id="eval-200-nested-parens"),
+    pytest.param(("eval", "+".join(["1"] * 1200)), 1, _TOO_DEEP,
+                 id="eval-sum-of-1200-terms"),
+    pytest.param(("deriv", _SUM_OF_XS, "--at", "1"), 1, _TOO_DEEP,
+                 id="deriv-sum-of-1200-terms"),
+    pytest.param(("limfun", _SUM_OF_XS, "--at", "1"), 1, _TOO_DEEP,
+                 id="limfun-sum-of-1200-terms"),
+    pytest.param(("evt", "x^100000000"), 1, _BIT_CAP, id="evt-exact-huge-power"),
+    pytest.param(("evt", "10^(5000*x)", "--mode", "float"), 0,
+                 "1.0000000000000000000000000000000000000000000000000E+5000",
+                 id="evt-float-huge-power-of-ten"),
+]
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+@pytest.mark.parametrize("argv, want_code, text", HOSTILE_LINES)
+def test_hostile_line_answers_or_refuses_at_once(capsys, argv, want_code, text, json_flag):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, *json_flag)
+    assert time.perf_counter() - start < 2
+    assert code == want_code
+    assert "Traceback" not in out + err
+    if json_flag:
+        payload = json.loads(out)
+        assert (payload["ok"], err) == (code == 0, "")
+        if code:
+            assert payload["error"]["type"] == "ResourceLimit"
+        assert text in out
+    elif code:
+        assert (out, err.count("\n")) == ("", 1)
+        assert err.startswith(f"error: {text}")
+    else:
+        assert err == "" and text in out
+
+
+def test_repl_refuses_a_deep_line_and_goes_on(capsys, monkeypatch):
+    feed = iter(["(" * 200 + "1" + ")" * 200, "1 + 1", ":q"])
+    monkeypatch.setattr("builtins.input", lambda prompt="": next(feed))
+    assert run_cli(["repl"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "2\n"
+    assert captured.err == f"error: {_TOO_DEEP}\n"
 
 
 def test_large_coefficient_below_the_limit_prints(capsys):

@@ -458,9 +458,9 @@ def slope_error(got, want):
     Below 1 the error is absolute: a slope that is 0 in truth comes out
     as rounding noise, whose relative error means nothing.
     """
-    with localcontext() as dc:
-        dc.prec = 2 * FLOAT.prec
-        return abs(transfer._to_decimal(got) - want) / max(abs(want), 1)
+    wide = NumContext(mode="float", prec=2 * FLOAT.prec)
+    with wide.arith():
+        return abs(wide.coeff(got) - want) / max(abs(want), 1)
 
 
 def test_jet_slope_matches_the_probe_route():
@@ -770,6 +770,16 @@ def test_eval_real_runs_at_the_context_precision_in_both_modes():
         assert len(exact.as_tuple().digits) == prec
     rows = evt_demo(f, NumContext(prec=60), n=4, doublings=0).rows
     assert rows[0].value == evt_demo(f, NumContext(mode="float", prec=60), n=4, doublings=0).rows[0].value
+
+
+def test_exact_scalar_power_past_the_bit_cap_refuses_as_the_jet_does():
+    f = PowInt(X, -10**8)
+    with pytest.raises(ResourceLimit) as scalar:
+        eval_real(f, Fraction(3, 2), EXACT)
+    with pytest.raises(ResourceLimit) as jet:
+        derivative(f, Fraction(3, 2), EXACT)
+    assert str(scalar.value) == str(jet.value)
+    assert "bit cap" in str(scalar.value)
 
 
 def test_evt_demo_grid_cap():

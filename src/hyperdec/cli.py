@@ -20,15 +20,13 @@ from .hypercalc import _check_trace, newton_trace
 from .lightstone import digits_at, render
 from .microscope import MicroscopeScene, microscope, preset_scene
 from .transfer import (
+    _TOO_DEEP,
     derivative,
     evt_demo,
     limit_fun,
     limit_seq,
     uniform_continuity_probe,
 )
-
-# the refusal of a RecursionError: parsing and folding recurse per nesting level
-_TOO_DEEP = "the expression nests too deeply to evaluate"
 
 
 def _rational(text: str) -> Fraction:
@@ -444,7 +442,7 @@ def run_cli(argv=None) -> int:
         return _fail(args, exc, 2)
     except HyperError as exc:
         return _fail(args, exc, 1)
-    except RecursionError:
+    except RecursionError:  # parsing and to_function recurse outside any fold
         return _fail(args, ResourceLimit(_TOO_DEEP), 1)
     except ValueError as exc:
         return _fail(args, exc, 2)

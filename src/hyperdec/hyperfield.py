@@ -839,35 +839,6 @@ class HyperValue(Record):
             out = HyperValue(ctx=self.ctx, terms=out.terms, truncated=True)
         return out
 
-    # --- decomposition ------------------------------------------------------------
-    def decompose(self) -> tuple["HyperValue", Coefficient, "HyperValue"]:
-        """Split into (whole, r, eps_part) with x = whole + r + eps_part.
-
-        When the infinite part qualifies as a hyperinteger, the integer
-        part of the standard coefficient is folded into `whole`, so that
-        whole is a hyperinteger and r lands in [0, 1).  Note the whole
-        part is chosen from the standard coefficient alone, not via
-        floor(x): for 1 - eps this yields (1, 0, -eps), keeping r in
-        range where a floor-based split could not.  Values whose
-        infinite part is not a provable hyperinteger fall back to the
-        raw split (see decompose_raw).
-        """
-        if self._hyperinteger_obstruction() is not None:
-            return self.decompose_raw()
-        whole_inf, f, tail = self.decompose_raw()
-        q = _coeff_floor(f)
-        with self.ctx.arith():
-            r = f - self.ctx.coeff(q)
-        return (whole_inf + self.ctx.constant(q), r, tail)
-
-    def decompose_raw(self) -> tuple["HyperValue", Coefficient, "HyperValue"]:
-        """(infinite part, unit coefficient, infinitesimal part), verbatim."""
-        return (
-            self.infinite_part(),
-            self.coefficient_at(UNIT_PAIR),
-            self.infinitesimal_part(),
-        )
-
     # --- rendering -----------------------------------------------------------------
     def __str__(self) -> str:
         return format_value(self)

@@ -6,12 +6,13 @@ over hypervalues, ``eval_real`` and ``evt_demo`` over one scalar backend
 (Fractions for arithmetic trees at rational points, else Decimals).
 Every backend is bound to a NumContext and enters through its ``fold``,
 which runs the walk under the context's arithmetic and is the one
-boundary where a float result past the decimal exponent range is
-refused with ResourceLimit.  The backend supplies the rest: the point,
-the variable, rational and named constants, the zero check on divisors,
-powers (an exact one under the bit cap HyperValue keeps), powers of
-ten, the elementary functions and any other node.  ``expr`` parses to
-these trees and evaluates them with this same fold.
+boundary where a float result past the decimal exponent range, or a
+tree nested past the interpreter's recursion limit, is refused with
+ResourceLimit.  The backend supplies the rest: the point, the variable,
+rational and named constants, the zero check on divisors, powers (an
+exact one under the bit cap HyperValue keeps), powers of ten, the
+elementary functions and any other node.  ``expr`` parses to these
+trees and evaluates them with this same fold.
 
 Over hypervalues the elementary functions (exp, log, sin, cos, sqrt)
 expand as a Taylor series about the standard part of their argument, so
@@ -26,14 +27,17 @@ mode), and one recurrence per g gives the rest.  One loop of products
 of delta sums the series for every increment.  The series remainder is
 what the sticky ``truncated`` flag reports.
 
-Limits and the uniform continuity probe reduce to evaluating f at
-finitely many hyperreal points, one fixed pair of point sets per
-context, and taking standard parts.  Slopes need less: the standard part
-of (f(x0 + e) - f(x0))/e is the e^1 coefficient of f(x0 + e), so one
-fold over first-order jets v + d*e with e^2 = 0, in the context's
-coefficient type, gives f(x0) and the slope together; each elementary
-function contributes the first two coefficients of the Taylor stream
-above.  ``derivative`` reads the slope off that jet, and hypercalc's
+A limit is read at one point per side, as the generic limit of Cornu
+and Tall: the limit of f at a standard a is the standard part of
+f(a + eps), which must match that of f(a - eps), and a sequence's limit
+is the standard part of its value at an infinite index.  The uniform
+continuity probe steps from a few standard and infinite points by the
+two infinitesimal scales eps and 1/H.  Slopes need one point too: the
+standard part of (f(x0 + e) - f(x0))/e is the e^1 coefficient of
+f(x0 + e), so one fold over first-order jets v + d*e with e^2 = 0, in
+the context's coefficient type, gives f(x0) and the slope together;
+each elementary function contributes the first two coefficients of the
+Taylor stream above.  ``derivative`` reads the slope off that jet, and hypercalc's
 Newton steps read both parts of it.
 """
 
@@ -638,6 +642,10 @@ def _power(v, k: int):
     return v**k
 
 
+# the refusal of a tree too deep to walk: the fold recurses per nesting level
+_TOO_DEEP = "the expression nests too deeply to evaluate"
+
+
 class _Backend:
     """A number type for _fold, bound to one context; fold is the entry.
 
@@ -666,7 +674,8 @@ class _Backend:
 
     def fold(self, f: FuncExpr, x):
         """f at x, brought into this number type by self.point; a float
-        result past the decimal exponent range is refused."""
+        result past the decimal exponent range and a tree deeper than the
+        interpreter's recursion limit are refused."""
         try:
             with self.ctx.arith():
                 return _fold(f, self.point(x), self)
@@ -674,6 +683,8 @@ class _Backend:
             raise ResourceLimit(
                 "a float result overflows the decimal exponent range"
             ) from exc
+        except RecursionError as exc:
+            raise ResourceLimit(_TOO_DEEP) from exc
 
 
 class _Scalars(_Backend):
@@ -818,14 +829,16 @@ def eval_real(f: FuncExpr, x, ctx: NumContext):
 
 @lru_cache(maxsize=64)
 def _probe_points(ctx: NumContext) -> tuple:
-    """(infinitesimals, infinite_points): the points the limit and
-    continuity probes evaluate at, built once per context.
+    """(infinitesimals, infinite_points), built once per context:
+    (eps, 1/H), the two infinitesimal scales the continuity probe steps
+    by, and (H, H^2, 1/eps), its infinite sample points.
 
     Order matters: the first witnesses found follow probe order, and the
-    first infinite point is the one a sequence limit is read from.
+    first two infinite points are the index a sequence limit is read at
+    and its cross-check.
     """
     return (
-        (ctx.tau(), 2 * ctx.tau(), ctx.omega(-1), ctx.omega(-2)),
+        (ctx.tau(), ctx.omega(-1)),
         (ctx.omega(), ctx.omega(2), ctx.tau(-1)),
     )
 
@@ -939,29 +952,27 @@ class FunLimit:
 
 
 def limit_fun(f: FuncExpr, a, ctx: NumContext) -> FunLimit:
-    """Two-sided limit of f at a from f at a +- e, e the probe
-    infinitesimals; a refusal at a probe point is no verdict."""
-    base = ctx.constant(a)
+    """Two-sided limit of f at a: the standard part of f at a + eps,
+    which that at a - eps must match.  A refusal at either point is no
+    verdict, an infinite value is no limit."""
+    base, eps = ctx.constant(a), ctx.tau()
     seen = []
-    for e in _probe_points(ctx)[0]:
-        for side in (1, -1):
-            point = base + side * e
-            label = f"x = {a} {'+' if side > 0 else '-'} ({e})"
-            try:
-                v = eval_star(f, point)
-            except HyperError as exc:
-                witness = f"{label}: evaluation failed ({exc})"
-                return FunLimit(outcome="indeterminate", witnesses=(witness,))
-            if not v.is_finite:
-                witness = f"{label}: value is infinite (sign {v.sign():+d})"
-                return FunLimit(outcome="no_limit", witnesses=(witness,))
-            seen.append((label, v.standard_part()))
-    first_label, first = seen[0]
-    for label, s in seen[1:]:
-        if not _values_agree(first, s, ctx):
-            witnesses = (f"{first_label}: {first}", f"{label}: {s}")
-            return FunLimit(outcome="no_limit", witnesses=witnesses)
-    return FunLimit(outcome="limit", value=first)
+    for side in (1, -1):
+        label = f"x = {a} {'+' if side > 0 else '-'} ({eps})"
+        try:
+            v = eval_star(f, base + side * eps)
+        except HyperError as exc:
+            witness = f"{label}: evaluation failed ({exc})"
+            return FunLimit(outcome="indeterminate", witnesses=(witness,))
+        if not v.is_finite:
+            witness = f"{label}: value is infinite (sign {v.sign():+d})"
+            return FunLimit(outcome="no_limit", witnesses=(witness,))
+        seen.append((label, v.standard_part()))
+    (right_label, right), (left_label, left) = seen
+    if not _values_agree(right, left, ctx):
+        witnesses = (f"{right_label}: {right}", f"{left_label}: {left}")
+        return FunLimit(outcome="no_limit", witnesses=witnesses)
+    return FunLimit(outcome="limit", value=right)
 
 
 # --------------------------------------------------------------------------
@@ -986,9 +997,10 @@ def uniform_continuity_probe(f: FuncExpr, ctx: NumContext) -> UniformReport:
     """Look for x, y infinitely close with f(x), f(y) not infinitely close.
 
     Sample points run through a few standard values and then the infinite
-    probes; a failure at an infinite point is the classic way uniform
-    continuity breaks while plain continuity holds.  A pass verdict only
-    says no probe pair separated the function, it is not a proof.
+    probes, and from each point x the probe steps to x + eps and x + 1/H;
+    a failure at an infinite point is the classic way uniform continuity
+    breaks while plain continuity holds.  A pass verdict only says no
+    probe pair separated the function, it is not a proof.
     """
     infinitesimals, infinite_points = _probe_points(ctx)
     points = [ctx.constant(s) for s in _STANDARD_SAMPLES]

@@ -12,6 +12,7 @@ from hyperdec.errors import (
     DomainError,
     ExactTranscendental,
     ParseError,
+    ResourceLimit,
     UnknownIdentifier,
 )
 from hyperdec.expr import (
@@ -282,6 +283,12 @@ def test_float_pi_follows_the_context_precision():
     assert value.standard_part() == transfer.eval_real(f, Fraction(1), ctx)
     assert len(str(value.standard_part())) == 51
     assert ev("e", ctx) == transfer.eval_star(transfer.NamedConst("e"), ctx.zero())
+
+
+def test_a_tree_too_deep_to_evaluate_is_refused_with_a_typed_error():
+    deep = parse_expr("+".join(["1"] * 1200))
+    with pytest.raises(ResourceLimit, match="^the expression nests too deeply to evaluate$"):
+        evaluate(deep, NumContext())
 
 
 def test_negation_stays_exact_at_rational_points():

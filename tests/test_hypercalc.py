@@ -121,8 +121,9 @@ def test_reciprocal_gap_squares_exactly():
 
 def test_reciprocal_square_climb_is_pinned():
     """Exact iterates of 1 - 1/x^2 from 71/100, pinned bit for bit: each
-    step inverts (x + e)^2 at every probe, so a change to the inverse
-    series cannot move the climb unnoticed."""
+    step reads f(x_n) and its slope off one exact first-order jet, so a
+    change to the jet's quotient and power rules cannot move the climb
+    unnoticed."""
     t = newton_trace(RECIP_SQUARE, Fraction(71, 100), 5)
     assert t.mode == "exact"
     assert [len(str(x.denominator)) for x in t.iterates] == [3, 7, 20, 58, 175, 523]
@@ -134,10 +135,11 @@ def test_reciprocal_square_climb_is_pinned():
 
 
 def test_log_climb_is_pinned():
-    """Float iterates of the log climb from three starts, and float probe
+    """Float iterates of the log climb from three starts, and float jet
     slopes of five functions at seeded points, pinned bit for bit: each
-    slope lifts f at x0 + e for every probe e, so a change to the Taylor
-    lift cannot move a digit unnoticed."""
+    step and slope of an elementary function reads the first two
+    coefficients of the float Taylor stream, so a change to that stream
+    cannot move a digit unnoticed."""
     lines = []
     for x0 in (Fraction(3, 10), Fraction(1, 2), Fraction(9, 10)):
         lines += [str(x) for x in newton_trace(LOG, x0, 10, 50).iterates]

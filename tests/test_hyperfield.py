@@ -830,43 +830,6 @@ def test_floor_truncated_boundary_refused():
     assert y.floor().coefficient_at(UNIT_PAIR) == 3
 
 
-# ---------------------------------------------------------------- decompose
-
-def test_decompose_examples():
-    om = CTX.omega()
-    whole, r, tail = (om + CTX.constant(Fraction(1, 2)) + CTX.tau()).decompose()
-    assert as_map(whole) == {ExponentPair(0, 1): Fraction(1)}
-    assert r == Fraction(1, 2)
-    assert as_map(tail) == {ExponentPair(1, 0): Fraction(1)}
-
-    whole, r, tail = CTX.zero().decompose()
-    assert whole.is_zero and r == 0 and tail.is_zero
-
-    whole, r, tail = (CTX.constant(1) - CTX.tau()).decompose()
-    assert as_map(whole) == {UNIT_PAIR: Fraction(1)}
-    assert r == 0
-    assert as_map(tail) == {ExponentPair(1, 0): Fraction(-1)}
-
-
-def test_decompose_reassembles_with_r_in_range():
-    rng = random.Random(97)
-    for _ in range(150):
-        x = random_value(rng, hyperinteger_infinite=True)
-        whole, r, tail = x.decompose()
-        assert 0 <= r < 1
-        assert (whole + CTX.constant(r) + tail - x).is_zero
-        assert whole._hyperinteger_obstruction() is None
-
-
-def test_decompose_raw_passthrough():
-    x = CTX.omega() / 2 + CTX.constant(Fraction(3, 2)) + CTX.tau()
-    whole, r, tail = x.decompose_raw()
-    assert r == Fraction(3, 2)
-    assert as_map(whole) == {ExponentPair(0, 1): Fraction(1, 2)}
-    # non-hyperinteger infinite part falls back to the raw split
-    assert x.decompose()[1] == Fraction(3, 2)
-
-
 # ---------------------------------------------------------------- identity chains
 
 def test_nines_identity_chain():
@@ -1046,7 +1009,7 @@ def test_order_respects_arithmetic(x, y, z):
 
 # ---------------------------------------------------------------- helpers
 
-def random_value(rng, finite=False, hyperinteger_infinite=False, max_len=4):
+def random_value(rng, finite=False, max_len=4):
     items = []
     for _ in range(rng.randrange(0, max_len + 1)):
         c = Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
@@ -1056,13 +1019,5 @@ def random_value(rng, finite=False, hyperinteger_infinite=False, max_len=4):
         a = rng.randrange(-2, 3)
         if finite and (b < 0 or (b == 0 and a > 0)):
             b, a = abs(b), -abs(a)
-        if hyperinteger_infinite:
-            pair = ExponentPair(b, a)
-            if pair.is_infinite:
-                b = -abs(b)
-                a = abs(a)
-                c = Fraction(rng.randrange(1, 9)) if b == 0 else Fraction(
-                    rng.randrange(1, 9), rng.choice([1, 2, 5, 10])
-                )
         items.append((c, ExponentPair(b, a)))
     return CTX.from_terms(items)

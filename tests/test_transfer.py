@@ -5,8 +5,10 @@ for float mode we also cross-check against central differences computed
 with plain Decimal arithmetic, so the probe machinery never checks itself.
 """
 
+import functools
 import math
 import random
+from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -374,9 +376,15 @@ def test_derivative_polynomial_matches_oracle_exactly():
             assert got == want
 
 
+def oracle_infinitesimals(ctx):
+    """The four infinitesimals every probe oracle here steps by: two
+    multiples of eps and two powers of 1/H."""
+    return (ctx.tau(), 2 * ctx.tau(), ctx.omega(-1), ctx.omega(-2))
+
+
 def slope_by_probes(f, x0, ctx):
     """The slope oracle: st((f(x0 + e) - f(x0))/e) for each infinitesimal
-    probe e, over hypervalues.
+    e of oracle_infinitesimals, over hypervalues.
 
     The probes must agree (exactly in exact mode, to half the working
     precision in float mode); otherwise, or when a quotient is infinite,
@@ -385,7 +393,7 @@ def slope_by_probes(f, x0, ctx):
     base_point = ctx.constant(x0)
     base = transfer.eval_star(f, base_point)
     slopes = []
-    for e in transfer._probe_points(ctx)[0]:
+    for e in oracle_infinitesimals(ctx):
         quotient = (transfer.eval_star(f, base_point + e) - base) / e
         try:
             slopes.append((e, quotient.standard_part()))
@@ -693,6 +701,134 @@ def test_limit_fun_blowup():
     assert r.witnesses
 
 
+def limit_by_probes(f, a, ctx):
+    """The limit oracle: f at a + e and a - e for each infinitesimal e of
+    oracle_infinitesimals, in that order.  The first refusal is no
+    verdict and the first infinite value no limit; the standard parts
+    must all match the first, or the first that does not is the witness.
+    """
+    base = ctx.constant(a)
+    seen = []
+    for e in oracle_infinitesimals(ctx):
+        for side in (1, -1):
+            label = f"x = {a} {'+' if side > 0 else '-'} ({e})"
+            try:
+                v = transfer.eval_star(f, base + side * e)
+            except HyperError as exc:
+                witness = f"{label}: evaluation failed ({exc})"
+                return transfer.FunLimit(outcome="indeterminate", witnesses=(witness,))
+            if not v.is_finite:
+                witness = f"{label}: value is infinite (sign {v.sign():+d})"
+                return transfer.FunLimit(outcome="no_limit", witnesses=(witness,))
+            seen.append((label, v.standard_part()))
+    first_label, first = seen[0]
+    for label, s in seen[1:]:
+        if not transfer._values_agree(first, s, ctx):
+            witnesses = (f"{first_label}: {first}", f"{label}: {s}")
+            return transfer.FunLimit(outcome="no_limit", witnesses=witnesses)
+    return transfer.FunLimit(outcome="limit", value=first)
+
+
+# exact at two term budgets, and float
+ORACLE_CONTEXTS = (NumContext(max_terms=4), NumContext(max_terms=16),
+                   NumContext(mode="float", prec=30))
+
+
+def shifted_power_shape(rng, unary=()):
+    """(x - a)^p * g / (x - a)^q with g a small random tree, and a: a
+    pole for p < q, a removable singularity for p >= q > 0."""
+    a = Fraction(rng.randrange(-3, 4), rng.randrange(1, 3))
+    shift = Sub(X, const(a))
+    top = PowInt(shift, rng.randrange(0, 4))
+    if rng.random() < 0.5:
+        top = Mul(top, random_tree(rng, 2, unary))
+    return Div(top, PowInt(shift, rng.randrange(0, 4))), a
+
+
+# a power of ten separates x = H from H + eps in float mode, a square
+# only from H + 1/H; the rest refuse, blow up or pass
+NAMED_CASES = (
+    Pow10(X), PowInt(X, 2), Div(const(1), X), Mul(X, Sin(Div(const(1), X))),
+    Exp(X), Sqrt(X), Log(X), Div(const(1), Add(PowInt(X, 2), const(1))),
+)
+
+
+def limit_corpus(rng, count):
+    """The named cases at 0, 1 and -1/2, then count limit cases of each
+    kind: arithmetic trees, trees with every node, and shifted power
+    shapes with and without elementary nodes."""
+    for f in NAMED_CASES:
+        for a in (Fraction(0), Fraction(1), Fraction(-1, 2)):
+            yield f, a
+    for _ in range(count):
+        yield random_tree(rng, 3), Fraction(rng.randrange(-3, 4), rng.randrange(1, 3))
+        yield random_tree(rng, 3, ELEMENTARY_NODES), Fraction(rng.randrange(-3, 4), rng.randrange(1, 3))
+        yield shifted_power_shape(rng)
+        yield shifted_power_shape(rng, ELEMENTARY_NODES)
+
+
+def test_limit_fun_matches_the_probe_oracle():
+    # one lift per side decides every case as the eight probes do: the
+    # same outcome, value and witnesses
+    rng = random.Random(17)
+    outcomes = Counter()
+    for ctx in ORACLE_CONTEXTS:
+        for f, a in limit_corpus(rng, 40):
+            got = limit_fun(f, a, ctx)
+            assert got == limit_by_probes(f, a, ctx), (f, a, ctx)
+            outcomes[got.outcome] += 1
+    assert set(outcomes) == {"limit", "no_limit", "indeterminate"}, outcomes
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_limit_fun_folds_f_once_per_side(monkeypatch):
+    seen = []
+
+    def spy(g, x):
+        seen.append(x)
+        return eval_star(g, x)
+
+    monkeypatch.setattr(transfer, "eval_star", spy)
+    f = Div(Sub(PowInt(X, 2), const(1)), Sub(X, const(1)))
+    assert limit_fun(f, Fraction(1), EXACT).value == 2
+    assert seen == [EXACT.constant(1) + EXACT.tau(), EXACT.constant(1) - EXACT.tau()]
+
+
+def test_limit_fun_reports_the_two_sides_when_they_disagree(monkeypatch):
+    # no tree over these nodes has a jump, so a stand-in f gives 1 on the
+    # right of 0 and 2 on the left
+    def sides(g, x):
+        return EXACT.constant(1 if x.sign() > 0 else 2)
+
+    monkeypatch.setattr(transfer, "eval_star", sides)
+    r = limit_fun(X, Fraction(0), EXACT)
+    assert (r.outcome, r.witnesses) == ("no_limit", ("x = 0 + (eps): 1", "x = 0 - (eps): 2"))
+
+
+def test_limit_fun_where_a_dropped_probe_passes_the_bit_cap():
+    # x^3000000 has limit 0 at 0; the oracle refuses at 2*eps, whose
+    # power has a coefficient past the bit cap
+    f = PowInt(X, 3_000_000)
+    assert limit_fun(f, Fraction(0), EXACT).value == 0
+    r = limit_by_probes(f, Fraction(0), EXACT)
+    assert r.outcome == "indeterminate" and "bit cap" in r.witnesses[0]
+
+
+SUM_OF_XS = functools.reduce(Add, [X] * 1200)
+
+
+def test_a_tree_too_deep_to_fold_is_refused_with_a_typed_error():
+    with pytest.raises(ResourceLimit, match="nests too deeply"):
+        derivative(SUM_OF_XS, Fraction(1), EXACT)
+    r = limit_fun(SUM_OF_XS, Fraction(1), EXACT)
+    assert r.outcome == "indeterminate"
+    assert r.witnesses == (
+        f"x = 1 + (eps): evaluation failed ({transfer._TOO_DEEP})",
+    )
+    r = limit_seq(SUM_OF_XS, EXACT)
+    assert (r.outcome, r.note) == ("indeterminate", transfer._TOO_DEEP)
+
+
 # ---------------------------------------------------------------- continuity
 
 def test_uniform_continuity_square_fails_at_infinite_point():
@@ -713,10 +849,10 @@ def test_uniform_continuity_affine_passes():
 
 
 @pytest.mark.parametrize("f, verdict, calls", [
-    # 8 sample points by 4 infinitesimals: each f(x + e), and f(x) once
-    (Add(Mul(const(2), X), const(1)), "pass_all_probes", 32 + 8),
-    # fails at the 23rd pair, the 3rd of the 6th point
-    (PowInt(X, 2), "fail", 23 + 6),
+    # 8 sample points by 2 infinitesimals: each f(x + e), and f(x) once
+    (Add(Mul(const(2), X), const(1)), "pass_all_probes", 16 + 8),
+    # fails at the 12th pair, the 2nd of the 6th point
+    (PowInt(X, 2), "fail", 12 + 6),
 ])
 def test_uniform_probe_evaluates_f_once_per_point(monkeypatch, f, verdict, calls):
     seen = []
@@ -739,6 +875,61 @@ def test_uniform_probe_reports_the_first_refusal_near_a_point():
     rep = uniform_continuity_probe(f, EXACT)
     assert rep.verdict == "inconclusive"
     assert rep.note == "evaluation failed near 0: log needs a positive standard part"
+
+
+def uniform_by_probes(f, ctx):
+    """The uniform probe oracle: the same sample points, each stepped by
+    every infinitesimal of oracle_infinitesimals in turn, with f(y) taken
+    before f(x) at every pair."""
+    points = [ctx.constant(s) for s in transfer._STANDARD_SAMPLES]
+    points += [ctx.omega(), ctx.omega(2), ctx.tau(-1)]
+    trouble = None
+    for x in points:
+        for e in oracle_infinitesimals(ctx):
+            y = x + e
+            try:
+                gap = transfer.eval_star(f, y) - transfer.eval_star(f, x)
+            except HyperError as exc:
+                trouble = trouble or f"evaluation failed near {x}: {exc}"
+                continue
+            if gap.classify()[0].name != "INFINITESIMAL":
+                try:
+                    std = gap.standard_part()
+                except NotFinite:
+                    std = None
+                return transfer.UniformReport(
+                    verdict="fail", witness_x=x, witness_y=y, gap=gap, gap_standard=std,
+                    note="points are infinitely close but the values are not",
+                )
+    if trouble:
+        return transfer.UniformReport(verdict="inconclusive", note=trouble)
+    return transfer.UniformReport(
+        verdict="pass_all_probes",
+        note="no probe pair separated the values; evidence, not a proof",
+    )
+
+
+def uniform_corpus(rng, count):
+    """The named cases, then count trees of each kind: arithmetic, with
+    every node, and shifted power shapes."""
+    yield from NAMED_CASES
+    for _ in range(count):
+        yield random_tree(rng, 3)
+        yield random_tree(rng, 3, ELEMENTARY_NODES)
+        yield shifted_power_shape(rng)[0]
+
+
+def test_uniform_probe_matches_the_probe_oracle():
+    # eps and 1/H separate every pair the four infinitesimals do: the same
+    # verdict, witnesses, gap, its standard part and note
+    rng = random.Random(18)
+    verdicts = Counter()
+    for ctx in ORACLE_CONTEXTS:
+        for f in uniform_corpus(rng, 6):
+            got = uniform_continuity_probe(f, ctx)
+            assert got == uniform_by_probes(f, ctx), (f, ctx)
+            verdicts[got.verdict] += 1
+    assert set(verdicts) == {"fail", "pass_all_probes", "inconclusive"}, verdicts
 
 
 # ---------------------------------------------------------------- evt demo
@@ -797,10 +988,10 @@ def test_probe_set_validation():
         for v in infinitesimals:
             assert not v.is_zero and v.is_finite and v.standard_part() == 0
         assert not any(v.is_finite for v in infinite_points)
-    assert transfer._probe_points(EXACT) == (
-        (EXACT.tau(), 2 * EXACT.tau(), EXACT.omega(-1), EXACT.omega(-2)),
-        (EXACT.omega(), EXACT.omega(2), EXACT.tau(-1)),
-    )
+        assert transfer._probe_points(ctx) == (
+            (ctx.tau(), ctx.omega(-1)),
+            (ctx.omega(), ctx.omega(2), ctx.tau(-1)),
+        )
 
 
 def test_default_probes_are_built_once_per_context():

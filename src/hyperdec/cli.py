@@ -29,6 +29,12 @@ from .transfer import (
 )
 
 
+# exp of a three-term increment at 256 terms and exp(1) at 5000 digits each
+# take under a second from a cold start; the cost grows at least as the square
+_MAX_TERMS = 256
+_MAX_PREC = 5000
+
+
 def _rational(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -320,11 +326,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--prec", type=int, default=50,
-        help="decimal digits in float mode (default 50)",
+        help=f"decimal digits in float mode (default 50, at most {_MAX_PREC})",
     )
     common.add_argument(
         "--terms", type=int, default=16,
-        help="series length bound (default 16)",
+        help=f"series length bound (default 16, at most {_MAX_TERMS})",
     )
     common.add_argument(
         "--json", action="store_true", help="emit a JSON result envelope"
@@ -435,7 +441,11 @@ def run_cli(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        # NumContext refuses an out-of-range --prec or --terms with ValueError
+        # NumContext refuses a --prec or --terms below range with ValueError
+        if args.terms > _MAX_TERMS:
+            raise ValueError(f"term budget must be at most {_MAX_TERMS}")
+        if args.prec > _MAX_PREC:
+            raise ValueError(f"precision must be at most {_MAX_PREC} digits")
         ctx = NumContext(mode=args.mode, prec=args.prec, max_terms=args.terms)
         result = args.handler(args, ctx)
     except ParseError as exc:

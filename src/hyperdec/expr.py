@@ -453,7 +453,7 @@ class _Values(transfer._Hypers):
                 why = f"diverges to {'+' if result.sign > 0 else '-'}infinity"
                 raise DomainError(f"limit does not converge ({why})")
             if result.outcome != "converges":
-                raise DomainError(f"limit does not converge ({result.outcome}: {result.note})")
+                raise result.error  # the refusal at the infinite index, as it was
             return ctx.constant(result.value)
         return super().other(f, x)
 

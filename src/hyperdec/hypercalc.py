@@ -17,13 +17,14 @@ Each step takes f(x_n) and f'(x_n) from one first-order jet fold, the
 one transfer.derivative reads its slope from.
 """
 
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Union
 
 from ._record import Record
-from .errors import AssertionFailed, DerivativeVanishes, DomainError, HyperError
+from .errors import AssertionFailed, DerivativeVanishes, DomainError, HyperError, ResourceLimit
 from .hyperfield import NumContext
 from .transfer import FuncExpr, _jet, eval_real, is_arithmetic
 
@@ -111,7 +112,9 @@ def newton_trace(
     Starts below the root (f(x0) < 0 and x0 < 1 required).  Stops early
     when f hits 0 exactly, when an iterate would overshoot, or in
     Decimal mode when the remaining gap to 1 drops below the precision
-    floor; the reason is recorded on the trace.
+    floor; the reason is recorded on the trace.  An exact iterate
+    whose numerator or denominator passes Python's int-to-str digit
+    limit is refused: their lengths grow geometrically with the steps.
     """
     if steps < 0:
         raise DomainError("steps must be nonnegative")
@@ -135,6 +138,7 @@ def newton_trace(
     iterates = [x]
     halt = None
     floor_gap = Fraction(1, 10 ** (precision - _NINES_GAP_EXP))
+    digit_limit = sys.get_int_max_str_digits() if exact else 0
     for n in range(steps):
         if n:
             v, d = _value_and_slope(f, x, ctx)
@@ -148,6 +152,13 @@ def newton_trace(
         with ctx.arith():
             x_new = x + (-v) / slope
             gap_new = 1 - x_new
+        big = max(abs(x_new.numerator), x_new.denominator) if digit_limit else 0
+        # 3.32 < log2(10): an int of no more bits has at most digit_limit digits
+        if big.bit_length() > 3.32 * digit_limit and big >= 10**digit_limit:
+            raise ResourceLimit(
+                f"the iterate at step {n + 1} has more than {digit_limit}"
+                " digits and is too large to print"
+            )
         if not exact and gap_new < floor_gap:
             halt = (
                 f"precision exhausted at step {n + 1}: the gap to 1 fell"

@@ -8,7 +8,12 @@ magnitude outright.  Arithmetic keeps at most K terms per value, always
 the K largest, and raises a sticky `truncated` flag whenever anything
 was dropped.  An inverse is an infinite series cut the same way: its
 coefficients come largest key first from the reciprocal recurrence, and
-the K leading nonzero ones are kept.  The flag records only that
+the K leading nonzero ones are kept.  Exact division by a value of two
+or more terms feeds the recurrence's int numerators straight into the
+product, so only the K terms of the quotient become Fractions.  Order,
+floor and standard part are read off the sorted term lists (the first
+key where two values differ; infinite terms first, then the unit) and
+build no difference or part values.  The flag records only that
 something was dropped, not how much: comparisons refuse to certify
 equality of flagged values, but they still read the sign of a nonzero
 difference from its leading surviving term, and after cancellation that
@@ -147,9 +152,6 @@ class ExponentPair:
         b, a = self._key
         return ExponentPair._of((-b, -a))
 
-    def scaled(self, k: int) -> "ExponentPair":
-        return ExponentPair(self.b * k, self.a * k)
-
     # --- classification ---------------------------------------------------
     @property
     def is_unit(self) -> bool:
@@ -213,23 +215,15 @@ class NumContext(Record):
     def coeff(self, v: CoeffLike) -> Coefficient:
         """Coerce v into this context's coefficient type."""
         if self.mode == "exact":
-            if isinstance(v, Fraction):
-                return v
-            if isinstance(v, Decimal):
-                return Fraction(v)
-            return Fraction(v)
+            return v if isinstance(v, Fraction) else Fraction(v)
         if isinstance(v, Decimal) and not v.is_finite():
-            self._reject_nonfinite(v)
+            raise ValueError(f"non-finite coefficient {v}")
         with self.arith():
             if isinstance(v, Decimal):
                 return +v
             if isinstance(v, Fraction):
                 return Decimal(v.numerator) / Decimal(v.denominator)
             return +Decimal(v)
-
-    @staticmethod
-    def _reject_nonfinite(v: Decimal) -> Decimal:
-        raise ValueError(f"non-finite coefficient {v}")
 
     def arith(self):
         """Context manager under which coefficient arithmetic runs."""
@@ -338,6 +332,19 @@ def _build(
     return HyperValue(ctx=ctx, terms=terms, truncated=truncated)
 
 
+def _product(ctx: NumContext, xs: list, ys: list, truncated: bool, scale=None) -> "HyperValue":
+    """The product of two (key, coefficient) lists, cut to K; with a scale
+    both hold int numerators over scales whose product it is."""
+    acc: dict[_Key, Union[int, Decimal]] = {}
+    with ctx.arith():
+        for (b1, a1), c1 in xs:
+            for (b2, a2), c2 in ys:
+                key = (b1 + b2, a1 + a2)
+                prod = c1 * c2
+                acc[key] = acc[key] + prod if key in acc else prod
+    return _build(ctx, acc, truncated, scale)
+
+
 class HyperValue(Record):
     """An immutable truncated series, terms sorted largest-first.
 
@@ -371,7 +378,7 @@ class HyperValue(Record):
 
     @property
     def is_finite(self) -> bool:
-        return not any(pair.is_infinite for _, pair in self.terms)
+        return not self.terms or self.terms[0][1]._key <= (0, 0)
 
     def leading(self) -> tuple[Coefficient, ExponentPair]:
         if not self.terms:
@@ -385,14 +392,11 @@ class HyperValue(Record):
         return 1 if c > 0 else -1
 
     def coefficient_at(self, pair: ExponentPair) -> Coefficient:
+        key = pair._key
         for c, p in self.terms:
-            if p == pair:
+            if p._key == key:
                 return c
         return self.ctx.coeff(0)
-
-    def infinite_part(self) -> "HyperValue":
-        kept = [(c, p) for c, p in self.terms if p.is_infinite]
-        return HyperValue(ctx=self.ctx, terms=tuple(kept), truncated=False)
 
     def infinitesimal_part(self) -> "HyperValue":
         kept = [(c, p) for c, p in self.terms if p.is_infinitesimal]
@@ -481,24 +485,15 @@ class HyperValue(Record):
         if len(self.terms) == 1:
             return rhs._mul_monomial(self)
         # The products run on key tuples, and in exact mode on int
-        # numerators over each operand's common denominator; only the K
-        # survivors become terms.
+        # numerators over each operand's common denominator.
+        truncated = self.truncated or rhs.truncated
         if self.ctx.mode == "exact":
             xs, sx = _numerators(self.terms)
             ys, sy = _numerators(rhs.terms)
-            scale = sx * sy
-        else:
-            xs = [(p._key, c) for c, p in self.terms]
-            ys = [(p._key, c) for c, p in rhs.terms]
-            scale = None
-        acc: dict[_Key, Union[int, Decimal]] = {}
-        with self.ctx.arith():
-            for (b1, a1), c1 in xs:
-                for (b2, a2), c2 in ys:
-                    key = (b1 + b2, a1 + a2)
-                    prod = c1 * c2
-                    acc[key] = acc[key] + prod if key in acc else prod
-        return _build(self.ctx, acc, self.truncated or rhs.truncated, scale)
+            return _product(self.ctx, xs, ys, truncated, sx * sy)
+        xs = [(p._key, c) for c, p in self.terms]
+        ys = [(p._key, c) for c, p in rhs.terms]
+        return _product(self.ctx, xs, ys, truncated)
 
     __rmul__ = __mul__
 
@@ -526,34 +521,50 @@ class HyperValue(Record):
     def inv(self) -> "HyperValue":
         """Multiplicative inverse by the power-series reciprocal recurrence.
 
-        Writing x = c*mu*(1 + r) with r strictly below unit magnitude,
-        the inverse is (1/c)*mu**-1 * s with s = 1/(1 + r).  A one-term x
-        inverts exactly; otherwise s is an infinite series, and the result
-        is its K leading nonzero terms with the flag set.
-
-        With -r = sum(m_i * X**o_i), every offset o_i below the unit, s
-        obeys s_0 = 1 and s_p = sum(m_i * s_(p - o_i)), where each
-        p - o_i lies above p.  A heap visits the keys that sums of offsets
-        reach, largest first, so each s_p is formed after everything it
-        reads, and the walk stops at the K-th nonzero coefficient.  Each
-        s_p is an int numerator over q**d, q the lcm of the denominators
-        of the m_i, lifted only when it is read; only the K survivors
-        become Fractions.  Float mode runs the recurrence on the exact
-        values of its Decimal coefficients and rounds each survivor once,
-        so its coefficients are the correctly rounded ones of the exact
-        series.
+        A one-term x inverts exactly.  Otherwise the terms are the K that
+        _reciprocal gives, with the flag set: Fractions in exact mode;
+        float mode rounds each once, to the correctly rounded coefficient
+        of the exact series, and drops those that underflow.
         """
         if not self.terms:
             raise DivisionByZero("cannot invert zero")
         ctx = self.ctx
-        c0, mu0 = self.terms[0]
         if len(self.terms) == 1:
+            (c0, mu0), = self.terms
             with ctx.arith():
                 inv_c0 = ctx.coeff(1) / c0
             return HyperValue(ctx=ctx, terms=((inv_c0, -mu0),), truncated=self.truncated)
+        series, c0 = self._reciprocal()
+        exact = ctx.mode == "exact"
+        terms = []
+        with ctx.arith():
+            for key, n, qd in series:
+                c = Fraction(n * c0.denominator, qd * c0.numerator)  # s / c0
+                if not exact:
+                    c = ctx.coeff(c)
+                    if c == 0:  # underflow
+                        continue
+                terms.append((c, ExponentPair._of(key)))
+        return HyperValue(ctx=ctx, terms=tuple(terms), truncated=True)
+
+    def _reciprocal(self) -> tuple[list, Fraction]:
+        """The K leading terms of 1/x = s/c, for x of two or more terms,
+        as (key, n, q**d) triples with s_p = n / q**d, and c.
+
+        Writing x = c*mu*(1 + r) with r strictly below unit magnitude,
+        the inverse is (1/c)*mu**-1 * s with s = 1/(1 + r).  With
+        -r = sum(m_i * X**o_i), every offset o_i below the unit, s obeys
+        s_0 = 1 and s_p = sum(m_i * s_(p - o_i)), where each p - o_i lies
+        above p.  A heap visits the keys that sums of offsets reach,
+        largest first, so each s_p is formed after everything it reads,
+        and the walk stops at the K-th nonzero coefficient.  Each s_p is
+        an int numerator over q**d, q the lcm of the denominators of the
+        m_i, lifted only when it is read.  Float mode runs the recurrence
+        on the exact values of its Decimal coefficients.
+        """
+        c0, mu0 = self.terms[0]
         # The recurrence runs on magnitude keys scaled by the common
-        # denominator of the exponents, so that they are int pairs; only
-        # the K survivors become ExponentPairs.
+        # denominator of the exponents, so that they are int pairs.
         den = math.lcm(*(x.denominator for _, pair in self.terms for x in pair._key))
         b0, a0 = _scaled_key(mu0._key, den)
         f0 = Fraction(c0)
@@ -563,7 +574,7 @@ class HyperValue(Record):
             offsets.append(((b - b0, a - a0), -Fraction(c) / f0))
         q = math.lcm(*(m.denominator for _, m in offsets))
         steps = [(key, m.numerator * (q // m.denominator)) for key, m in offsets]
-        budget = ctx.max_terms
+        budget = self.ctx.max_terms
         # Keys are negated so that the min-heap pops the largest first.
         # Power j of -r reaches no key above j*l, l the largest offset, so
         # finding fewer than K terms above (4K+64)*l means the geometric
@@ -580,7 +591,10 @@ class HyperValue(Record):
         while len(found) < budget:
             key = pop(heap)
             if key >= floor_key:
-                raise RuntimeError("inverse series failed to settle")
+                raise ResourceLimit(
+                    f"the inverse series has fewer than {budget} nonzero terms"
+                    f" in its first {4 * budget + 64} powers"
+                )
             nb, na = key
             total = d = 0
             for (ob, oa), m in steps:
@@ -605,33 +619,33 @@ class HyperValue(Record):
                 if nxt not in seen:
                     seen.add(nxt)
                     push(heap, nxt)
-        exact = ctx.mode == "exact"
-        terms = []
-        with ctx.arith():
-            for nb, na in found:
-                n, d = num[(nb, na)]
-                # s / c0 in one normalization; float mode rounds it once
-                c = Fraction(n * f0.denominator, qpow[d] * f0.numerator)
-                if not exact:
-                    c = ctx.coeff(c)
-                    if c == 0:  # underflow
-                        continue
-                b, a = -nb - b0, -na - a0
-                key = (b, a) if den == 1 else (Fraction(b, den), Fraction(a, den))
-                terms.append((c, ExponentPair._of(_whole_key(key))))
-        return HyperValue(ctx=ctx, terms=tuple(terms), truncated=True)
+        out = []
+        for nb, na in found:
+            n, d = num[(nb, na)]
+            b, a = -nb - b0, -na - a0
+            key = (b, a) if den == 1 else _whole_key((Fraction(b, den), Fraction(a, den)))
+            out.append((key, n, qpow[d]))
+        return out, f0
 
     def __truediv__(self, other) -> "HyperValue":
         rhs = self._coerce(other)
         if rhs is NotImplemented:
             return NotImplemented
-        return self * rhs.inv()
+        if len(rhs.terms) < 2 or self.ctx.mode != "exact":
+            return self * rhs.inv()
+        # the reciprocal's numerators go straight into the product, over
+        # one scale: the deepest q**d times c0
+        series, c0 = rhs._reciprocal()
+        top = max(qd for _, _, qd in series)
+        ys = [(key, n * c0.denominator * (top // qd)) for key, n, qd in series]
+        xs, sx = _numerators(self.terms)
+        return _product(self.ctx, xs, ys, True, sx * top * c0.numerator)
 
     def __rtruediv__(self, other) -> "HyperValue":
         rhs = self._coerce(other)
         if rhs is NotImplemented:
             return NotImplemented
-        return rhs * self.inv()
+        return rhs / self
 
     def __pow__(self, k: int) -> "HyperValue":
         if not isinstance(k, int):
@@ -726,6 +740,31 @@ class HyperValue(Record):
         return -self if self.sign() < 0 else self
 
     # --- order ------------------------------------------------------------------
+    def _first_difference(self, other) -> tuple:
+        """other as a HyperValue, and the key and sign (True when positive)
+        of the leading term of self - other, or None when it is zero.  The
+        term lists are walked largest key first; float mode subtracts at
+        an equal key with the rounding that self - other would use."""
+        rhs = self._coerce(other)
+        if rhs is NotImplemented:
+            raise TypeError(f"cannot compare a HyperValue with {type(other).__name__}")
+        xs, ys = self.terms, rhs.terms
+        i = j = 0
+        with self.ctx.arith():
+            while i < len(xs) and j < len(ys):
+                kx, ky = xs[i][1]._key, ys[j][1]._key
+                if kx > ky:
+                    return rhs, (kx, xs[i][0] > 0)
+                if kx < ky:
+                    return rhs, (ky, ys[j][0] < 0)
+                c = xs[i][0] - ys[j][0]
+                if c != 0:
+                    return rhs, (kx, c > 0)
+                i, j = i + 1, j + 1
+        if i < len(xs):
+            return rhs, (xs[i][1]._key, xs[i][0] > 0)
+        return rhs, (ys[j][1]._key, ys[j][0] < 0) if j < len(ys) else None
+
     def compare(self, other) -> Ordering:
         """Sign of self - other, from the leading surviving term.
 
@@ -735,15 +774,14 @@ class HyperValue(Record):
         exactly zero difference is only called Equal when neither side
         carries the truncated flag; otherwise equality is refused.
         """
-        rhs = self._coerce(other)
-        diff = self - rhs
-        if diff.is_zero:
+        rhs, first = self._first_difference(other)
+        if first is None:
             if self.truncated or rhs.truncated:
                 raise TruncationAmbiguous(
                     "difference vanished but a truncated tail could hide either way"
                 )
             return Ordering.EQUAL
-        return Ordering.LESS if diff.sign() < 0 else Ordering.GREATER
+        return Ordering.GREATER if first[1] else Ordering.LESS
 
     def __lt__(self, other) -> bool:
         return self.compare(other) is Ordering.LESS
@@ -766,9 +804,8 @@ class HyperValue(Record):
 
     def approx_eq(self, other) -> bool:
         """True when self - other is zero or purely infinitesimal."""
-        rhs = self._coerce(other)
-        diff = self - rhs
-        return all(pair.is_infinitesimal for _, pair in diff.terms)
+        first = self._first_difference(other)[1]
+        return first is None or first[0] < (0, 0)
 
     def classify(self) -> tuple[Classification, int]:
         """Coarse size class plus sign; zero counts as (infinitesimal, 0)."""
@@ -784,44 +821,25 @@ class HyperValue(Record):
         return (kind, self.sign())
 
     # --- floor -----------------------------------------------------------------
-    def _hyperinteger_obstruction(self) -> str | None:
-        """Why the infinite part fails to be a provable hyperinteger, or None.
-
-        Terms eps**b * H**a with integer b <= 0 and integer a >= 0 are
-        products of powers of H and 10**H.  Multiplied by a coefficient
-        whose denominator divides a power of ten (when b < 0, the
-        10**H factor absorbs it) they stay integers; anything else would
-        need digits of H that the model does not determine.
-        """
-        for c, pair in self.terms:
-            if not pair.is_infinite:
-                continue
-            if pair.b.denominator != 1 or pair.a.denominator != 1:
-                return f"non-integer exponents {_format_monomial(pair)}"
-            if pair.b > 0 or pair.a < 0:
-                return f"mixed-scale monomial {_format_monomial(pair)}"
-            if pair.b < 0:
-                den = _denominator_of(c)
-                if den is None or _ten_power(den) is None:
-                    return f"coefficient {c} not a power-of-ten multiple"
-            else:  # pure power of H
-                if not _is_integral(c):
-                    return f"coefficient {c} of a power of H is not an integer"
-        return None
-
     def floor(self) -> "HyperValue":
         """Greatest hyperinteger <= self (within the representable class).
 
-        The infinite part must already be a hyperinteger; the standard
-        and infinitesimal parts then contribute an ordinary integer,
-        with the infinitesimal's sign breaking the tie at integers.
+        The infinite part, a prefix of the terms, must already be a
+        hyperinteger; the standard and infinitesimal parts then
+        contribute an ordinary integer, with the infinitesimal's sign
+        breaking the tie at integers.
         """
-        reason = self._hyperinteger_obstruction()
-        if reason is not None:
-            raise FloorUndecidable(reason)
-        f = self.coefficient_at(UNIT_PAIR)
-        tail = self.infinitesimal_part()
-        tail_sign = tail.sign()
+        terms = self.terms
+        n = 0
+        while n < len(terms) and terms[n][1]._key > (0, 0):
+            reason = _hyperinteger_obstruction(*terms[n])
+            if reason is not None:
+                raise FloorUndecidable(reason)
+            n += 1
+        # then the unit term, if any, and the leading infinitesimal one
+        i = n + (n < len(terms) and terms[n][1]._key == (0, 0))
+        f = terms[n][0] if i > n else self.ctx.coeff(0)
+        tail_sign = 0 if i == len(terms) else (1 if terms[i][0] > 0 else -1)
         if _is_integral(f):
             if tail_sign == 0 and self.truncated:
                 raise FloorUndecidable(
@@ -834,10 +852,12 @@ class HyperValue(Record):
             raise FloorUndecidable(
                 f"the floor {q} needs more than {self.ctx.prec} digits"
             )
-        out = self.infinite_part() + self.ctx.constant(q)
-        if self.truncated and not out.truncated:
-            out = HyperValue(ctx=self.ctx, terms=out.terms, truncated=True)
-        return out
+        # at most K terms: with K infinite ones there is no finite part, and q is 0
+        return HyperValue(
+            ctx=self.ctx,
+            terms=terms[:n] + self.ctx.constant(q).terms,
+            truncated=self.truncated,
+        )
 
     # --- rendering -----------------------------------------------------------------
     def __str__(self) -> str:
@@ -869,6 +889,29 @@ def _exact_power(c: Fraction, k: int) -> Fraction:
     """c**k for k >= 0 under _check_power_bits."""
     _check_power_bits(c, k)
     return c**k
+
+
+def _hyperinteger_obstruction(c: Coefficient, pair: ExponentPair) -> str | None:
+    """Why the infinite term c * pair is not a provable hyperinteger, or None.
+
+    Terms eps**b * H**a with integer b <= 0 and integer a >= 0 are
+    products of powers of H and 10**H.  Multiplied by a coefficient
+    whose denominator divides a power of ten (when b < 0, the 10**H
+    factor absorbs it) they stay integers; anything else would need
+    digits of H that the model does not determine.
+    """
+    minus_b, a = pair._key
+    if minus_b.denominator != 1 or a.denominator != 1:
+        return f"non-integer exponents {_format_monomial(pair)}"
+    if minus_b < 0 or a < 0:
+        return f"mixed-scale monomial {_format_monomial(pair)}"
+    if minus_b > 0:
+        den = _denominator_of(c)
+        if den is None or _ten_power(den) is None:
+            return f"coefficient {c} not a power-of-ten multiple"
+    elif not _is_integral(c):  # pure power of H
+        return f"coefficient {c} of a power of H is not an integer"
+    return None
 
 
 def _denominator_of(c: Coefficient) -> int | None:

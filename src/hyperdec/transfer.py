@@ -897,12 +897,14 @@ class SeqLimit(Record):
     """Outcome of reading a sequence off at an infinite index.
 
     outcome is "converges" (with value), "diverges" (with sign) or
-    "indeterminate" (with note); cross_check_agrees is None when the
-    second infinite index was not read or could not be evaluated.
+    "indeterminate" (with note, the text of the refusal kept in error);
+    cross_check_agrees is None when the second infinite index was not
+    read or could not be evaluated.
     """
 
-    __slots__ = ("outcome", "value", "sign", "cross_check_agrees", "note")
-    _defaults = {"value": None, "sign": None, "cross_check_agrees": None, "note": ""}
+    __slots__ = ("outcome", "value", "sign", "cross_check_agrees", "note", "error")
+    _hidden = ("error",)
+    _defaults = {"value": None, "sign": None, "cross_check_agrees": None, "note": "", "error": None}
 
 
 def limit_seq(f: FuncExpr, ctx: NumContext) -> SeqLimit:
@@ -916,7 +918,9 @@ def limit_seq(f: FuncExpr, ctx: NumContext) -> SeqLimit:
     try:
         v = eval_star(f, first)
     except HyperError as exc:
-        return SeqLimit(outcome="indeterminate", note=str(exc))
+        # kept without its frames: a deep fold's would outlive the report
+        exc.__traceback__ = exc.__cause__ = exc.__context__ = None
+        return SeqLimit(outcome="indeterminate", note=str(exc), error=exc)
     if v.is_finite:
         value, sign = v.standard_part(), None
     else:

@@ -416,10 +416,12 @@ def test_float_overflow_is_a_resource_limit(capsys, argv):
 _SUM_OF_XS = "+".join(["x"] * 1200)
 _TOO_DEEP = "the expression nests too deeply to evaluate"
 _BIT_CAP = "the coefficient of this power would take about 700000000 bits"
+_NEWTON_CAP = "the iterate at step 9 has more than 4300 digits and is too large to print"
 
-# Hostile CLI lines: deep nesting, huge powers and huge results.  Each
-# row is (argv, exit code, text): the start of the error message, or a
-# piece of the answer on exit 0.
+# Hostile CLI lines: deep nesting, huge powers, huge results and huge
+# context flags.  Each row is (argv, exit code, text): the start of the
+# error message, or a piece of the answer on exit 0.  Exit 1 is a
+# ResourceLimit, exit 2 a usage error.
 HOSTILE_LINES = [
     pytest.param(("eval", "(" * 200 + "1" + ")" * 200), 1, _TOO_DEEP,
                  id="eval-200-nested-parens"),
@@ -433,6 +435,12 @@ HOSTILE_LINES = [
     pytest.param(("evt", "10^(5000*x)", "--mode", "float"), 0,
                  "1.0000000000000000000000000000000000000000000000000E+5000",
                  id="evt-float-huge-power-of-ten"),
+    pytest.param(("newton", "1-1/x^2", "--x0", "1/2", "--steps", "12"), 1, _NEWTON_CAP,
+                 id="newton-exact-12-steps"),
+    pytest.param(("newton", "1-1/x^2", "--x0", "1/2", "--steps", "16"), 1, _NEWTON_CAP,
+                 id="newton-exact-16-steps"),
+    pytest.param(("eval", "exp(1)", "--mode", "float", "--prec", "100000"), 2,
+                 "precision must be at most 5000 digits", id="eval-float-prec-100000"),
 ]
 
 
@@ -448,7 +456,7 @@ def test_hostile_line_answers_or_refuses_at_once(capsys, argv, want_code, text, 
         payload = json.loads(out)
         assert (payload["ok"], err) == (code == 0, "")
         if code:
-            assert payload["error"]["type"] == "ResourceLimit"
+            assert payload["error"]["type"] == ("ResourceLimit" if code == 1 else "ValueError")
         assert text in out
     elif code:
         assert (out, err.count("\n")) == ("", 1)
@@ -486,10 +494,19 @@ def test_exit_code_usage(capsys):
 @pytest.mark.parametrize("flag, value, message", [
     ("--prec", "5", "precision must be at least 10 digits"),
     ("--terms", "1", "term budget must be at least 2"),
+    ("--prec", "5001", "precision must be at most 5000 digits"),
+    ("--terms", "257", "term budget must be at most 256"),
 ])
 def test_out_of_range_context_flag_is_a_usage_error(capsys, flag, value, message):
     code, out, err = run(capsys, "eval", "1", flag, value)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_context_flag_bounds_are_in_the_help(capsys):
+    code, out, _ = run(capsys, "eval", "--help")
+    assert code == 0
+    assert "(default 50, at most 5000)" in " ".join(out.split())
+    assert "(default 16, at most 256)" in " ".join(out.split())
 
 
 def test_out_of_range_context_flag_json_envelope(capsys):
@@ -646,6 +663,23 @@ def test_star_import_resolves_every_exported_name(tmp_path):
     assert proc.returncode == 0, proc.stderr
     count, missing = proc.stdout.split(" ", 1)
     assert int(count) == len(hyperdec.__all__) and missing.strip() == "[]"
+
+
+def test_nested_limit_keeps_the_type_of_its_refusal(tmp_path):
+    # a cold `python -m` start fixes the stack depth at which the inner
+    # fold, and not the parser, runs out of room for 980 terms
+    src = str(Path(hyperdec.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    line = "lim(n -> inf, " + "+".join(["1/n"] * 980) + ")"
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyperdec", "eval", line, "--json"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert json.loads(proc.stdout)["error"] == {
+        "type": "ResourceLimit", "message": _TOO_DEEP,
+    }
 
 
 def test_python_dash_m(tmp_path):

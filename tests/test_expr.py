@@ -9,6 +9,7 @@ import pytest
 from hyperdec import transfer
 from hyperdec.cli import run_cli
 from hyperdec.errors import (
+    DivisionByZero,
     DomainError,
     ExactTranscendental,
     ParseError,
@@ -97,6 +98,11 @@ def test_embedded_diverging_limit_refuses():
         with pytest.raises(DomainError) as info:
             ev(f"lim(n -> inf, {body})")
         assert str(info.value) == f"limit does not converge (diverges to {sign}infinity)"
+
+
+def test_embedded_limit_keeps_the_refusal_at_the_infinite_index():
+    with pytest.raises(DivisionByZero, match="^cannot invert zero$"):
+        ev("lim(n -> inf, 1/(n-n))")
 
 
 def test_elementary_through_star_map():

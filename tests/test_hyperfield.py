@@ -26,6 +26,7 @@ from hyperdec.errors import (
     ResourceLimit,
     TruncationAmbiguous,
 )
+from hyperdec import hyperfield as hf
 from hyperdec.hyperfield import (
     Classification,
     ExponentPair,
@@ -87,7 +88,8 @@ def oracle_inv(x, k, rounds):
     minus_r = [(p - mu0, -c / c0) for c, p in x.terms[1:]]
     if not minus_r:
         return [(1 / c0, -mu0)], x.truncated
-    floor = max(p for p, _ in minus_r).scaled(rounds + 1)
+    top = max(p for p, _ in minus_r)
+    floor = ExponentPair(top.b * (rounds + 1), top.a * (rounds + 1))
     acc = {UNIT_PAIR: Fraction(1)}
     term = {UNIT_PAIR: Fraction(1)}
     for _ in range(rounds):
@@ -513,6 +515,16 @@ def test_division_by_zero():
         CTX.zero().inv()
 
 
+def test_inverse_of_a_sparse_series_is_refused_with_a_type():
+    # 1/(1 + eps + ... + eps^39) = (1 - eps)/(1 - eps^40) has two nonzero
+    # terms in every 40 powers, so its 40 leading terms reach eps^761
+    ctx = NumContext(max_terms=40)
+    x = 1 / (1 - ctx.tau())
+    with pytest.raises(ResourceLimit, match="^the inverse series has fewer than 40 nonzero"
+                       " terms in its first 224 powers$"):
+        1 / x
+
+
 # ---------------------------------------------------------------- powers
 
 def power_by_products(x, k):
@@ -828,6 +840,163 @@ def test_floor_truncated_boundary_refused():
     # non-integer standard part stays decidable under the flag
     y = HyperValue(ctx=CTX, terms=CTX.constant(Fraction(7, 2)).terms, truncated=True)
     assert y.floor().coefficient_at(UNIT_PAIR) == 3
+
+
+# ---------------------------------------------------------------- replaced routes
+
+def divide_by_inverse(a, b):
+    """a / b as the product by the inverse, the route of every division
+    before an exact multi-term divisor sent its reciprocal's numerators
+    straight into the product."""
+    return a * b.inv()
+
+
+def compare_by_difference(x, y):
+    """compare by building x - y and reading its leading term."""
+    diff = x - y
+    if diff.is_zero:
+        if x.truncated or y.truncated:
+            raise TruncationAmbiguous(
+                "difference vanished but a truncated tail could hide either way"
+            )
+        return Ordering.EQUAL
+    return Ordering.LESS if diff.sign() < 0 else Ordering.GREATER
+
+
+def approx_eq_by_difference(x, y):
+    return all(pair.is_infinitesimal for _, pair in (x - y).terms)
+
+
+def standard_part_by_scan(x):
+    """standard part from a scan of every term, with ExponentPair equality."""
+    if any(pair.is_infinite for _, pair in x.terms):
+        raise NotFinite("standard part undefined on infinite values")
+    return next((c for c, pair in x.terms if pair == UNIT_PAIR), x.ctx.coeff(0))
+
+
+def floor_by_parts(x):
+    """floor from the infinite and infinitesimal parts as values of their
+    own, with every infinite term's exponents read back as Fractions."""
+    for c, pair in x.terms:
+        if not pair.is_infinite:
+            continue
+        if pair.b.denominator != 1 or pair.a.denominator != 1:
+            raise FloorUndecidable(f"non-integer exponents {hf._format_monomial(pair)}")
+        if pair.b > 0 or pair.a < 0:
+            raise FloorUndecidable(f"mixed-scale monomial {hf._format_monomial(pair)}")
+        if pair.b < 0:
+            den = hf._denominator_of(c)
+            if den is None or hf._ten_power(den) is None:
+                raise FloorUndecidable(f"coefficient {c} not a power-of-ten multiple")
+        elif not hf._is_integral(c):
+            raise FloorUndecidable(f"coefficient {c} of a power of H is not an integer")
+    ctx = x.ctx
+    infinite = HyperValue(ctx=ctx, terms=tuple(t for t in x.terms if t[1].is_infinite),
+                          truncated=False)
+    tail = HyperValue(ctx=ctx, terms=tuple(t for t in x.terms if t[1].is_infinitesimal),
+                      truncated=False)
+    f = x.coefficient_at(UNIT_PAIR)
+    if hf._is_integral(f):
+        if tail.sign() == 0 and x.truncated:
+            raise FloorUndecidable("integer standard part with a truncated tail of unknown sign")
+        q = f if tail.sign() >= 0 else hf._coeff_pred(f)
+    else:
+        q = hf._coeff_floor(f)
+    if isinstance(q, Decimal) and ctx.coeff(q) != q:
+        raise FloorUndecidable(f"the floor {q} needs more than {ctx.prec} digits")
+    out = infinite + ctx.constant(q)
+    if x.truncated and not out.truncated:
+        out = HyperValue(ctx=ctx, terms=out.terms, truncated=True)
+    return out
+
+
+def outcome(fn, *args):
+    """What fn(*args) gives, down to coefficient types and exponent
+    spelling, or the type and text of its refusal."""
+    try:
+        got = fn(*args)
+    except HyperError as exc:
+        return ("refused", type(exc).__name__, str(exc))
+    if isinstance(got, HyperValue):
+        return ("value", got.truncated, [
+            (type(c), c if isinstance(c, Fraction) else str(c),
+             [(type(e), e) for e in p._key])
+            for c, p in got.terms
+        ])
+    return ("answer", got)
+
+
+# exponents with whole and fractional entries, infinite ones included
+_CORPUS_PAIRS = [(b, a) for b in (-2, -1, Fraction(-1, 2), 0, Fraction(1, 3), 1, 2)
+                 for a in (-2, Fraction(-1, 2), -1, 0, 1, 2)]
+
+
+def corpus_value(rng, ctx, max_len=4):
+    items = []
+    for b, a in rng.sample(_CORPUS_PAIRS, rng.randrange(0, max_len + 1)):
+        c = Fraction(rng.choice((-1, 1)) * rng.randrange(1, 40), rng.choice((1, 2, 3, 10, 7)))
+        if ctx.mode == "float":
+            c = Decimal(c.numerator) / Decimal(c.denominator) if rng.random() < 0.5 else (
+                Decimal(rng.randrange(-10**60, 10**60)).scaleb(-rng.randrange(0, 70)))
+        items.append((c, ExponentPair(b, a)))
+    return ctx.from_terms(items, truncated=rng.random() < 0.2)
+
+
+def corpus_hyperinteger(rng, ctx):
+    """A value whose infinite part is mostly a provable hyperinteger."""
+    items = [(Fraction(rng.randrange(-9, 10), rng.choice((1, 1, 10, 100, 3))),
+              ExponentPair(-rng.randrange(0, 3), rng.randrange(0, 3)))
+             for _ in range(rng.randrange(0, 3))]
+    items.append((Fraction(rng.randrange(-30, 30), rng.choice((1, 1, 2, 5))), UNIT_PAIR))
+    for _ in range(rng.randrange(0, 3)):
+        items.append((rng.choice((-1, 1)), ExponentPair(rng.randrange(1, 3), rng.randrange(-2, 2))))
+    if ctx.mode == "float":
+        items = [(Decimal(c.numerator) / Decimal(c.denominator), p) for c, p in items]
+        if rng.random() < 0.3:  # a standard part wider than prec
+            items.append((Decimal(rng.randrange(10**59, 10**60)).scaleb(-rng.randrange(0, 20)),
+                          UNIT_PAIR))
+    return ctx.from_terms(items, truncated=rng.random() < 0.3)
+
+
+def corpus(ctx, count):
+    """Operand pairs for the replaced routes: random values, inverses and
+    products (truncated), hyperintegers, and pairs that cancel."""
+    rng = random.Random(f"corpus-{ctx.mode}-{ctx.max_terms}")
+    one, eps = ctx.constant(1), ctx.tau()
+    z = (1 / (1 - eps)) * (1 - eps)
+    pairs = [(z, one), (z, 1 - eps**ctx.max_terms), (one, z), (z, z), (z - 1, ctx.zero()),
+             (1 / (1 - eps), 1 / (1 - eps)), (ctx.omega() / (ctx.omega() + 1), one)]
+    for _ in range(count):
+        x, y = corpus_value(rng, ctx), corpus_value(rng, ctx)
+        pick = rng.random()
+        if pick < 0.2 and len(y.terms) > 1:
+            x = x / y
+        elif pick < 0.3:
+            x = x * y
+        elif pick < 0.45:
+            y = x + corpus_value(rng, ctx, 1) * ctx.tau(3)
+        elif pick < 0.7:
+            x = corpus_hyperinteger(rng, ctx)
+        pairs.append((x, y))
+    return pairs
+
+
+@pytest.mark.parametrize("ctx", [
+    NumContext(max_terms=4), NumContext(max_terms=16), NumContext(max_terms=40),
+    NumContext(mode="float", prec=50),
+], ids=["exact-K4", "exact-K16", "exact-K40", "float-prec50"])
+def test_replaced_routes_agree_with_their_oracles(ctx):
+    divisions = floors = 0
+    for x, y in corpus(ctx, 120):
+        for a, b in ((x, y), (y, x)):
+            assert outcome(lambda: a / b) == outcome(divide_by_inverse, a, b)
+            assert outcome(a.compare, b) == outcome(compare_by_difference, a, b)
+            assert outcome(a.approx_eq, b) == outcome(approx_eq_by_difference, a, b)
+            assert outcome(a.floor) == outcome(floor_by_parts, a)
+            assert outcome(a.standard_part) == outcome(standard_part_by_scan, a)
+            divisions += len(b.terms) > 1
+            floors += outcome(a.floor)[0] == "value"
+    assert divisions > 100 and floors > 50
 
 
 # ---------------------------------------------------------------- identity chains

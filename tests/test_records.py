@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import hyperdec
-from hyperdec.errors import ContextMismatch, InvalidScale, PositionOutOfModel
+from hyperdec.errors import ContextMismatch, DomainError, InvalidScale, PositionOutOfModel
 from hyperdec.expr import Command, Token, _tokenize, parse_command, parse_expr
 from hyperdec.hypercalc import CheckRow
 from hyperdec.hyperfield import HyperValue, NumContext
@@ -183,6 +183,11 @@ def test_signatures_and_defaults():
     assert HyperValue(ctx=CTX, terms=(), truncated=False) == CTX.zero()
     scene = MicroscopeScene(CTX.constant(1), CTX.tau(), ())
     assert (scene.fmt, scene.caption) == ("svg", ())
+    # a hidden field is keyword-only, has its default and stays out of ==, hash and repr
+    refusal = DomainError("no")
+    report = SeqLimit("indeterminate", note="no", error=refusal)
+    assert report.error is refusal and SeqLimit("converges", 1).error is None
+    assert report == SeqLimit("indeterminate", note="no") and "error" not in repr(report)
     with pytest.raises(TypeError):
         SeqLimit()
     with pytest.raises(TypeError):

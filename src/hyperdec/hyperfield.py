@@ -64,11 +64,8 @@ CoeffLike = Union[int, str, Fraction, Decimal]
 # Magnitude key (-b, a) of a monomial eps**b * H**a; see ExponentPair.
 _Key = tuple[Union[int, Fraction], Union[int, Fraction]]
 
-# Largest exact coefficient, in bits, that a power of a monomial may build.
+# Largest exact coefficient, in bits, that a power may build.
 _POW_BITS_CAP = 2**22
-
-# Most rounded products that a float power of a monomial may take.
-_POW_PRODUCTS_CAP = 2**20
 
 # 10**j is refused for |j| at or past this cap: 10**4299 still prints
 # (4300 digits, Python's default limit for int-to-str), and a larger power
@@ -557,10 +554,11 @@ class HyperValue(Record):
         s_0 = 1 and s_p = sum(m_i * s_(p - o_i)), where each p - o_i lies
         above p.  A heap visits the keys that sums of offsets reach,
         largest first, so each s_p is formed after everything it reads,
-        and the walk stops at the K-th nonzero coefficient.  Each s_p is
-        an int numerator over q**d, q the lcm of the denominators of the
-        m_i, lifted only when it is read.  Float mode runs the recurrence
-        on the exact values of its Decimal coefficients.
+        and the walk stops at the K-th nonzero coefficient, or refuses
+        after 64*K keys.  Each s_p is an int numerator over q**d, q the
+        lcm of the denominators of the m_i, lifted only when it is read.
+        Float mode runs the recurrence on the exact values of its Decimal
+        coefficients.
         """
         c0, mu0 = self.terms[0]
         # The recurrence runs on magnitude keys scaled by the common
@@ -576,11 +574,10 @@ class HyperValue(Record):
         steps = [(key, m.numerator * (q // m.denominator)) for key, m in offsets]
         budget = self.ctx.max_terms
         # Keys are negated so that the min-heap pops the largest first.
-        # Power j of -r reaches no key above j*l, l the largest offset, so
-        # finding fewer than K terms above (4K+64)*l means the geometric
-        # series would not have settled in 4K+64 powers.
-        lb, la = max(key for key, _ in steps)
-        floor_key = (-lb * (4 * budget + 64), -la * (4 * budget + 64))
+        # The walk visits at most 64*K keys, those whose coefficient
+        # vanishes included, so a sparse series may reach deep keys while
+        # the work stays bounded.
+        visits = 64 * budget
         heap = [(-b, -a) for (b, a), _ in steps]
         heapq.heapify(heap)
         seen = set(heap)
@@ -589,12 +586,13 @@ class HyperValue(Record):
         found = [(0, 0)]
         qpow = [1, q]
         while len(found) < budget:
-            key = pop(heap)
-            if key >= floor_key:
+            if not visits:
                 raise ResourceLimit(
                     f"the inverse series has fewer than {budget} nonzero terms"
-                    f" in its first {4 * budget + 64} powers"
+                    f" in its first {64 * budget} keys"
                 )
+            visits -= 1
+            key = pop(heap)
             nb, na = key
             total = d = 0
             for (ob, oa), m in steps:
@@ -648,57 +646,58 @@ class HyperValue(Record):
         return rhs / self
 
     def __pow__(self, k: int) -> "HyperValue":
+        """self**k for an int k, by one of three routes picked by the base:
+
+        - one term, k of either sign: the key times k and the coefficient
+          from _coeff_power, which a float one can underflow to 0;
+        - exact, two terms, k >= 2: the closed form of _pow_binomial;
+        - any other base, or its inverse when k < 0: left-to-right binary
+          powering through * (Knuth, TAOCP vol. 2, 4.6.3), with the K cut
+          at each product.
+
+        An exact base of two or more terms is refused up front when its
+        lead coefficient's k-th power, or another's min(k, K-1)-th, passes
+        _POW_BITS_CAP.  A float one is powered at len(str(k)) + 2 guard
+        digits, and each coefficient is then rounded once.
+        """
         if not isinstance(k, int):
             return NotImplemented
+        ctx = self.ctx
         if k == 0:
-            return self.ctx.constant(1)
+            return ctx.constant(1)
+        if len(self.terms) == 1:
+            (c, pair), = self.terms
+            b, a = pair._key
+            with ctx.arith():
+                c = _coeff_power(c, k)
+            terms = ((c, ExponentPair._of((_whole(b * k), _whole(a * k)))),) if c else ()
+            return HyperValue(ctx=ctx, terms=terms, truncated=self.truncated)
         base = self if k > 0 else self.inv()
         k = abs(k)
-        if not base.terms:
+        if k == 1 or not base.terms:
             return base  # every product of zeros is zero with the same flag
-        if len(base.terms) == 1:
-            return base._pow_monomial(k)
-        if len(base.terms) == 2 and k > 1 and self.ctx.mode == "exact":
-            return base._pow_binomial(k)
-        # float mode keeps the products: their rounding is what it prints
-        out = base
-        for _ in range(k - 1):
-            out = out * base
-        return out
-
-    def _pow_monomial(self, k: int) -> "HyperValue":
-        """self**k for a one-term self and k >= 1, the key in closed form.
-
-        An exact coefficient is c**k, refused when k times its bit length
-        passes _POW_BITS_CAP; a float one takes the k-1 rounded products
-        that repeated multiplication would, refused when they pass
-        _POW_PRODUCTS_CAP, so both modes give what the product loop gives.
-        A float coefficient of exactly 1 or -1 has exact products and no
-        cap: its power is 1 or itself.
-        """
-        (c, pair), = self.terms
-        b, a = pair._key
-        key = (_whole(b * k), _whole(a * k))
-        if self.ctx.mode == "exact":
-            out = _exact_power(c, k)
-        elif c.as_tuple()[1:] == ((1,), 0):  # Decimal 1 or -1
-            out = c if k % 2 else c.copy_abs()
-        elif k - 1 > _POW_PRODUCTS_CAP:
-            raise ResourceLimit(
-                f"this power would take {k - 1} rounded products,"
-                f" past the {_POW_PRODUCTS_CAP}-product cap"
-            )
+        if ctx.mode == "exact":
+            _check_power_bits(base.terms[0][0], k)
+            for c, _ in base.terms[1:]:
+                _check_power_bits(c, min(k, ctx.max_terms - 1))
+            if len(base.terms) == 2:
+                return base._pow_binomial(k)
         else:
-            out = c
-            with self.ctx.arith():
-                for _ in range(k - 1):
-                    out = out * c
-                    if out == 0:  # underflow, as in _mul_monomial
-                        return HyperValue(ctx=self.ctx, terms=(), truncated=self.truncated)
+            wide = NumContext(ctx.max_terms, "float", ctx.prec + len(str(k)) + 2)
+            base = HyperValue(ctx=wide, terms=base.terms, truncated=base.truncated)
+        out = base
+        for bit in bin(k)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * base
+        if out.ctx is ctx:
+            return out
+        with ctx.arith():
+            terms = [(+c, p) for c, p in out.terms]
         return HyperValue(
-            ctx=self.ctx,
-            terms=((out, ExponentPair._of(key)),),
-            truncated=self.truncated,
+            ctx=ctx,
+            terms=tuple(t for t in terms if t[0] != 0),  # rounding can underflow
+            truncated=out.truncated,
         )
 
     def _pow_binomial(self, k: int) -> "HyperValue":
@@ -707,27 +706,29 @@ class HyperValue(Record):
         The terms are the K leading C(k, j) * u**(k-j) * w**j, formed on
         int numerators and denominators.  Their keys fall strictly with j,
         so nothing cancels: they are exactly the terms that k-1 products
-        keep, and those products cut only when the k+1 terms pass K.  Both
-        coefficient powers are refused past _POW_BITS_CAP.
+        keep, and those products cut only when the k+1 terms pass K.
+        __pow__ has already checked both coefficient powers against
+        _POW_BITS_CAP.
         """
         (cu, pu), (cw, pw) = self.terms
         top = min(k, self.ctx.max_terms - 1)
-        _check_power_bits(cu, k)
-        _check_power_bits(cw, top)
         nu, du, nw, dw = cu.numerator, cu.denominator, cw.numerator, cw.denominator
         bu, au = pu._key
         sb, sa = pw._key[0] - bu, pw._key[1] - au  # key step from u to w
         bu, au = bu * k, au * k
-        un, ud = nu**k, du**k  # u**(k-j)
+        # u**(k-j) from j = top down, by products: a long division by u's
+        # numerator for each j up would take time quadratic in its size
+        ups = [(nu ** (k - top), du ** (k - top))]
+        for _ in range(top):
+            ups.append((ups[-1][0] * nu, ups[-1][1] * du))
         wn = wd = binom = 1  # w**j and C(k, j)
         terms = []
         for j in range(top + 1):
             if j:
-                un //= nu
-                ud //= du
                 wn *= nw
                 wd *= dw
                 binom = binom * (k - j + 1) // j
+            un, ud = ups[top - j]
             key = _whole_key((bu + j * sb, au + j * sa))
             terms.append((Fraction(binom * un * wn, ud * wd), ExponentPair._of(key)))
         return HyperValue(
@@ -885,9 +886,12 @@ def _check_power_bits(c: Fraction, k: int) -> None:
         )
 
 
-def _exact_power(c: Fraction, k: int) -> Fraction:
-    """c**k for k >= 0 under _check_power_bits."""
-    _check_power_bits(c, k)
+def _coeff_power(c: Coefficient, k: int) -> Coefficient:
+    """c**k for an int k, c nonzero when k < 0: an exact c is refused as
+    _check_power_bits says; a Decimal is rounded once, under the ambient
+    context."""
+    if isinstance(c, Fraction):
+        _check_power_bits(c, abs(k))
     return c**k
 
 

@@ -64,8 +64,8 @@ from .hyperfield import (
     UNIT_PAIR,
     ExponentPair,
     _POW10_CAP,
+    _coeff_power,
     _decimal_ctx,
-    _exact_power,
 )
 
 
@@ -634,14 +634,6 @@ def _fold(f: FuncExpr, x, num):
     return num.other(f, x)
 
 
-def _power(v, k: int):
-    """v**k for a standard v, nonzero when k < 0; an exact power inverts
-    first and keeps the bit cap, as HyperValue.__pow__ does."""
-    if isinstance(v, Fraction):
-        return _exact_power(1 / v if k < 0 else v, abs(k))
-    return v**k
-
-
 # the refusal of a tree too deep to walk: the fold recurses per nesting level
 _TOO_DEEP = "the expression nests too deeply to evaluate"
 
@@ -696,7 +688,7 @@ class _Scalars(_Backend):
         super().__init__(ctx)
         self.point = self.const = ctx.coeff
 
-    power = staticmethod(_power)
+    power = staticmethod(_coeff_power)
 
     @staticmethod
     def divisor(d):
@@ -771,7 +763,7 @@ class _Jet:
         v = self.v
         if k < 0 and not v:
             raise DivisionByZero("cannot invert zero")
-        w = _power(v, k)
+        w = _coeff_power(v, k)
         if not v:  # k > 0: d(v**k) = k * v**(k-1) * dv is dv or 0
             return _Jet(w, self.d if k == 1 else w)
         return _Jet(w, k * w / v * self.d)

@@ -10,7 +10,7 @@ import json
 import math
 import random
 import time
-from decimal import Context, Decimal, localcontext
+from decimal import Context, Decimal, Overflow, localcontext
 from fractions import Fraction
 
 import pytest
@@ -40,6 +40,7 @@ from hyperdec.hyperfield import (
     nines_hyper,
     to_json,
 )
+from hyperdec.transfer import PowInt, Var, eval_real, eval_star
 
 CTX = NumContext()
 
@@ -515,14 +516,25 @@ def test_division_by_zero():
         CTX.zero().inv()
 
 
-def test_inverse_of_a_sparse_series_is_refused_with_a_type():
+def test_inverse_of_a_sparse_series_answers_within_its_key_budget():
     # 1/(1 + eps + ... + eps^39) = (1 - eps)/(1 - eps^40) has two nonzero
-    # terms in every 40 powers, so its 40 leading terms reach eps^761
+    # terms in every 40 powers, so its 40 leading terms, 1 - eps + eps^40
+    # - eps^41 + ... - eps^761, lie 762 keys into a walk of at most 64*40
     ctx = NumContext(max_terms=40)
     x = 1 / (1 - ctx.tau())
-    with pytest.raises(ResourceLimit, match="^the inverse series has fewer than 40 nonzero"
-                       " terms in its first 224 powers$"):
+    want = tuple(
+        (Fraction((-1) ** j), ExponentPair(40 * (j // 2) + j % 2, 0)) for j in range(40)
+    )
+    for got in (1 / x, x.inv()):
+        assert got.terms == want and got.truncated
+    # at K = 256 the leading terms would reach eps^32513, past 64*256 keys
+    ctx = NumContext(max_terms=256)
+    x = 1 / (1 - ctx.tau())
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit, match="^the inverse series has fewer than 256 nonzero"
+                       " terms in its first 16384 keys$"):
         1 / x
+    assert time.perf_counter() - start < 2
 
 
 # ---------------------------------------------------------------- powers
@@ -540,12 +552,21 @@ def power_by_products(x, k):
 
 @pytest.mark.parametrize("ctx", [CTX, NumContext(mode="float", prec=12)])
 def test_pow_of_monomial_matches_repeated_products(ctx):
+    """An exact monomial's power is what the |k| - 1 products give; a
+    float one's coefficient is the Decimal power, rounded once."""
     rng = random.Random(f"pow-{ctx.mode}")
     bases = [m for _, m in random_monomial_products(rng, ctx, 40)]
     bases.append(HyperValue(ctx=ctx, terms=bases[0].terms, truncated=True))
     for m in bases:
+        (c, p), = m.terms
         for k in range(-6, 13):
-            got, want = m**k, power_by_products(m, k)
+            got = m**k
+            if ctx.mode == "exact" or k == 0:
+                want = power_by_products(m, k)
+            else:
+                with ctx.arith():
+                    terms = ((c**k, ExponentPair(p.b * k, p.a * k)),)
+                want = HyperValue(ctx=ctx, terms=terms, truncated=m.truncated)
             assert [(type(c), str(c), p) for c, p in got.terms] == [
                 (type(c), str(c), p) for c, p in want.terms
             ]
@@ -580,21 +601,28 @@ def test_exact_pow_of_monomial_is_capped():
 
 
 def test_float_pow_of_monomial_is_capped():
+    """A float monomial's coefficient is the Decimal power, the exact power
+    rounded once, up to the cap of the decimal exponent range."""
     ctx = NumContext(mode="float", prec=50)
-    base = ctx.constant(Decimal("1.0000001"))
-    # the k - 1 rounded products that power_by_products would take, on the
-    # coefficient alone (power_by_products itself takes seconds at 10**6)
-    want = base.terms[0][0]
-    with ctx.arith():
-        for _ in range(10**6 - 1):
-            want = want * base.terms[0][0]
-    assert (base ** 10**6).terms == ((want, UNIT_PAIR),)
-    assert str(want) == "1.1051709125497934166383827093467161593490662829786"
-    for k in (2**20 + 2, 10**8, -(10**8)):
-        with pytest.raises(ResourceLimit):
-            base**k
-    with pytest.raises(ResourceLimit):  # 1.0 is not exactly 1: its products grow digits
-        ctx.constant(Decimal("1.0")) ** 10**8
+    c = Decimal("1.0000001")
+    base = ctx.constant(c)
+    wide = Context(prec=120)
+    for k, text in (
+        # the 999999 rounded products of repeated multiplication end ...2829786
+        (10**6, "1.1051709125497934166383827093467161593490662829231"),
+        (10**8, "22026.454781577306636469428124636295954953077720592"),
+        (-(10**8), None),
+    ):
+        start = time.perf_counter()
+        (got, pair), = (base**k).terms
+        assert time.perf_counter() - start < 1
+        assert pair == UNIT_PAIR
+        assert got == ctx.coeff(wide.power(c, k))
+        assert text is None or str(got) == text
+    # 1.0 is not exactly 1: its power keeps the context's digits
+    assert str((ctx.constant(Decimal("1.0")) ** 10**8).terms[0][0]) == "1." + "0" * 49
+    with pytest.raises(Overflow):  # about 10^(4.3 * 10^12)
+        base ** 10**20
 
 
 def test_float_pow_of_unit_coefficient_is_immediate():
@@ -673,6 +701,90 @@ def test_exact_pow_of_two_terms_is_capped():
     assert [str(c) for c, _ in ((CTX.constant(1) + CTX.tau()) ** 10**6).terms][:3] == [
         "1", "1000000", "499999500000"
     ]
+
+
+def random_bases(rng, ctx, count):
+    """Values in ctx of three to five terms (fewer when K cuts them):
+    rational exponents, half of them with only positive coefficients,
+    and about one in four carrying the truncated flag."""
+    def pair():
+        return ExponentPair(
+            Fraction(rng.randrange(-3, 4), rng.choice((1, 2))),
+            Fraction(rng.randrange(-3, 4), rng.choice((1, 2))),
+        )
+
+    for _ in range(count):
+        signs = (1,) if rng.random() < 0.5 else (-1, 1)
+        x = ctx.from_terms([
+            (Fraction(rng.choice(signs) * rng.randrange(1, 10**6), rng.randrange(1, 10**3)), pair())
+            for _ in range(rng.randrange(3, 6))
+        ])
+        yield HyperValue(ctx=ctx, terms=x.terms, truncated=x.truncated or rng.random() < 0.25)
+
+
+def test_exact_pow_matches_repeated_products_where_nothing_cancels():
+    """A power of an exact base of three to five terms keeps the terms,
+    key entry types and flag of the k - 1 products when every coefficient
+    is positive.  With mixed signs the cut products can keep other terms,
+    but only where both results carry the flag."""
+    rng = random.Random(3145)
+    positive = mixed = 0
+    for max_terms, count in ((2, 30), (3, 30), (4, 30), (6, 30), (16, 12), (40, 4)):
+        ctx = NumContext(max_terms=max_terms)
+        for x in random_bases(rng, ctx, count):
+            for k in (2, 3, rng.randrange(4, 41)):
+                got, want = x**k, power_by_products(x, k)
+                if all(c > 0 for c, _ in x.terms):
+                    assert typed_terms(got) == typed_terms(want)
+                    assert got.truncated is want.truncated
+                    positive += 1
+                else:
+                    if typed_terms(got) != typed_terms(want) or got.truncated is not want.truncated:
+                        assert got.truncated and want.truncated
+                    mixed += 1
+    assert positive > 150 and mixed > 150
+
+
+@pytest.mark.parametrize("prec", [12, 50])
+def test_float_pow_is_as_close_as_repeated_products(prec):
+    """Each coefficient of a float power of three to five terms lies at
+    least as close to the exact power of the Decimal base as that of the
+    k - 1 rounded products, but for ties within one unit in the last place."""
+    rng = random.Random(f"float-pow-{prec}")
+    closer = farther = 0
+    for max_terms in (3, 4, 6, 16):
+        ctx = NumContext(max_terms=max_terms, mode="float", prec=prec)
+        exact = NumContext(max_terms=max_terms)
+        for x in random_bases(rng, ctx, 12):
+            for k in (2, 3, rng.randrange(4, 41)):
+                got, loop = x**k, power_by_products(x, k)
+                want = power_by_products(exact.from_terms((Fraction(c), p) for c, p in x.terms), k)
+                assert [p for _, p in got.terms] == [p for _, p in want.terms]
+                assert [p for _, p in loop.terms] == [p for _, p in want.terms]
+                assert got.truncated is loop.truncated
+                for (g, _), (l, _), (w, _) in zip(got.terms, loop.terms, want.terms):
+                    off, loop_off = abs(Fraction(g) - w), abs(Fraction(l) - w)
+                    closer += off < loop_off
+                    if off > loop_off:
+                        farther += 1
+                        ulp = Fraction(10) ** (g.adjusted() - prec + 1)
+                        assert abs(Fraction(g) - Fraction(l)) <= ulp and off <= ulp
+    assert closer > 20 * farther
+
+
+def test_float_st_of_a_lifted_power_is_the_real_power():
+    """At a standard point, st(eval_star(x^k)) and eval_real(x^k) are the
+    same Decimal power, bit for bit, for k of either sign."""
+    rng = random.Random(6060)
+    for prec in (12, 50):
+        ctx = NumContext(mode="float", prec=prec)
+        for _ in range(300):
+            x0 = ctx.coeff(Fraction(rng.choice((-1, 1)) * rng.randrange(1, 10**6),
+                                    rng.randrange(1, 10**4)))
+            k = rng.choice((-1, 1)) * rng.choice((rng.randrange(2, 40), rng.randrange(40, 10**5)))
+            f = PowInt(Var("x"), k)
+            got = eval_star(f, ctx.constant(x0)).standard_part()
+            assert str(got) == str(eval_real(f, x0, ctx))
 
 
 @pytest.mark.parametrize("ctx", [CTX, NumContext(mode="float", prec=12)])

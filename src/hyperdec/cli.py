@@ -77,14 +77,15 @@ class _Result:
 
 def _cmd_eval(args, ctx: NumContext) -> _Result:
     v = eval_command(parse_command(args.expr), ctx)
-    lines = [format_value(v)]
+    text = format_value(v)
+    lines = [text]
     rendered = None
     if args.lightstone:
         rendered = render(v, window=args.window)
         lines.append(rendered)
         lines.append(f"compare to 1: {v.compare(1).name.capitalize()}")
     return _Result(
-        value=format_value(v),
+        value=text,
         lightstone=rendered,
         truncated=v.truncated,
         lines=lines,

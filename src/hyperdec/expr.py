@@ -252,7 +252,9 @@ class _Parser:
         span = (tok.pos, tok.pos + len(tok.text))
         if tok.kind == "num":
             self.take()
-            return Const(Fraction(tok.text), span=span)
+            # int() is cheaper than Fraction's string parser, and exact
+            text = tok.text
+            return Const(Fraction(text) if "." in text else int(text), span=span)
         if tok.kind == "name":
             if tok.text == "lim":
                 return self.limit()

@@ -137,7 +137,9 @@ def newton_trace(
 
     iterates = [x]
     halt = None
-    floor_gap = Fraction(1, 10 ** (precision - _NINES_GAP_EXP))
+    # in the iterate's type, so that each comparison is exact and skips
+    # Fraction's mixed-type comparison
+    floor_gap = ctx.coeff(Fraction(1, 10 ** (precision - _NINES_GAP_EXP)))
     digit_limit = sys.get_int_max_str_digits() if exact else 0
     for n in range(steps):
         if n:
@@ -187,10 +189,11 @@ def _quadratic_constant(iterates, ctx: NumContext) -> Optional[Scalar]:
     """Largest (1 - x_{n+1}) / (1 - x_n)^2 over steps entering the
     convergence zone 1 - x_n < 1/10."""
     best = None
+    zone = ctx.coeff(Fraction(1, 10))  # exact in either coefficient type
     with ctx.arith():
         for a, b in zip(iterates, iterates[1:]):
             gap_a = 1 - a
-            if not gap_a < Fraction(1, 10) or gap_a == 0:
+            if not gap_a < zone or gap_a == 0:
                 continue
             ratio = (1 - b) / (gap_a * gap_a)
             if best is None or ratio > best:

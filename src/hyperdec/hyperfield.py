@@ -8,17 +8,24 @@ magnitude outright.  Arithmetic keeps at most K terms per value, always
 the K largest, and raises a sticky `truncated` flag whenever anything
 was dropped.  An inverse is an infinite series cut the same way: its
 coefficients come largest key first from the reciprocal recurrence, and
-the K leading nonzero ones are kept.  Exact division by a value of two
-or more terms feeds the recurrence's int numerators straight into the
-product, so only the K terms of the quotient become Fractions.  Order,
-floor and standard part are read off the sorted term lists (the first
-key where two values differ; infinite terms first, then the unit) and
-build no difference or part values.  The flag records only that
+the K leading nonzero ones are kept.  The flag records only that
 something was dropped, not how much: comparisons refuse to certify
 equality of flagged values, but they still read the sign of a nonzero
 difference from its leading surviving term, and after cancellation that
 term can be an artifact of the cut.  (1/(1-eps))*(1-eps) comes out as
 1 - eps^16, flagged, and compares LESS than 1.
+
+A value holds a store: its magnitude keys (-b, a), largest first, with
+whole entries as ints; in exact mode its int numerators over one
+positive denominator, reduced by one gcd, so that the form is unique and
+== and hash compare it directly; in float mode its Decimal coefficients.
+Every operation reads and writes the store: a sum is one merge over the
+lcm of the two denominators, a product and an inverse run on the
+numerators, and order, floor and standard part are read off the key
+lists (the first key where two values differ; infinite terms first, then
+the unit) without building a difference or part value.  `terms`, the
+(coefficient, ExponentPair) tuple that printers and callers read, is
+built from the store on first read and kept.
 """
 
 from __future__ import annotations
@@ -32,7 +39,6 @@ from decimal import Decimal, ROUND_FLOOR, localcontext
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, total_ordering
-from operator import itemgetter
 from typing import Iterable, Union
 
 from ._record import Record
@@ -78,6 +84,13 @@ def _whole(x: Union[int, Fraction]) -> Union[int, Fraction]:
     return x.numerator if x.denominator == 1 else x
 
 
+def _exponent(x) -> Union[int, Fraction]:
+    """x as a key entry: an int when it is whole, else a Fraction."""
+    if x.__class__ is int:
+        return x
+    return _whole(x if x.__class__ is Fraction else Fraction(x))
+
+
 def _whole_key(key: _Key) -> _Key:
     """key with whole entries as ints, as ExponentPair keeps them."""
     b, a = key
@@ -106,7 +119,7 @@ class ExponentPair:
     __slots__ = ("_key",)
 
     def __init__(self, b, a) -> None:
-        self._key = (-_whole(Fraction(b)), _whole(Fraction(a)))
+        self._key = (-_exponent(b), _exponent(a))
 
     @classmethod
     def _of(cls, key: _Key) -> "ExponentPair":
@@ -230,23 +243,20 @@ class NumContext(Record):
 
     # --- constructors -----------------------------------------------------
     def zero(self) -> "HyperValue":
-        return HyperValue(ctx=self, terms=(), truncated=False)
+        return _make(self, _EXACT_ZERO if self.mode == "exact" else _FLOAT_ZERO, False)
 
     def constant(self, v: CoeffLike) -> "HyperValue":
-        cc = self.coeff(v)
-        if cc == 0:
-            return self.zero()
-        return HyperValue(ctx=self, terms=((cc, UNIT_PAIR),), truncated=False)
+        return self.monomial(v, 0, 0)
 
     def monomial(self, c: CoeffLike, b, a) -> "HyperValue":
-        cc = self.coeff(c)
-        if cc == 0:
-            return self.zero()
-        if b.__class__ is int and a.__class__ is int:
-            pair = ExponentPair._of((-b, a))
+        key = (-b, a) if b.__class__ is int and a.__class__ is int else ExponentPair(b, a)._key
+        if self.mode == "exact":
+            c, den = _ratio(c)
         else:
-            pair = ExponentPair(b, a)
-        return HyperValue(ctx=self, terms=((cc, pair),), truncated=False)
+            c, den = self.coeff(c), None
+        if c == 0:
+            return self.zero()
+        return _make(self, ((key,), (c,), den), False)
 
     def omega(self, power=1) -> "HyperValue":
         """The infinite unit H (or an integer power of it)."""
@@ -261,13 +271,25 @@ class NumContext(Record):
         items: Iterable[tuple[CoeffLike, ExponentPair]],
         truncated: bool = False,
     ) -> "HyperValue":
-        acc: dict[_Key, Coefficient] = {}
-        with self.arith():
-            for c, pair in items:
-                cc = self.coeff(c)
-                key = pair._key
-                acc[key] = acc[key] + cc if key in acc else cc
-        return _build(self, acc, truncated)
+        if self.mode == "float":
+            acc: dict[_Key, Coefficient] = {}
+            with self.arith():
+                for c, pair in items:
+                    cc = self.coeff(c)
+                    key = pair._key
+                    acc[key] = acc[key] + cc if key in acc else cc
+            return _build(self, acc, truncated)
+        rows = [(pair._key, *_ratio(c)) for c, pair in items]
+        scale = math.lcm(*[d for _, _, d in rows])
+        acc = {}
+        for key, n, d in rows:
+            acc[key] = acc.get(key, 0) + n * (scale // d)
+        return _build(self, acc, truncated, scale)
+
+
+def _ratio(c: CoeffLike) -> tuple[int, int]:
+    """An exact coefficient as its numerator and positive denominator."""
+    return (c if isinstance(c, (int, Fraction)) else Fraction(c)).as_integer_ratio()
 
 
 _set_max_terms = NumContext.max_terms.__set__
@@ -295,10 +317,37 @@ def _scaled_key(key: _Key, den: int) -> tuple[int, int]:
     return (b.numerator * (den // b.denominator), a.numerator * (den // a.denominator))
 
 
-def _numerators(terms) -> tuple[list, int]:
-    """Exact terms as (key, int numerator) pairs over one common scale."""
-    scale = math.lcm(*[c.denominator for c, _ in terms])
-    return [(p._key, c.numerator * (scale // c.denominator)) for c, p in terms], scale
+# The store of a value is (keys, coefficients, den): its magnitude keys,
+# largest first, and in exact mode int numerators over one positive den,
+# reduced by one gcd; in float mode Decimal coefficients and den None.
+_EXACT_ZERO = ((), (), 1)
+_FLOAT_ZERO = ((), (), None)
+_new = object.__new__
+
+
+def _make(ctx: "NumContext", store: tuple, truncated: bool) -> "HyperValue":
+    """The value with this store, taken as it is."""
+    x = _new(HyperValue)
+    _set_ctx(x, ctx)
+    _set_store(x, store)
+    _set_truncated(x, truncated)
+    return x
+
+
+def _value(ctx: "NumContext", keys, cs, den, truncated: bool) -> "HyperValue":
+    """The value with these keys and coefficients: int numerators over
+    den > 0, reduced by one gcd, or with den None Decimals, less those
+    that underflowed to 0."""
+    if den is None:
+        if not all(cs):
+            live = [i for i, c in enumerate(cs) if c]
+            keys, cs = [keys[i] for i in live], [cs[i] for i in live]
+    elif den != 1:
+        g = math.gcd(den, *cs)
+        if g != 1:
+            den //= g
+            cs = [n // g for n in cs]
+    return _make(ctx, (tuple(keys), tuple(cs), den), truncated)
 
 
 def _build(
@@ -311,30 +360,29 @@ def _build(
     enforce K.
 
     The keys are magnitude keys whose whole entries may still be
-    Fractions; with a scale the coefficients are int numerators over it.
-    Only the K survivors become terms.
+    Fractions; with a scale (> 0) the coefficients are int numerators
+    over it, and the survivors are reduced by one gcd.
     """
-    live = sorted(
-        ((key, c) for key, c in acc.items() if c != 0),
-        key=itemgetter(0),
-        reverse=True,
-    )
-    if len(live) > ctx.max_terms:
-        live = live[: ctx.max_terms]
+    keys = sorted([key for key, c in acc.items() if c], reverse=True)
+    if len(keys) > ctx.max_terms:
+        del keys[ctx.max_terms:]
         truncated = True
-    terms = tuple(
-        (c if scale is None else Fraction(c, scale), ExponentPair._of(_whole_key(key)))
-        for key, c in live
-    )
-    return HyperValue(ctx=ctx, terms=terms, truncated=truncated)
+    cs = [acc[key] for key in keys]
+    keys = [
+        key if key[0].__class__ is int and key[1].__class__ is int else _whole_key(key)
+        for key in keys
+    ]
+    return _value(ctx, keys, cs, scale, truncated)
 
 
-def _product(ctx: NumContext, xs: list, ys: list, truncated: bool, scale=None) -> "HyperValue":
-    """The product of two (key, coefficient) lists, cut to K; with a scale
-    both hold int numerators over scales whose product it is."""
+def _product(ctx: NumContext, xk, xc, yk, yc, truncated: bool, scale=None) -> "HyperValue":
+    """The product of two series given as keys and coefficients, cut to
+    K; with a scale both hold int numerators over scales whose product
+    it is."""
     acc: dict[_Key, Union[int, Decimal]] = {}
+    ys = list(zip(yk, yc))
     with ctx.arith():
-        for (b1, a1), c1 in xs:
+        for (b1, a1), c1 in zip(xk, xc):
             for (b2, a2), c2 in ys:
                 key = (b1 + b2, a1 + a2)
                 prod = c1 * c2
@@ -342,62 +390,157 @@ def _product(ctx: NumContext, xs: list, ys: list, truncated: bool, scale=None) -
     return _build(ctx, acc, truncated, scale)
 
 
+def _sum(x: "HyperValue", y: "HyperValue", negate: bool) -> "HyperValue":
+    """x + y, or x - y when negate, by one merge of the two key lists
+    (both largest first, so the merge keeps the order); exact operands
+    are first put over the lcm of their denominators."""
+    ctx = x.ctx
+    xk, xc, dx = x._store
+    yk, yc, dy = y._store
+    den = dx
+    if dx is None:
+        if negate:
+            # Decimal's unary minus would round; copy_negate is exact
+            yc = [c.copy_negate() for c in yc]
+    elif dx != dy:
+        den = math.lcm(dx, dy)
+        mx, my = den // dx, den // dy
+        if mx != 1:
+            xc = [n * mx for n in xc]
+        yc = [n * (-my if negate else my) for n in yc]
+    elif negate:
+        yc = [-n for n in yc]
+    keys, cs = [], []
+    put_key, put_c = keys.append, cs.append
+    nx, ny = len(xk), len(yk)
+    i = j = 0
+    with ctx.arith():
+        while i < nx and j < ny:
+            kx, ky = xk[i], yk[j]
+            if kx > ky:
+                put_key(kx)
+                put_c(xc[i])
+                i += 1
+            elif kx < ky:
+                put_key(ky)
+                put_c(yc[j])
+                j += 1
+            else:
+                c = xc[i] + yc[j]
+                if c:
+                    put_key(kx)
+                    put_c(c)
+                i += 1
+                j += 1
+    keys += xk[i:]
+    cs += xc[i:]
+    keys += yk[j:]
+    cs += yc[j:]
+    truncated = x.truncated or y.truncated
+    if len(keys) > ctx.max_terms:
+        del keys[ctx.max_terms:]
+        del cs[ctx.max_terms:]
+        truncated = True
+    return _value(ctx, keys, cs, den, truncated)
+
+
 class HyperValue(Record):
     """An immutable truncated series, terms sorted largest-first.
 
     Fields: ctx (a NumContext), terms (a tuple of (coefficient,
-    ExponentPair) pairs) and truncated (a bool).
+    ExponentPair) pairs) and truncated (a bool).  The value holds its
+    store (keys, coefficients, den) and every operation reads that;
+    terms is built from it on first read and kept.  The constructor
+    builds the store from the terms it is given, and keeps them too.
     """
 
-    __slots__ = ("ctx", "terms", "truncated")
+    __slots__ = ("ctx", "_store", "truncated", "_terms")
 
     def __init__(self, ctx: NumContext, terms: tuple, truncated: bool) -> None:
+        terms = tuple(terms)
+        keys = tuple([pair._key for _, pair in terms])
+        if ctx.mode == "exact":
+            den = math.lcm(*[c.denominator for c, _ in terms])
+            nums = [c.numerator * (den // c.denominator) for c, _ in terms]
+            store = (keys, tuple(nums), den)
+        else:
+            store = (keys, tuple([c for c, _ in terms]), None)
         _set_ctx(self, ctx)
-        _set_terms(self, terms)
+        _set_store(self, store)
         _set_truncated(self, truncated)
+        _set_terms(self, terms)
+
+    @property
+    def terms(self) -> tuple:
+        """The (coefficient, ExponentPair) pairs, built on first read."""
+        try:
+            return self._terms
+        except AttributeError:
+            pass
+        keys, cs, den = self._store
+        pairs = map(ExponentPair._of, keys)
+        if den is None:
+            terms = tuple(zip(cs, pairs))
+        else:
+            terms = tuple([(Fraction(n, den), pair) for n, pair in zip(cs, pairs)])
+        _set_terms(self, terms)
+        return terms
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (
                 (self.ctx is other.ctx or self.ctx == other.ctx)
-                and self.terms == other.terms
+                and self._store == other._store
                 and self.truncated == other.truncated
             )
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.ctx, self.terms, self.truncated))
+        return hash((self.ctx, self._store, self.truncated))
+
+    def _with_flag(self, truncated: bool) -> "HyperValue":
+        """This value with another truncated flag."""
+        return _make(self.ctx, self._store, truncated)
+
+    def _coefficient(self, i: int) -> Coefficient:
+        """The coefficient of term i, a Fraction in exact mode."""
+        _, cs, den = self._store
+        return cs[i] if den is None else Fraction(cs[i], den)
 
     # --- inspection ---------------------------------------------------------
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._store[0]
 
     @property
     def is_finite(self) -> bool:
-        return not self.terms or self.terms[0][1]._key <= (0, 0)
+        keys = self._store[0]
+        return not keys or keys[0] <= (0, 0)
 
     def leading(self) -> tuple[Coefficient, ExponentPair]:
-        if not self.terms:
+        if not self._store[0]:
             raise ValueError("zero has no leading term")
         return self.terms[0]
 
     def sign(self) -> int:
-        if not self.terms:
+        cs = self._store[1]
+        if not cs:
             return 0
-        c = self.terms[0][0]
-        return 1 if c > 0 else -1
+        return 1 if cs[0] > 0 else -1
 
     def coefficient_at(self, pair: ExponentPair) -> Coefficient:
+        keys = self._store[0]
         key = pair._key
-        for c, p in self.terms:
-            if p._key == key:
-                return c
+        if key in keys:
+            return self._coefficient(keys.index(key))
         return self.ctx.coeff(0)
 
     def infinitesimal_part(self) -> "HyperValue":
-        kept = [(c, p) for c, p in self.terms if p.is_infinitesimal]
-        return HyperValue(ctx=self.ctx, terms=tuple(kept), truncated=False)
+        keys, cs, den = self._store
+        i = 0
+        while i < len(keys) and keys[i] >= (0, 0):
+            i += 1
+        return _value(self.ctx, keys[i:], cs[i:], den, False)
 
     # --- arithmetic -----------------------------------------------------------
     def _check(self, other: "HyperValue") -> None:
@@ -407,8 +550,9 @@ class HyperValue(Record):
             )
 
     def _coerce(self, other) -> "HyperValue":
-        if isinstance(other, HyperValue):
-            self._check(other)
+        if other.__class__ is HyperValue:
+            if other.ctx is not self.ctx:
+                self._check(other)
             return other
         if isinstance(other, (int, Fraction, Decimal)):
             return self.ctx.constant(other)
@@ -418,135 +562,102 @@ class HyperValue(Record):
         rhs = self._coerce(other)
         if rhs is NotImplemented:
             return NotImplemented
-        # both term lists are sorted largest-first, so a merge keeps the order
-        xs, ys = self.terms, rhs.terms
-        nx, ny = len(xs), len(ys)
-        out = []
-        i = j = 0
-        with self.ctx.arith():
-            while i < nx and j < ny:
-                kx, ky = xs[i][1]._key, ys[j][1]._key
-                if kx > ky:
-                    out.append(xs[i])
-                    i += 1
-                elif kx < ky:
-                    out.append(ys[j])
-                    j += 1
-                else:
-                    c = xs[i][0] + ys[j][0]
-                    if c != 0:
-                        out.append((c, xs[i][1]))
-                    i += 1
-                    j += 1
-        out += xs[i:]
-        out += ys[j:]
-        truncated = self.truncated or rhs.truncated
-        if len(out) > self.ctx.max_terms:
-            out = out[: self.ctx.max_terms]
-            truncated = True
-        return HyperValue(ctx=self.ctx, terms=tuple(out), truncated=truncated)
+        return _sum(self, rhs, False)
 
     __radd__ = __add__
 
     def __neg__(self) -> "HyperValue":
-        # Decimal's unary minus rounds under the ambient context, which
-        # would silently clip high-precision coefficients; copy_negate is
-        # the quiet, exact flip.
-        return HyperValue(
-            ctx=self.ctx,
-            terms=tuple(
-                (c.copy_negate() if isinstance(c, Decimal) else -c, pair)
-                for c, pair in self.terms
-            ),
-            truncated=self.truncated,
-        )
+        keys, cs, den = self._store
+        if den is None:
+            # Decimal's unary minus rounds under the ambient context, which
+            # would silently clip high-precision coefficients; copy_negate
+            # is the quiet, exact flip.
+            cs = tuple([c.copy_negate() for c in cs])
+        else:
+            cs = tuple([-n for n in cs])
+        return _make(self.ctx, (keys, cs, den), self.truncated)
 
     def __sub__(self, other) -> "HyperValue":
         rhs = self._coerce(other)
         if rhs is NotImplemented:
             return NotImplemented
-        return self + (-rhs)
+        return _sum(self, rhs, True)
 
     def __rsub__(self, other) -> "HyperValue":
         rhs = self._coerce(other)
         if rhs is NotImplemented:
             return NotImplemented
-        return rhs + (-self)
+        return _sum(rhs, self, True)
 
     def __mul__(self, other) -> "HyperValue":
         rhs = self._coerce(other)
         if rhs is NotImplemented:
             return NotImplemented
-        if len(rhs.terms) == 1:
+        xk, xc, dx = self._store
+        yk, yc, dy = rhs._store
+        if len(yk) == 1:
             return self._mul_monomial(rhs)
-        if len(self.terms) == 1:
+        if len(xk) == 1:
             return rhs._mul_monomial(self)
-        # The products run on key tuples, and in exact mode on int
-        # numerators over each operand's common denominator.
         truncated = self.truncated or rhs.truncated
-        if self.ctx.mode == "exact":
-            xs, sx = _numerators(self.terms)
-            ys, sy = _numerators(rhs.terms)
-            return _product(self.ctx, xs, ys, truncated, sx * sy)
-        xs = [(p._key, c) for c, p in self.terms]
-        ys = [(p._key, c) for c, p in rhs.terms]
-        return _product(self.ctx, xs, ys, truncated)
+        return _product(self.ctx, xk, xc, yk, yc, truncated, None if dx is None else dx * dy)
 
     __rmul__ = __mul__
 
     def _mul_monomial(self, m: "HyperValue") -> "HyperValue":
         """self * m for a one-term m: a shift of every key keeps the order,
         so the product needs neither a term map nor a sort; a standard m
-        keeps every pair as it is."""
-        (cm, pm), = m.terms
-        shift = pm._key
-        with self.ctx.arith():
-            if shift == (0, 0):
-                terms = [(c * cm, p) for c, p in self.terms]
+        keeps every key as it is."""
+        keys, cs, den = self._store
+        (shift,), (cm,), dm = m._store
+        if shift != (0, 0):
+            sb, sa = shift
+            if sb.__class__ is int and sa.__class__ is int:
+                # a fractional entry plus a whole one stays fractional
+                keys = tuple([(b + sb, a + sa) for b, a in keys])
             else:
-                terms = [
-                    (c * cm, ExponentPair._of(_key_sum(p._key, shift)))
-                    for c, p in self.terms
-                ]
+                keys = tuple([_key_sum(key, shift) for key in keys])
+        with self.ctx.arith():
+            cs = [c * cm for c in cs]
         # no more terms than self, so no K cut; a float product can underflow to 0
-        return HyperValue(
-            ctx=self.ctx,
-            terms=tuple(t for t in terms if t[0] != 0),
-            truncated=self.truncated or m.truncated,
+        return _value(
+            self.ctx, keys, cs, None if den is None else den * dm,
+            self.truncated or m.truncated,
         )
 
     def inv(self) -> "HyperValue":
         """Multiplicative inverse by the power-series reciprocal recurrence.
 
         A one-term x inverts exactly.  Otherwise the terms are the K that
-        _reciprocal gives, with the flag set: Fractions in exact mode;
-        float mode rounds each once, to the correctly rounded coefficient
-        of the exact series, and drops those that underflow.
+        _reciprocal gives, with the flag set: exact mode puts them over
+        one denominator; float mode rounds each once, to the correctly
+        rounded coefficient of the exact series, and drops those that
+        underflow.
         """
-        if not self.terms:
+        keys, cs, den = self._store
+        if not keys:
             raise DivisionByZero("cannot invert zero")
         ctx = self.ctx
-        if len(self.terms) == 1:
-            (c0, mu0), = self.terms
-            with ctx.arith():
-                inv_c0 = ctx.coeff(1) / c0
-            return HyperValue(ctx=ctx, terms=((inv_c0, -mu0),), truncated=self.truncated)
-        series, c0 = self._reciprocal()
-        exact = ctx.mode == "exact"
-        terms = []
+        if len(keys) == 1:
+            (b, a), = keys
+            c, = cs
+            if den is None:
+                with ctx.arith():
+                    store = (((-b, -a),), (ctx.coeff(1) / c,), None)
+            else:  # den / c, whose terms are coprime
+                store = (((-b, -a),), (den,) if c > 0 else (-den,), abs(c))
+            return _make(ctx, store, self.truncated)
+        keys, nums, scale = self._reciprocal()
+        if den is not None:
+            return _value(ctx, keys, nums, scale, True)
         with ctx.arith():
-            for key, n, qd in series:
-                c = Fraction(n * c0.denominator, qd * c0.numerator)  # s / c0
-                if not exact:
-                    c = ctx.coeff(c)
-                    if c == 0:  # underflow
-                        continue
-                terms.append((c, ExponentPair._of(key)))
-        return HyperValue(ctx=ctx, terms=tuple(terms), truncated=True)
+            scale = Decimal(scale)
+            cs = [Decimal(n) / scale for n in nums]
+        return _value(ctx, keys, cs, None, True)
 
-    def _reciprocal(self) -> tuple[list, Fraction]:
+    def _reciprocal(self) -> tuple[list, list, int]:
         """The K leading terms of 1/x = s/c, for x of two or more terms,
-        as (key, n, q**d) triples with s_p = n / q**d, and c.
+        as their keys and int numerators over one positive denominator.
 
         Writing x = c*mu*(1 + r) with r strictly below unit magnitude,
         the inverse is (1/c)*mu**-1 * s with s = 1/(1 + r).  With
@@ -556,22 +667,29 @@ class HyperValue(Record):
         largest first, so each s_p is formed after everything it reads,
         and the walk stops at the K-th nonzero coefficient, or refuses
         after 64*K keys.  Each s_p is an int numerator over q**d, q the
-        lcm of the denominators of the m_i, lifted only when it is read.
-        Float mode runs the recurrence on the exact values of its Decimal
-        coefficients.
+        lcm of the denominators of the m_i, lifted only when it is read,
+        and at the end over the deepest q**d times c.  Float mode runs the
+        recurrence on the exact values of its Decimal coefficients.
         """
-        c0, mu0 = self.terms[0]
+        keys, nums, scale = self._store
+        if scale is None:  # the exact values of the Decimals, over one scale
+            ratios = [c.as_integer_ratio() for c in nums]
+            scale = math.lcm(*[d for _, d in ratios])
+            nums = [n * (scale // d) for n, d in ratios]
         # The recurrence runs on magnitude keys scaled by the common
         # denominator of the exponents, so that they are int pairs.
-        den = math.lcm(*(x.denominator for _, pair in self.terms for x in pair._key))
-        b0, a0 = _scaled_key(mu0._key, den)
-        f0 = Fraction(c0)
-        offsets = []  # (key of -r's term, below the unit, and its coefficient)
-        for c, pair in self.terms[1:]:
-            b, a = _scaled_key(pair._key, den)
-            offsets.append(((b - b0, a - a0), -Fraction(c) / f0))
-        q = math.lcm(*(m.denominator for _, m in offsets))
-        steps = [(key, m.numerator * (q // m.denominator)) for key, m in offsets]
+        den = math.lcm(*(x.denominator for key in keys for x in key))
+        b0, a0 = _scaled_key(keys[0], den)
+        # m_i = -n_i / n0 over q = |n0| / gcd(n0, n_1, ...), the lcm of
+        # their reduced denominators
+        n0 = nums[0]
+        g = math.gcd(*nums)
+        q = abs(n0) // g
+        flip = -1 if n0 > 0 else 1
+        steps = []  # (key of -r's term, below the unit, and m_i * q)
+        for key, n in zip(keys[1:], nums[1:]):
+            b, a = _scaled_key(key, den)
+            steps.append(((b - b0, a - a0), flip * (n // g)))
         budget = self.ctx.max_terms
         # Keys are negated so that the min-heap pops the largest first.
         # The walk visits at most 64*K keys, those whose coefficient
@@ -617,27 +735,27 @@ class HyperValue(Record):
                 if nxt not in seen:
                     seen.add(nxt)
                     push(heap, nxt)
-        out = []
+        # s_p / c = n * scale / (q**d * n0), over q**top * |n0|
+        top = max(num[key][1] for key in found)
+        lift = scale if n0 > 0 else -scale
+        keys, nums = [], []
         for nb, na in found:
             n, d = num[(nb, na)]
             b, a = -nb - b0, -na - a0
-            key = (b, a) if den == 1 else _whole_key((Fraction(b, den), Fraction(a, den)))
-            out.append((key, n, qpow[d]))
-        return out, f0
+            keys.append((b, a) if den == 1 else _whole_key((Fraction(b, den), Fraction(a, den))))
+            nums.append(n * lift * qpow[top - d])
+        return keys, nums, qpow[top] * abs(n0)
 
     def __truediv__(self, other) -> "HyperValue":
         rhs = self._coerce(other)
         if rhs is NotImplemented:
             return NotImplemented
-        if len(rhs.terms) < 2 or self.ctx.mode != "exact":
+        xk, xc, dx = self._store
+        if len(rhs._store[0]) < 2 or dx is None:
             return self * rhs.inv()
-        # the reciprocal's numerators go straight into the product, over
-        # one scale: the deepest q**d times c0
-        series, c0 = rhs._reciprocal()
-        top = max(qd for _, _, qd in series)
-        ys = [(key, n * c0.denominator * (top // qd)) for key, n, qd in series]
-        xs, sx = _numerators(self.terms)
-        return _product(self.ctx, xs, ys, True, sx * top * c0.numerator)
+        # the reciprocal's numerators go straight into the product
+        yk, yc, dy = rhs._reciprocal()
+        return _product(self.ctx, xk, xc, yk, yc, True, dx * dy)
 
     def __rtruediv__(self, other) -> "HyperValue":
         rhs = self._coerce(other)
@@ -665,26 +783,34 @@ class HyperValue(Record):
         ctx = self.ctx
         if k == 0:
             return ctx.constant(1)
-        if len(self.terms) == 1:
-            (c, pair), = self.terms
-            b, a = pair._key
-            with ctx.arith():
-                c = _coeff_power(c, k)
-            terms = ((c, ExponentPair._of((_whole(b * k), _whole(a * k)))),) if c else ()
-            return HyperValue(ctx=ctx, terms=terms, truncated=self.truncated)
+        keys, cs, den = self._store
+        if len(keys) == 1:
+            (b, a), = keys
+            key = (_whole(b * k), _whole(a * k))
+            c, = cs
+            if den is None:
+                with ctx.arith():
+                    c = _coeff_power(c, k)
+                store = ((key,), (c,), None) if c else _FLOAT_ZERO
+            else:  # c / den is in lowest terms, and so is its power
+                _check_power_bits(c, den, abs(k))
+                n, d = (c**k, den**k) if k > 0 else (den**-k, c**-k)
+                store = ((key,), (n,), d) if d > 0 else ((key,), (-n,), -d)
+            return _make(ctx, store, self.truncated)
         base = self if k > 0 else self.inv()
         k = abs(k)
-        if k == 1 or not base.terms:
+        keys, cs, den = base._store
+        if k == 1 or not keys:
             return base  # every product of zeros is zero with the same flag
-        if ctx.mode == "exact":
-            _check_power_bits(base.terms[0][0], k)
-            for c, _ in base.terms[1:]:
-                _check_power_bits(c, min(k, ctx.max_terms - 1))
-            if len(base.terms) == 2:
+        if den is not None:
+            _check_power_bits(*_reduced(cs[0], den), k)
+            for n in cs[1:]:
+                _check_power_bits(*_reduced(n, den), min(k, ctx.max_terms - 1))
+            if len(keys) == 2:
                 return base._pow_binomial(k)
         else:
             wide = NumContext(ctx.max_terms, "float", ctx.prec + len(str(k)) + 2)
-            base = HyperValue(ctx=wide, terms=base.terms, truncated=base.truncated)
+            base = _make(wide, base._store, base.truncated)
         out = base
         for bit in bin(k)[3:]:
             out = out * out
@@ -692,49 +818,48 @@ class HyperValue(Record):
                 out = out * base
         if out.ctx is ctx:
             return out
+        keys, cs, _ = out._store
         with ctx.arith():
-            terms = [(+c, p) for c, p in out.terms]
-        return HyperValue(
-            ctx=ctx,
-            terms=tuple(t for t in terms if t[0] != 0),  # rounding can underflow
-            truncated=out.truncated,
-        )
+            cs = [+c for c in cs]  # rounding can underflow
+        return _value(ctx, keys, cs, None, out.truncated)
 
     def _pow_binomial(self, k: int) -> "HyperValue":
         """self**k for an exact two-term self = u + w and k >= 2.
 
         The terms are the K leading C(k, j) * u**(k-j) * w**j, formed on
-        int numerators and denominators.  Their keys fall strictly with j,
-        so nothing cancels: they are exactly the terms that k-1 products
-        keep, and those products cut only when the k+1 terms pass K.
-        __pow__ has already checked both coefficient powers against
-        _POW_BITS_CAP.
+        int numerators over du**k * dw**top, du and dw the denominators
+        of u and w.  Their keys fall strictly with j, so nothing cancels:
+        they are exactly the terms that k-1 products keep, and those
+        products cut only when the k+1 terms pass K.  __pow__ has already
+        checked both coefficient powers against _POW_BITS_CAP.
         """
-        (cu, pu), (cw, pw) = self.terms
+        (pu, pw), (cu, cw), den = self._store
         top = min(k, self.ctx.max_terms - 1)
-        nu, du, nw, dw = cu.numerator, cu.denominator, cw.numerator, cw.denominator
-        bu, au = pu._key
-        sb, sa = pw._key[0] - bu, pw._key[1] - au  # key step from u to w
+        nu, du = _reduced(cu, den)
+        nw, dw = _reduced(cw, den)
+        bu, au = pu
+        sb, sa = pw[0] - bu, pw[1] - au  # key step from u to w
         bu, au = bu * k, au * k
-        # u**(k-j) from j = top down, by products: a long division by u's
-        # numerator for each j up would take time quadratic in its size
-        ups = [(nu ** (k - top), du ** (k - top))]
+        # nu**(k-j) from j = top down, and dw**(top-j), by products: a long
+        # division by u's numerator for each j up would take time
+        # quadratic in its size
+        ups = [nu ** (k - top)]
+        dws = [1]
         for _ in range(top):
-            ups.append((ups[-1][0] * nu, ups[-1][1] * du))
-        wn = wd = binom = 1  # w**j and C(k, j)
-        terms = []
+            ups.append(ups[-1] * nu)
+            dws.append(dws[-1] * dw)
+        wn = binom = 1  # (nw*du)**j and C(k, j)
+        step = nw * du
+        keys, nums = [], []
         for j in range(top + 1):
             if j:
-                wn *= nw
-                wd *= dw
+                wn *= step
                 binom = binom * (k - j + 1) // j
-            un, ud = ups[top - j]
-            key = _whole_key((bu + j * sb, au + j * sa))
-            terms.append((Fraction(binom * un * wn, ud * wd), ExponentPair._of(key)))
-        return HyperValue(
-            ctx=self.ctx,
-            terms=tuple(terms),
-            truncated=self.truncated or k + 1 > self.ctx.max_terms,
+            keys.append(_whole_key((bu + j * sb, au + j * sa)))
+            nums.append(binom * ups[top - j] * wn * dws[top - j])
+        return _value(
+            self.ctx, keys, nums, du**k * dws[top],
+            self.truncated or k + 1 > self.ctx.max_terms,
         )
 
     def __abs__(self) -> "HyperValue":
@@ -744,27 +869,35 @@ class HyperValue(Record):
     def _first_difference(self, other) -> tuple:
         """other as a HyperValue, and the key and sign (True when positive)
         of the leading term of self - other, or None when it is zero.  The
-        term lists are walked largest key first; float mode subtracts at
-        an equal key with the rounding that self - other would use."""
+        key lists are walked largest first; exact mode compares numerators
+        across the two denominators, float mode subtracts at an equal key
+        with the rounding that self - other would use."""
         rhs = self._coerce(other)
         if rhs is NotImplemented:
             raise TypeError(f"cannot compare a HyperValue with {type(other).__name__}")
-        xs, ys = self.terms, rhs.terms
+        xk, xc, dx = self._store
+        yk, yc, dy = rhs._store
+        nx, ny = len(xk), len(yk)
         i = j = 0
         with self.ctx.arith():
-            while i < len(xs) and j < len(ys):
-                kx, ky = xs[i][1]._key, ys[j][1]._key
+            while i < nx and j < ny:
+                kx, ky = xk[i], yk[j]
                 if kx > ky:
-                    return rhs, (kx, xs[i][0] > 0)
+                    return rhs, (kx, xc[i] > 0)
                 if kx < ky:
-                    return rhs, (ky, ys[j][0] < 0)
-                c = xs[i][0] - ys[j][0]
-                if c != 0:
-                    return rhs, (kx, c > 0)
+                    return rhs, (ky, yc[j] < 0)
+                if dx is None:
+                    c = xc[i] - yc[j]
+                    if c != 0:
+                        return rhs, (kx, c > 0)
+                else:
+                    u, v = xc[i] * dy, yc[j] * dx
+                    if u != v:
+                        return rhs, (kx, u > v)
                 i, j = i + 1, j + 1
-        if i < len(xs):
-            return rhs, (xs[i][1]._key, xs[i][0] > 0)
-        return rhs, (ys[j][1]._key, ys[j][0] < 0) if j < len(ys) else None
+        if i < nx:
+            return rhs, (xk[i], xc[i] > 0)
+        return rhs, (yk[j], yc[j] < 0) if j < ny else None
 
     def compare(self, other) -> Ordering:
         """Sign of self - other, from the leading surviving term.
@@ -810,12 +943,13 @@ class HyperValue(Record):
 
     def classify(self) -> tuple[Classification, int]:
         """Coarse size class plus sign; zero counts as (infinitesimal, 0)."""
-        if not self.terms:
+        keys = self._store[0]
+        if not keys:
             return (Classification.INFINITESIMAL, 0)
-        _, pair = self.terms[0]
-        if pair.is_infinite:
+        lead = keys[0]
+        if lead > (0, 0):
             kind = Classification.INFINITE
-        elif pair.is_unit:
+        elif lead == (0, 0):
             kind = Classification.APPRECIABLE
         else:
             kind = Classification.INFINITESIMAL
@@ -830,35 +964,44 @@ class HyperValue(Record):
         contribute an ordinary integer, with the infinitesimal's sign
         breaking the tie at integers.
         """
-        terms = self.terms
+        keys, cs, den = self._store
         n = 0
-        while n < len(terms) and terms[n][1]._key > (0, 0):
-            reason = _hyperinteger_obstruction(*terms[n])
+        while n < len(keys) and keys[n] > (0, 0):
+            reason = _hyperinteger_obstruction(self, n)
             if reason is not None:
                 raise FloorUndecidable(reason)
             n += 1
         # then the unit term, if any, and the leading infinitesimal one
-        i = n + (n < len(terms) and terms[n][1]._key == (0, 0))
-        f = terms[n][0] if i > n else self.ctx.coeff(0)
-        tail_sign = 0 if i == len(terms) else (1 if terms[i][0] > 0 else -1)
-        if _is_integral(f):
+        i = n + (n < len(keys) and keys[n] == (0, 0))
+        tail_sign = 0 if i == len(keys) else (1 if cs[i] > 0 else -1)
+        if den is None:
+            f = cs[n] if i > n else self.ctx.coeff(0)
+            integral = _is_integral(f)
+            q = f if integral else _coeff_floor(f)
+        else:  # the standard part's numerator over den
+            q, r = divmod(cs[n] if i > n else 0, den)
+            integral = not r
+        if integral:
             if tail_sign == 0 and self.truncated:
                 raise FloorUndecidable(
                     "integer standard part with a truncated tail of unknown sign"
                 )
-            q = f if tail_sign >= 0 else _coeff_pred(f)
+            if tail_sign < 0:
+                q = _coeff_pred(q)
+        if den is None:
+            unit = self.ctx.coeff(q)
+            if unit != q:
+                raise FloorUndecidable(
+                    f"the floor {q} needs more than {self.ctx.prec} digits"
+                )
         else:
-            q = _coeff_floor(f)
-        if isinstance(q, Decimal) and self.ctx.coeff(q) != q:
-            raise FloorUndecidable(
-                f"the floor {q} needs more than {self.ctx.prec} digits"
-            )
+            unit = q * den
         # at most K terms: with K infinite ones there is no finite part, and q is 0
-        return HyperValue(
-            ctx=self.ctx,
-            terms=terms[:n] + self.ctx.constant(q).terms,
-            truncated=self.truncated,
-        )
+        keys, cs = keys[:n], cs[:n]
+        if unit:
+            keys += ((0, 0),)
+            cs += (unit,)
+        return _value(self.ctx, keys, cs, den, self.truncated)
 
     # --- rendering -----------------------------------------------------------------
     def __str__(self) -> str:
@@ -870,14 +1013,24 @@ class HyperValue(Record):
 
 
 _set_ctx = HyperValue.ctx.__set__
-_set_terms = HyperValue.terms.__set__
+_set_store = HyperValue._store.__set__
 _set_truncated = HyperValue.truncated.__set__
+_set_terms = HyperValue._terms.__set__
+# the fields a caller sees: the store and the kept terms are not among them
+HyperValue._fields = HyperValue.__match_args__ = ("ctx", "terms", "truncated")
 
 
-def _check_power_bits(c: Fraction, k: int) -> None:
-    """Refuse c**k when k times the bit length of c passes _POW_BITS_CAP;
-    a power of 0 or +-1 stays one bit and is never refused."""
-    size = max(c.numerator.bit_length(), c.denominator.bit_length())
+def _reduced(n: int, den: int) -> tuple[int, int]:
+    """n / den in lowest terms, den > 0."""
+    g = math.gcd(n, den)
+    return n // g, den // g
+
+
+def _check_power_bits(n: int, d: int, k: int) -> None:
+    """Refuse (n/d)**k, n/d in lowest terms, when k times its bit length
+    passes _POW_BITS_CAP; a power of 0 or +-1 stays one bit and is never
+    refused."""
+    size = max(n.bit_length(), d.bit_length())
     bits = k * size
     if size > 1 and bits > _POW_BITS_CAP:
         raise ResourceLimit(
@@ -891,12 +1044,12 @@ def _coeff_power(c: Coefficient, k: int) -> Coefficient:
     _check_power_bits says; a Decimal is rounded once, under the ambient
     context."""
     if isinstance(c, Fraction):
-        _check_power_bits(c, abs(k))
+        _check_power_bits(c.numerator, c.denominator, abs(k))
     return c**k
 
 
-def _hyperinteger_obstruction(c: Coefficient, pair: ExponentPair) -> str | None:
-    """Why the infinite term c * pair is not a provable hyperinteger, or None.
+def _hyperinteger_obstruction(x: HyperValue, i: int) -> str | None:
+    """Why x's infinite term i is not a provable hyperinteger, or None.
 
     Terms eps**b * H**a with integer b <= 0 and integer a >= 0 are
     products of powers of H and 10**H.  Multiplied by a coefficient
@@ -904,17 +1057,18 @@ def _hyperinteger_obstruction(c: Coefficient, pair: ExponentPair) -> str | None:
     factor absorbs it) they stay integers; anything else would need
     digits of H that the model does not determine.
     """
-    minus_b, a = pair._key
+    keys, cs, den = x._store
+    minus_b, a = keys[i]
     if minus_b.denominator != 1 or a.denominator != 1:
-        return f"non-integer exponents {_format_monomial(pair)}"
+        return f"non-integer exponents {_format_monomial(ExponentPair._of(keys[i]))}"
     if minus_b < 0 or a < 0:
-        return f"mixed-scale monomial {_format_monomial(pair)}"
+        return f"mixed-scale monomial {_format_monomial(ExponentPair._of(keys[i]))}"
+    d = _denominator_of(cs[i]) if den is None else den // math.gcd(cs[i], den)
     if minus_b > 0:
-        den = _denominator_of(c)
-        if den is None or _ten_power(den) is None:
-            return f"coefficient {c} not a power-of-ten multiple"
-    elif not _is_integral(c):  # pure power of H
-        return f"coefficient {c} of a power of H is not an integer"
+        if d is None or _ten_power(d) is None:
+            return f"coefficient {x._coefficient(i)} not a power-of-ten multiple"
+    elif d != 1:  # pure power of H
+        return f"coefficient {x._coefficient(i)} of a power of H is not an integer"
     return None
 
 
@@ -946,7 +1100,7 @@ def _is_integral(c: Coefficient) -> bool:
 
 def _coeff_pred(c: Coefficient) -> Coefficient:
     """c - 1 without rounding; a Decimal keeps its exponent (108.0 -> 107.0)."""
-    if isinstance(c, Fraction):
+    if not isinstance(c, Decimal):
         return c - 1
     digits = max(c.adjusted(), 0) - min(c.as_tuple().exponent, 0) + 2
     return _DecimalContext(prec=digits).subtract(c, 1)
@@ -988,11 +1142,13 @@ def format_coeff(c: Coefficient) -> str:
 
 
 def _format_monomial(pair: ExponentPair) -> str:
+    # the key's entries print as pair.b and pair.a do, whole ones as ints
+    minus_b, a = pair._key
     parts = []
-    if pair.b != 0:
-        parts.append("eps" if pair.b == 1 else f"eps^{pair.b}")
-    if pair.a != 0:
-        parts.append("H" if pair.a == 1 else f"H^{pair.a}")
+    if minus_b != 0:
+        parts.append("eps" if minus_b == -1 else f"eps^{-minus_b}")
+    if a != 0:
+        parts.append("H" if a == 1 else f"H^{a}")
     return "*".join(parts)
 
 

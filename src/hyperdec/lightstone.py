@@ -149,13 +149,14 @@ def _tail_run(r: Fraction):
 
 def _grid_check(x: HyperValue) -> None:
     for _, pair in x.terms:
-        if pair.b.denominator != 1 or pair.a.denominator != 1:
+        minus_b, a = pair._key  # whole exponents are ints there
+        if minus_b.denominator != 1 or a.denominator != 1:
             raise PositionOutOfModel(
                 "fractional exponents sit off the decimal grid"
             )
-        if pair.b < 0 or (pair.b == 0 and pair.a > 0):
+        if minus_b > 0 or (minus_b == 0 and a > 0):
             raise NotFinite("infinite values have no decimal rendering")
-        if pair.a != 0:
+        if a != 0:
             raise PositionOutOfModel(
                 "H-scaled coefficients have no printable digit expansion"
             )
@@ -232,10 +233,10 @@ def _coeffs(x: HyperValue) -> _Coeffs:
     """Coefficients keyed by depth (b, -a), the reverse of magnitude order."""
     out = {}
     for c, pair in x.terms:
-        b, a = pair.b, pair.a
-        if b.denominator != 1 or a.denominator != 1:
+        minus_b, a = pair._key  # whole exponents are ints there
+        if minus_b.denominator != 1 or a.denominator != 1:
             raise PositionOutOfModel("fractional exponents have no decimal digit places")
-        out[b.numerator, -a.numerator] = Fraction(c)
+        out[-minus_b, -a] = Fraction(c)
     return out
 
 

@@ -532,7 +532,7 @@ def _apply_elementary(kind: str, u: HyperValue) -> HyperValue:
         if c:
             acc = acc + power * c
     flag = acc.truncated or u.truncated or not delta.is_zero
-    return HyperValue(ctx=ctx, terms=acc.terms, truncated=flag)
+    return acc._with_flag(flag)
 
 
 def _ten_to(ctx: NumContext, j, whole: bool):

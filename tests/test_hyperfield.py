@@ -6,8 +6,10 @@ for multiplication, multiply-back and a plain-Fraction geometric series
 for inversion) rather than against the implementation's own plumbing.
 """
 
+import copy
 import json
 import math
+import pickle
 import random
 import time
 from decimal import Context, Decimal, Overflow, localcontext
@@ -1109,6 +1111,159 @@ def test_replaced_routes_agree_with_their_oracles(ctx):
             divisions += len(b.terms) > 1
             floors += outcome(a.floor)[0] == "value"
     assert divisions > 100 and floors > 50
+
+
+# ---------------------------------------------------------------- the store
+
+def _typed(items, flag):
+    """(coefficient, ExponentPair) items and a flag in the form outcome() gives."""
+    return ("value", flag, [
+        (type(c), c, [(type(e), e) for e in p._key]) for c, p in items
+    ])
+
+
+def _cut(acc, k, flag):
+    """A term map's nonzero terms, largest first, cut to k, with the flag."""
+    live = sorted((p for p, c in acc.items() if c != 0), reverse=True)
+    return _typed([(acc[p], p) for p in live[:k]], flag or len(live) > k)
+
+
+def term_map(x, y, sign):
+    """x + sign*y, term by term, as a dict of Fractions."""
+    acc = {}
+    for c, p in x.terms:
+        acc[p] = acc.get(p, Fraction(0)) + c
+    for c, p in y.terms:
+        acc[p] = acc.get(p, Fraction(0)) + sign * c
+    return acc
+
+
+def sum_by_dict(x, y, sign):
+    return _cut(term_map(x, y, sign), x.ctx.max_terms, x.truncated or y.truncated)
+
+
+def product_by_dict(x_items, y_items, k, flag):
+    acc = {}
+    for c1, p1 in x_items:
+        for c2, p2 in y_items:
+            acc[p1 + p2] = acc.get(p1 + p2, Fraction(0)) + c1 * c2
+    return _cut(acc, k, flag)
+
+
+def difference_by_dict(x, y):
+    """The leading (pair, coefficient) of x - y, uncut, or None."""
+    acc = term_map(x, y, -1)
+    live = sorted((p for p, c in acc.items() if c != 0), reverse=True)
+    return (live[0], acc[live[0]]) if live else None
+
+
+def compare_by_dict(x, y):
+    first = difference_by_dict(x, y)
+    if first is None:
+        if x.truncated or y.truncated:
+            return ("refused", "TruncationAmbiguous")
+        return ("answer", Ordering.EQUAL)
+    return ("answer", Ordering.GREATER if first[1] > 0 else Ordering.LESS)
+
+
+def classify_by_dict(x):
+    if not x.terms:
+        return (Classification.INFINITESIMAL, 0)
+    c, p = max(x.terms, key=lambda t: t[1])
+    kind = (Classification.INFINITE if p.is_infinite else
+            Classification.APPRECIABLE if p.is_unit else Classification.INFINITESIMAL)
+    return (kind, 1 if c > 0 else -1)
+
+
+def store_operand(rng, ctx, partner=None):
+    """One to five terms with whole and fractional exponents and either
+    sign; with a partner, some of its terms come back negated, so that a
+    sum cancels them.  Pairs drawn twice merge, and sometimes cancel."""
+    items = []
+    if partner is not None:
+        items = [(-c, p) for c, p in partner.terms if rng.random() < 0.6]
+    for _ in range(rng.randrange(1, 6) - min(len(items), 2)):
+        c = Fraction(rng.choice((-1, 1)) * rng.randrange(1, 40), rng.choice((1, 2, 3, 6, 7)))
+        p = ExponentPair(*rng.choice(_CORPUS_PAIRS))
+        items.append((c, p))
+        if rng.random() < 0.1:
+            items.append((-c, p))
+    x = ctx.from_terms(items)
+    if rng.random() < 0.2:
+        x = HyperValue(ctx=ctx, terms=x.terms, truncated=True)
+    return x
+
+
+def answer(fn, *args):
+    """outcome() with a refusal reduced to its type."""
+    got = outcome(fn, *args)
+    return got[:2] if got[0] == "refused" else got
+
+
+@pytest.mark.parametrize("k, count", [(2, 50), (4, 50), (16, 30), (40, 8)])
+def test_store_ops_match_fraction_oracles(k, count):
+    """Every exact operation on the store gives the terms, flag and answer
+    (or refusal type) of a plain dict-of-Fractions oracle, or of the
+    routes through products and the inverse."""
+    ctx = NumContext(max_terms=k)
+    rng = random.Random(f"store-{k}")
+    seen = {"cancel": 0, "cut": 0, "flagged": 0, "refused": 0}
+    for _ in range(count):
+        x = store_operand(rng, ctx)
+        y = store_operand(rng, ctx, partner=x if rng.random() < 0.4 else None)
+        for a, b in ((x, y), (y, x)):
+            got = outcome(lambda: a + b)
+            assert got == sum_by_dict(a, b, 1)
+            assert outcome(lambda: a - b) == sum_by_dict(a, b, -1)
+            product = outcome(lambda: a * b)
+            assert product == product_by_dict(a.terms, b.terms, k, a.truncated or b.truncated)
+            assert outcome(lambda: a / b) == outcome(divide_by_inverse, a, b)
+            if len(b.terms) == 1:
+                (c, p), = b.terms
+                assert outcome(lambda: a / b) == product_by_dict(
+                    a.terms, [(1 / c, -p)], k, a.truncated or b.truncated)
+            assert answer(a.compare, b) == compare_by_dict(a, b)
+            first = difference_by_dict(a, b)
+            assert a.approx_eq(b) is (first is None or first[0].is_infinitesimal)
+            seen["cancel"] += len(got[2]) < len(set(p for _, p in a.terms + b.terms))
+            seen["cut"] += product[1] and not (a.truncated or b.truncated)
+            seen["refused"] += answer(a.compare, b)[0] == "refused"
+        for v in (x, y):
+            seen["flagged"] += v.truncated
+            inverse = outcome(v.inv)
+            assert inverse == outcome(lambda: 1 / v)
+            if len(v.terms) == 1:
+                (c, p), = v.terms
+                assert inverse == _typed([(1 / c, -p)], v.truncated)
+            elif k <= 4 and v.terms:
+                want, flag = oracle_inv(v, k, rounds=3 * k)
+                assert inverse == _typed(want, flag)
+            for n in (-3, -2, -1, 0, 1, 2, 3):
+                assert answer(lambda: v**n) == answer(power_by_products, v, n)
+            if v.terms:
+                assert outcome(lambda: v**2) == product_by_dict(v.terms, v.terms, k, v.truncated)
+            assert answer(v.standard_part) == answer(standard_part_by_scan, v)
+            assert v.classify() == classify_by_dict(v)
+            floor = outcome(v.floor)
+            assert floor == outcome(floor_by_parts, v)
+            seen["refused"] += floor[0] == "refused"
+    if k > 4:  # sums and products of five terms seldom pass this K
+        del seen["cut"]
+    assert all(seen.values()), seen
+
+
+def test_terms_are_built_once_and_round_trip():
+    x = (CTX.constant(Fraction(1, 3)) - CTX.tau(Fraction(1, 2))) / (2 - CTX.omega(-1))
+    terms = x.terms
+    assert x.terms is terms and all(type(c) is Fraction for c, _ in terms)
+    same = HyperValue(ctx=x.ctx, terms=x.terms, truncated=x.truncated)
+    assert same == x and hash(same) == hash(x) and same.terms == terms
+    assert HyperValue(ctx=CTX, terms=terms, truncated=False) != x
+    # copies of a value whose terms were never read
+    for fresh in (x * x, CTX.constant(Fraction(-5, 4)) + CTX.tau(), CTX.zero()):
+        for clone in (copy.copy(fresh), copy.deepcopy(fresh), pickle.loads(pickle.dumps(fresh))):
+            assert clone == fresh and hash(clone) == hash(fresh)
+            assert clone.terms == fresh.terms and repr(clone) == repr(fresh)
 
 
 # ---------------------------------------------------------------- identity chains

@@ -6,21 +6,23 @@ exponents a, b are rationals.  Because eps is exponentially small in H,
 eps**b dominates every power of H: the single pair (b, a) fixes a term's
 magnitude outright.  Arithmetic keeps at most K terms per value, always
 the K largest, and raises a sticky `truncated` flag whenever anything
-was dropped.  An inverse is an infinite series cut the same way: its
-coefficients come largest key first from the reciprocal recurrence, and
-the K leading nonzero ones are kept.  The flag records only that
-something was dropped, not how much: comparisons refuse to certify
-equality of flagged values, but they still read the sign of a nonzero
-difference from its leading surviving term, and after cancellation that
-term can be an artifact of the cut.  (1/(1-eps))*(1-eps) comes out as
-1 - eps^16, flagged, and compares LESS than 1.
+was dropped.  A quotient is cut the same way: one walk of the quotient
+recurrence gives its coefficients largest key first and keeps the K
+leading nonzero ones; when the walk runs dry first, the quotient is
+finite and exact, so (1-eps^2)/(1-eps) is 1 + eps, unflagged, while an
+inverse never runs dry.  The flag records only that something was
+dropped, not how much: comparisons refuse to certify equality of flagged
+values, but they still read the sign of a nonzero difference from its
+leading surviving term, and after cancellation that term can be an
+artifact of the cut.  (1/(1-eps))*(1-eps) comes out as 1 - eps^16,
+flagged, and compares LESS than 1.
 
 A value holds a store: its magnitude keys (-b, a), largest first, with
 whole entries as ints; in exact mode its int numerators over one
 positive denominator, reduced by one gcd, so that the form is unique and
 == and hash compare it directly; in float mode its Decimal coefficients.
 Every operation reads and writes the store: a sum is one merge over the
-lcm of the two denominators, a product and an inverse run on the
+lcm of the two denominators, a product and a quotient run on the
 numerators, and order, floor and standard part are read off the key
 lists (the first key where two values differ; infinite terms first, then
 the unit) without building a difference or part value.  `terms`, the
@@ -375,21 +377,6 @@ def _build(
     return _value(ctx, keys, cs, scale, truncated)
 
 
-def _product(ctx: NumContext, xk, xc, yk, yc, truncated: bool, scale=None) -> "HyperValue":
-    """The product of two series given as keys and coefficients, cut to
-    K; with a scale both hold int numerators over scales whose product
-    it is."""
-    acc: dict[_Key, Union[int, Decimal]] = {}
-    ys = list(zip(yk, yc))
-    with ctx.arith():
-        for (b1, a1), c1 in zip(xk, xc):
-            for (b2, a2), c2 in ys:
-                key = (b1 + b2, a1 + a2)
-                prod = c1 * c2
-                acc[key] = acc[key] + prod if key in acc else prod
-    return _build(ctx, acc, truncated, scale)
-
-
 def _sum(x: "HyperValue", y: "HyperValue", negate: bool) -> "HyperValue":
     """x + y, or x - y when negate, by one merge of the two key lists
     (both largest first, so the merge keeps the order); exact operands
@@ -599,8 +586,17 @@ class HyperValue(Record):
             return self._mul_monomial(rhs)
         if len(xk) == 1:
             return rhs._mul_monomial(self)
+        ctx = self.ctx
+        acc: dict[_Key, Union[int, Decimal]] = {}
+        ys = list(zip(yk, yc))
+        with ctx.arith():
+            for (b1, a1), c1 in zip(xk, xc):
+                for (b2, a2), c2 in ys:
+                    key = (b1 + b2, a1 + a2)
+                    prod = c1 * c2
+                    acc[key] = acc[key] + prod if key in acc else prod
         truncated = self.truncated or rhs.truncated
-        return _product(self.ctx, xk, xc, yk, yc, truncated, None if dx is None else dx * dy)
+        return _build(ctx, acc, truncated, None if dx is None else dx * dy)
 
     __rmul__ = __mul__
 
@@ -626,13 +622,13 @@ class HyperValue(Record):
         )
 
     def inv(self) -> "HyperValue":
-        """Multiplicative inverse by the power-series reciprocal recurrence.
+        """Multiplicative inverse: the quotient walk with the unit as seed.
 
         A one-term x inverts exactly.  Otherwise the terms are the K that
-        _reciprocal gives, with the flag set: exact mode puts them over
-        one denominator; float mode rounds each once, to the correctly
-        rounded coefficient of the exact series, and drops those that
-        underflow.
+        _quotient gives, with the flag set, since 1/x never runs dry: exact
+        mode keeps them over one denominator; float mode rounds each once,
+        to the correctly rounded coefficient of the exact series, and drops
+        those that underflow.
         """
         keys, cs, den = self._store
         if not keys:
@@ -647,7 +643,7 @@ class HyperValue(Record):
             else:  # den / c, whose terms are coprime
                 store = (((-b, -a),), (den,) if c > 0 else (-den,), abs(c))
             return _make(ctx, store, self.truncated)
-        keys, nums, scale = self._reciprocal()
+        keys, nums, scale, _ = self._quotient(((0, 0),), (1,), 1)
         if den is not None:
             return _value(ctx, keys, nums, scale, True)
         with ctx.arith():
@@ -655,21 +651,23 @@ class HyperValue(Record):
             cs = [Decimal(n) / scale for n in nums]
         return _value(ctx, keys, cs, None, True)
 
-    def _reciprocal(self) -> tuple[list, list, int]:
-        """The K leading terms of 1/x = s/c, for x of two or more terms,
-        as their keys and int numerators over one positive denominator.
+    def _quotient(self, xk, xc, dx) -> tuple[list, list, int, bool]:
+        """The K leading terms of x/self, for self of two or more terms and
+        x given as keys and int numerators over dx > 0: their keys, their
+        int numerators over one positive denominator, and True when the
+        walk ran dry, which makes them the whole quotient.
 
-        Writing x = c*mu*(1 + r) with r strictly below unit magnitude,
-        the inverse is (1/c)*mu**-1 * s with s = 1/(1 + r).  With
-        -r = sum(m_i * X**o_i), every offset o_i below the unit, s obeys
-        s_0 = 1 and s_p = sum(m_i * s_(p - o_i)), where each p - o_i lies
-        above p.  A heap visits the keys that sums of offsets reach,
-        largest first, so each s_p is formed after everything it reads,
-        and the walk stops at the K-th nonzero coefficient, or refuses
-        after 64*K keys.  Each s_p is an int numerator over q**d, q the
-        lcm of the denominators of the m_i, lifted only when it is read,
-        and at the end over the deepest q**d times c.  Float mode runs the
-        recurrence on the exact values of its Decimal coefficients.
+        Writing self = c*mu*(1 + r) with r strictly below unit magnitude
+        and -r = sum(m_i * X**o_i), x/self = (1/c)*mu**-1 * t where
+        t_p = x_p + sum(m_i * t_(p - o_i)), each p - o_i above p (Knuth,
+        TAOCP vol. 2, 4.7).  A heap seeded with x's keys visits the keys
+        that offsets reach from them largest first, so each t_p is formed
+        after everything it reads, and a key is nonzero only if it is a
+        seed or follows a nonzero key.  The walk stops when the heap
+        empties or at the K-th nonzero t_p, or refuses after 64*K keys or
+        past _POW_BITS_CAP.  Each t_p is an int numerator over q**d * dx,
+        q the lcm of the denominators of the m_i, lifted when it is read.
+        Float mode walks the exact values of its Decimal coefficients.
         """
         keys, nums, scale = self._store
         if scale is None:  # the exact values of the Decimals, over one scale
@@ -678,7 +676,7 @@ class HyperValue(Record):
             nums = [n * (scale // d) for n, d in ratios]
         # The recurrence runs on magnitude keys scaled by the common
         # denominator of the exponents, so that they are int pairs.
-        den = math.lcm(*(x.denominator for key in keys for x in key))
+        den = math.lcm(*(e.denominator for key in (*keys, *xk) for e in key))
         b0, a0 = _scaled_key(keys[0], den)
         # m_i = -n_i / n0 over q = |n0| / gcd(n0, n_1, ...), the lcm of
         # their reduced denominators
@@ -691,33 +689,42 @@ class HyperValue(Record):
             b, a = _scaled_key(key, den)
             steps.append(((b - b0, a - a0), flip * (n // g)))
         budget = self.ctx.max_terms
+        # A numerator d deep takes about d*size bits.  From one seed the
+        # offsets reach at most C(D + L, L) keys within depth D, and a
+        # one-term x never runs dry: when that is below K, refuse at once.
+        size = max(q.bit_length(), *[abs(m).bit_length() for _, m in steps])
+        deepest = _POW_BITS_CAP // size
+        if len(xk) == 1 and deepest < budget and math.comb(deepest + len(steps), deepest) < budget:
+            deepest = -1
         # Keys are negated so that the min-heap pops the largest first.
         # The walk visits at most 64*K keys, those whose coefficient
         # vanishes included, so a sparse series may reach deep keys while
         # the work stays bounded.
         visits = 64 * budget
-        heap = [(-b, -a) for (b, a), _ in steps]
+        seed = {(-b, -a): n for (b, a), n in zip([_scaled_key(key, den) for key in xk], xc)}
+        heap = list(seed)
         heapq.heapify(heap)
         seen = set(heap)
         pop, push = heapq.heappop, heapq.heappush
-        num = {(0, 0): (1, 0)}  # negated key -> (n, d) with s = n / q**d
-        found = [(0, 0)]
-        qpow = [1, q]
-        while len(found) < budget:
+        num = {}  # negated key -> (n, d) with t = n / (q**d * dx)
+        found = []
+        qpow = [1]
+        while heap and len(found) < budget:
             if not visits:
                 raise ResourceLimit(
-                    f"the inverse series has fewer than {budget} nonzero terms"
+                    f"the quotient series has fewer than {budget} nonzero terms"
                     f" in its first {64 * budget} keys"
                 )
             visits -= 1
             key = pop(heap)
             nb, na = key
-            total = d = 0
+            total = seed.get(key, 0)
+            d = 0
             for (ob, oa), m in steps:
                 s = num.get((nb + ob, na + oa))
                 if s is None:
                     continue
-                n, e = s[0] * m, s[1] + 1  # m * s over q**e; lift the shallower
+                n, e = s[0] * m, s[1] + 1  # m * t over q**e; lift the shallower
                 if e > d:
                     total *= qpow[e - d]
                     d = e
@@ -726,6 +733,10 @@ class HyperValue(Record):
                 total += n
             if not total:
                 continue
+            if d > deepest:
+                raise ResourceLimit(
+                    f"the coefficients of this quotient would pass the {_POW_BITS_CAP}-bit cap"
+                )
             num[key] = (total, d)
             found.append(key)
             qpow.append(qpow[-1] * q)
@@ -735,8 +746,8 @@ class HyperValue(Record):
                 if nxt not in seen:
                     seen.add(nxt)
                     push(heap, nxt)
-        # s_p / c = n * scale / (q**d * n0), over q**top * |n0|
-        top = max(num[key][1] for key in found)
+        # t_p / c = n * scale / (q**d * dx * n0), over q**top * dx * |n0|
+        top = max([num[key][1] for key in found], default=0)
         lift = scale if n0 > 0 else -scale
         keys, nums = [], []
         for nb, na in found:
@@ -744,18 +755,20 @@ class HyperValue(Record):
             b, a = -nb - b0, -na - a0
             keys.append((b, a) if den == 1 else _whole_key((Fraction(b, den), Fraction(a, den))))
             nums.append(n * lift * qpow[top - d])
-        return keys, nums, qpow[top] * abs(n0)
+        return keys, nums, qpow[top] * dx * abs(n0), not heap
 
     def __truediv__(self, other) -> "HyperValue":
+        """self / other: one _quotient walk for an exact divisor of two or
+        more terms, else the product with the inverse."""
         rhs = self._coerce(other)
         if rhs is NotImplemented:
             return NotImplemented
         xk, xc, dx = self._store
         if len(rhs._store[0]) < 2 or dx is None:
             return self * rhs.inv()
-        # the reciprocal's numerators go straight into the product
-        yk, yc, dy = rhs._reciprocal()
-        return _product(self.ctx, xk, xc, yk, yc, True, dx * dy)
+        keys, nums, den, dry = rhs._quotient(xk, xc, dx)
+        truncated = self.truncated or rhs.truncated or not dry
+        return _value(self.ctx, keys, nums, den, truncated)
 
     def __rtruediv__(self, other) -> "HyperValue":
         rhs = self._coerce(other)

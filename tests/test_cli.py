@@ -29,6 +29,14 @@ def test_eval_lightstone_compare(capsys):
     assert out == "1 - eps\n.999…;…9̂\ncompare to 1: Less\n"
 
 
+def test_exact_quotient_prints_unflagged(capsys):
+    code, out, _ = run(capsys, "eval", "(1-eps^2)/(1-eps)")
+    assert (code, out) == (0, "1 + eps\n")
+    code, out, _ = run(capsys, "eval", "(1-eps^2)/(1-eps)", "--json")
+    payload = json.loads(out)
+    assert (code, payload["value"], payload["flags"]["truncated"]) == (0, "1 + eps", False)
+
+
 def test_st(capsys):
     code, out, _ = run(capsys, "st", "nines(H)")
     assert (code, out) == (0, "1\n")
@@ -419,6 +427,7 @@ _TOO_DEEP = "the expression nests too deeply to evaluate"
 _BIT_CAP = "the coefficient of this power would take about 700000000 bits"
 _NEWTON_CAP = "the iterate at step 9 has more than 4300 digits and is too large to print"
 _PRINT_CAP = "a coefficient with more than 4300 digits is too large to print"
+_QUOTIENT_CAP = "the coefficients of this quotient would pass the 4194304-bit cap"
 
 # Hostile CLI lines: deep nesting, huge powers, huge results and huge
 # context flags.  Each row is (argv, exit code, text): the start of the
@@ -456,6 +465,13 @@ HOSTILE_LINES = [
     # a 3.9-million-bit lead power, just under the bit cap
     pytest.param(("eval", "(2^300000+eps)^13"), 1, _PRINT_CAP,
                  id="eval-exact-power-of-a-huge-binomial"),
+    # the inverse's terms grow by about 300,000 bits each
+    pytest.param(("st", "1/(2 + 1/2^300000*eps)"), 1, _QUOTIENT_CAP,
+                 id="st-exact-inverse-past-the-bit-cap"),
+    pytest.param(("classify", "(2 + -1/2^300000*H)^(-1)", "--mode", "float"), 1, _QUOTIENT_CAP,
+                 id="classify-float-inverse-past-the-bit-cap"),
+    pytest.param(("st", "1/(2 + 1/2^30000*eps)"), 0, "1/2",
+                 id="st-exact-inverse-under-the-bit-cap"),
 ]
 
 

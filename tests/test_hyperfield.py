@@ -533,7 +533,7 @@ def test_inverse_of_a_sparse_series_answers_within_its_key_budget():
     ctx = NumContext(max_terms=256)
     x = 1 / (1 - ctx.tau())
     start = time.perf_counter()
-    with pytest.raises(ResourceLimit, match="^the inverse series has fewer than 256 nonzero"
+    with pytest.raises(ResourceLimit, match="^the quotient series has fewer than 256 nonzero"
                        " terms in its first 16384 keys$"):
         1 / x
     assert time.perf_counter() - start < 2
@@ -960,9 +960,41 @@ def test_floor_truncated_boundary_refused():
 
 def divide_by_inverse(a, b):
     """a / b as the product by the inverse, the route of every division
-    before an exact multi-term divisor sent its reciprocal's numerators
-    straight into the product."""
+    before exact division by two or more terms became one walk; float
+    division still takes it."""
     return a * b.inv()
+
+
+def residue_holds(a, b, q):
+    """Whether q passes for a / b by its residue r = a - q*b, formed in a
+    context that cuts nothing, so that no division is used.
+
+    An unflagged q needs unflagged operands and r = 0.  A flagged one
+    needs r = 0, or K terms and r's lead below lead(b) + q's last key:
+    then r/b = a/b - q starts below q's last key, and q is the K leading
+    terms of the exact quotient.
+    """
+    wide = NumContext(max_terms=max(2, len(a.terms) + len(q.terms) * len(b.terms)))
+    aw, bw, qw = (wide.from_terms(v.terms) for v in (a, b, q))
+    r = aw - qw * bw
+    if not q.truncated:
+        return not (a.truncated or b.truncated) and r.is_zero
+    return r.is_zero or (len(q.terms) == q.ctx.max_terms
+                         and r.terms[0][1] < b.terms[0][1] + q.terms[-1][1])
+
+
+def check_division(a, b):
+    """An exact a / b passes the residue oracle, and where the route
+    through the inverse passes it too, the two agree term for term; only
+    their flags may differ, where the walk ran dry (a zero dividend).  A
+    refusal is the inverse route's refusal."""
+    got, want = outcome(lambda: a / b), outcome(divide_by_inverse, a, b)
+    if "refused" in (got[0], want[0]):
+        assert got[:2] == want[:2]
+        return
+    assert residue_holds(a, b, a / b)
+    if residue_holds(a, b, divide_by_inverse(a, b)):
+        assert got[2] == want[2] and got[1] <= want[1]
 
 
 def compare_by_difference(x, y):
@@ -1103,7 +1135,10 @@ def test_replaced_routes_agree_with_their_oracles(ctx):
     divisions = floors = 0
     for x, y in corpus(ctx, 120):
         for a, b in ((x, y), (y, x)):
-            assert outcome(lambda: a / b) == outcome(divide_by_inverse, a, b)
+            if ctx.mode == "float":
+                assert outcome(lambda: a / b) == outcome(divide_by_inverse, a, b)
+            else:
+                check_division(a, b)
             assert outcome(a.compare, b) == outcome(compare_by_difference, a, b)
             assert outcome(a.approx_eq, b) == outcome(approx_eq_by_difference, a, b)
             assert outcome(a.floor) == outcome(floor_by_parts, a)
@@ -1204,7 +1239,8 @@ def answer(fn, *args):
 def test_store_ops_match_fraction_oracles(k, count):
     """Every exact operation on the store gives the terms, flag and answer
     (or refusal type) of a plain dict-of-Fractions oracle, or of the
-    routes through products and the inverse."""
+    routes through products and the inverse; a quotient passes the
+    residue oracle."""
     ctx = NumContext(max_terms=k)
     rng = random.Random(f"store-{k}")
     seen = {"cancel": 0, "cut": 0, "flagged": 0, "refused": 0}
@@ -1217,7 +1253,7 @@ def test_store_ops_match_fraction_oracles(k, count):
             assert outcome(lambda: a - b) == sum_by_dict(a, b, -1)
             product = outcome(lambda: a * b)
             assert product == product_by_dict(a.terms, b.terms, k, a.truncated or b.truncated)
-            assert outcome(lambda: a / b) == outcome(divide_by_inverse, a, b)
+            check_division(a, b)
             if len(b.terms) == 1:
                 (c, p), = b.terms
                 assert outcome(lambda: a / b) == product_by_dict(
@@ -1250,6 +1286,41 @@ def test_store_ops_match_fraction_oracles(k, count):
     if k > 4:  # sums and products of five terms seldom pass this K
         del seen["cut"]
     assert all(seen.values()), seen
+
+
+def test_a_quotient_that_runs_dry_is_exact():
+    eps, om = CTX.tau(), CTX.omega()
+    assert (1 - eps**2) / (1 - eps) == 1 + eps
+    assert ((1 + eps) * (2 + eps)) / (1 + eps) == 2 + eps
+    x = ((3 + om) * (1 - eps)) / (1 - eps)
+    assert x == 3 + om and x.compare(3 + om) is Ordering.EQUAL
+    # a flagged operand flags the quotient; 1/x never runs dry
+    flagged = HyperValue(ctx=CTX, terms=(1 - eps).terms, truncated=True)
+    assert ((1 - eps**2) / flagged).terms == (1 + eps).terms
+    assert ((1 - eps**2) / flagged).truncated and (1 / (1 - eps)).truncated
+
+
+@pytest.mark.parametrize("k", [2, 4, 16, 40])
+def test_exact_quotients_come_out_exact(k):
+    """(x*y)/y is x, unflagged, when x and y are unflagged, y has two or
+    more terms, x*y is not cut and x has fewer than K terms (a walk that
+    reaches K terms stops there, flagged); 0/y is an unflagged zero."""
+    ctx = NumContext(max_terms=k)
+    rng = random.Random(f"exact-quotient-{k}")
+    checked = 0
+    for _ in range(80):
+        x, y = (ctx.from_terms(store_operand(rng, ctx).terms) for _ in range(2))
+        if len(y.terms) < 2:
+            continue
+        assert ctx.zero() / y == ctx.zero()  # == compares the flags too
+        xy = x * y
+        if xy.truncated or len(x.terms) >= k:
+            continue
+        q = xy / y
+        assert q == x and not q.truncated
+        assert q.compare(x) is Ordering.EQUAL
+        checked += 1
+    assert checked > (5 if k == 2 else 20)
 
 
 def test_terms_are_built_once_and_round_trip():

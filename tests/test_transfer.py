@@ -953,6 +953,48 @@ def test_evt_demo_tie_keeps_first_index():
     assert rep.rows[0].argmax == 0
 
 
+def evt_by_refolding(f, ctx, n, doublings):
+    """evt_demo's rows with every point of every grid folded afresh."""
+    num = transfer._scalars(ctx, ctx.mode == "exact" and is_arithmetic(f))
+    rows = []
+    for j in range(doublings + 1):
+        m = n * 2**j
+        best_i, best = 0, None
+        for i in range(m + 1):
+            v = num.fold(f, Fraction(i, m))
+            if best is None or v > best:
+                best, best_i = v, i
+        rows.append((m, Fraction(best_i, m), best))
+    return rows
+
+
+@pytest.mark.parametrize("f, ctx", [
+    (Mul(X, Sub(const(1), X)), EXACT),
+    (Sin(Mul(const(3), X)), FLOAT),
+    (Sin(Mul(const(3), X)), EXACT),
+    (const(7), EXACT),  # every point ties
+    (Mul(Sub(X, const(Fraction(3, 8))), Sub(X, const(Fraction(5, 8)))), EXACT),  # two peaks tie
+    (Div(const(1), Sub(Mul(const(16), X), const(1))), EXACT),  # refuses at 1/16 only
+], ids=["parabola", "float-sin", "exact-sin", "constant", "two-ends", "pole-at-an-odd-point"])
+def test_evt_demo_folds_each_grid_point_once(f, ctx, monkeypatch):
+    def outcome(run):
+        try:
+            return run()
+        except HyperError as exc:
+            return (type(exc), str(exc))
+
+    want = outcome(lambda: evt_by_refolding(f, ctx, 8, 2))
+    folds = []
+    fold = transfer._Backend.fold
+    monkeypatch.setattr(transfer._Backend, "fold",
+                        lambda self, g, x: folds.append(x) or fold(self, g, x))
+    got = outcome(lambda: [(r.n, r.argmax, r.value)
+                           for r in evt_demo(f, ctx, n=8, doublings=2).rows])
+    assert got == want
+    if isinstance(want, list):  # 9 points, then the 8 and 16 odd ones of the finer grids
+        assert len(folds) == len(set(folds)) == 33
+
+
 def test_eval_real_runs_at_the_context_precision_in_both_modes():
     f = Sin(X)
     for prec in (12, 60):

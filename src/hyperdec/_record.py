@@ -7,9 +7,9 @@ once, in ``__init__``, through its slot descriptor (or
 AttributeError.  Records of the same class are equal when their listed
 fields are, the hash is that of the listed fields' tuple and the repr
 shows them as keyword arguments, as the generated methods of a frozen
-dataclass do.  Slots named in ``_hidden`` (a node's source span, the
-refusal behind a limit report) are left out of all three, and the
-generic ``__init__`` takes them by keyword only.
+dataclass do.  Slots named in ``_hidden`` (a node's source span) are
+left out of all three; the classes that hide one take it by keyword
+only in their own ``__init__``.
 
 Classes on hot paths write their own ``__init__``, ``__eq__`` and
 ``__hash__``; the generic ``__init__`` here takes the listed fields
@@ -52,8 +52,6 @@ class Record:
                 _set(self, field, self._defaults[field])
             else:
                 raise TypeError(f"{type(self).__name__}() missing argument {field!r}")
-        for field in self._hidden:
-            _set(self, field, kwargs.pop(field, self._defaults.get(field)))
         if kwargs:
             raise TypeError(
                 f"{type(self).__name__}() got an unexpected or repeated"

@@ -56,9 +56,9 @@ def _position(text: str):
 
 def _standard_point(src: str, ctx: NumContext):
     value = eval_command(parse_command(src), ctx)
-    if not all(pair.b == 0 and pair.a == 0 for _, pair in value.terms):
+    if not (value.is_finite and value.infinitesimal_part().is_zero):
         raise ParseError(f"{src!r} is not a standard point")
-    return value.standard_part() if value.terms else Fraction(0)
+    return value.standard_part()
 
 
 class _Result:
@@ -302,7 +302,7 @@ def _cmd_repl(args, ctx: NumContext) -> _Result:
             if v.truncated:
                 text += "  [truncated]"
             print(text)
-        except HyperError as exc:
+        except (HyperError, ValueError) as exc:  # what run_cli refuses, too
             print(f"error: {exc}", file=sys.stderr)
         except RecursionError:
             print(f"error: {_TOO_DEEP}", file=sys.stderr)
@@ -330,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"decimal digits in float mode (default 50, at most {_MAX_PREC})",
     )
     common.add_argument(
-        "--terms", type=int, default=16,
+        "--terms", type=int, default=16, dest="max_terms", metavar="TERMS",
         help=f"series length bound (default 16, at most {_MAX_TERMS})",
     )
     common.add_argument(
@@ -443,11 +443,11 @@ def run_cli(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         # NumContext refuses a --prec or --terms below range with ValueError
-        if args.terms > _MAX_TERMS:
+        if args.max_terms > _MAX_TERMS:
             raise ValueError(f"term budget must be at most {_MAX_TERMS}")
         if args.prec > _MAX_PREC:
             raise ValueError(f"precision must be at most {_MAX_PREC} digits")
-        ctx = NumContext(mode=args.mode, prec=args.prec, max_terms=args.terms)
+        ctx = NumContext(mode=args.mode, prec=args.prec, max_terms=args.max_terms)
         result = args.handler(args, ctx)
     except ParseError as exc:
         return _fail(args, exc, 2)

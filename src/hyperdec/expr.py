@@ -23,15 +23,16 @@ reproduces the tree exactly.
 
 import functools
 import re
+import sys
 from fractions import Fraction
 from typing import Optional
 
 from . import transfer
 from ._record import Record
-from .errors import DomainError, ParseError, UnknownIdentifier
+from .errors import DomainError, ParseError, ResourceLimit, UnknownIdentifier
 from .hyperfield import HyperValue, NumContext, _ten_power, nines, nines_hyper
 from .transfer import Add, Const, Div, FuncExpr, Mul, NamedConst, Neg, Pow10, PowInt, Sub, Var
-from .transfer import _set_span, limit_seq
+from .transfer import _set_span, eval_star
 
 # --------------------------------------------------------------------------
 # tokens
@@ -252,9 +253,14 @@ class _Parser:
         span = (tok.pos, tok.pos + len(tok.text))
         if tok.kind == "num":
             self.take()
-            # int() is cheaper than Fraction's string parser, and exact
-            text = tok.text
-            return Const(Fraction(text) if "." in text else int(text), span=span)
+            try:  # int() is cheaper than Fraction's string parser, and exact
+                value = Fraction(tok.text) if "." in tok.text else int(tok.text)
+            except ValueError as exc:  # only the digit limit fails a digit string
+                raise ResourceLimit(
+                    f"a number literal with more than {sys.get_int_max_str_digits()}"
+                    " digits is too large to read"
+                ) from exc
+            return Const(value, span=span)
         if tok.kind == "name":
             if tok.text == "lim":
                 return self.limit()
@@ -409,8 +415,8 @@ def print_command(cmd: Command) -> str:
 # --------------------------------------------------------------------------
 
 def _integer_exponent(v: HyperValue) -> int:
-    if all(pair.b == 0 and pair.a == 0 for _, pair in v.terms):
-        k = Fraction(v.standard_part() if v.terms else 0)
+    if v.is_finite and v.infinitesimal_part().is_zero:
+        k = Fraction(v.standard_part())
         if k.denominator == 1:
             return int(k)
     raise DomainError("exponents must be standard integers unless the base is 10")
@@ -450,13 +456,12 @@ class _Values(transfer._Hypers):
                 return ctx.constant(v.standard_part())
             return v.floor() if f.func == "floor" else abs(v)
         if isinstance(f, LimSeq):
-            result = limit_seq(to_function(f.body, f.var), ctx)
-            if result.outcome == "diverges":
-                why = f"diverges to {'+' if result.sign > 0 else '-'}infinity"
+            # the generic limit: st of the body at the infinite index H
+            v = eval_star(to_function(f.body, f.var), ctx.omega())
+            if not v.is_finite:
+                why = f"diverges to {'+' if v.sign() > 0 else '-'}infinity"
                 raise DomainError(f"limit does not converge ({why})")
-            if result.outcome != "converges":
-                raise result.error  # the refusal at the infinite index, as it was
-            return ctx.constant(result.value)
+            return ctx.constant(v.standard_part())
         return super().other(f, x)
 
 

@@ -25,7 +25,7 @@ from typing import Optional, Union
 
 from ._record import Record
 from .errors import AssertionFailed, DerivativeVanishes, DomainError, HyperError, ResourceLimit
-from .hyperfield import NumContext
+from .hyperfield import NumContext, _text
 from .transfer import FuncExpr, _jet, eval_real, is_arithmetic
 
 Scalar = Union[Fraction, Decimal]
@@ -61,8 +61,8 @@ def calculator_display(v, digits: int) -> str:
     r = Fraction(v)
     if r < 0:
         raise ValueError("display is defined for nonnegative values")
-    scaled = (r.numerator * 10**digits) // r.denominator
-    return f"{scaled // 10**digits}.{scaled % 10**digits:0{digits}d}"
+    whole, frac = divmod((r.numerator * 10**digits) // r.denominator, 10**digits)
+    return f"{_text(whole, 'a display')}.{_text(frac, 'a display').zfill(digits)}"
 
 
 def _start_fraction(x0) -> Fraction:

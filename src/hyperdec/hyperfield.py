@@ -25,9 +25,12 @@ Every operation reads and writes the store: a sum is one merge over the
 lcm of the two denominators, a product and a quotient run on the
 numerators, and order, floor and standard part are read off the key
 lists (the first key where two values differ; infinite terms first, then
-the unit) without building a difference or part value.  `terms`, the
-(coefficient, ExponentPair) tuple that printers and callers read, is
-built from the store on first read and kept.
+the unit) without building a difference or part value.  The printers,
+Lightstone and the power-of-ten rule read it through `_items`, and the
+other modules through public calls.  `terms`, the (coefficient,
+ExponentPair) tuple, is only the view for callers outside the package,
+built on first read and kept; the constructor normalizes its terms as
+`from_terms` does.
 """
 
 from __future__ import annotations
@@ -436,26 +439,17 @@ class HyperValue(Record):
 
     Fields: ctx (a NumContext), terms (a tuple of (coefficient,
     ExponentPair) pairs) and truncated (a bool).  The value holds its
-    store (keys, coefficients, den) and every operation reads that;
-    terms is built from it on first read and kept.  The constructor
-    builds the store from the terms it is given, and keeps them too.
+    store (keys, coefficients, den), which every operation and printer
+    reads; terms is a view of it, built on first read and kept.
     """
 
     __slots__ = ("ctx", "_store", "truncated", "_terms")
 
-    def __init__(self, ctx: NumContext, terms: tuple, truncated: bool) -> None:
-        terms = tuple(terms)
-        keys = tuple([pair._key for _, pair in terms])
-        if ctx.mode == "exact":
-            den = math.lcm(*[c.denominator for c, _ in terms])
-            nums = [c.numerator * (den // c.denominator) for c, _ in terms]
-            store = (keys, tuple(nums), den)
-        else:
-            store = (keys, tuple([c for c, _ in terms]), None)
+    def __init__(self, ctx: NumContext, terms: Iterable, truncated: bool) -> None:
+        x = ctx.from_terms(terms, truncated)
         _set_ctx(self, ctx)
-        _set_store(self, store)
-        _set_truncated(self, truncated)
-        _set_terms(self, terms)
+        _set_store(self, x._store)
+        _set_truncated(self, x.truncated)
 
     @property
     def terms(self) -> tuple:
@@ -464,12 +458,7 @@ class HyperValue(Record):
             return self._terms
         except AttributeError:
             pass
-        keys, cs, den = self._store
-        pairs = map(ExponentPair._of, keys)
-        if den is None:
-            terms = tuple(zip(cs, pairs))
-        else:
-            terms = tuple([(Fraction(n, den), pair) for n, pair in zip(cs, pairs)])
+        terms = tuple([(c, ExponentPair._of(key)) for key, c in _items(self)])
         _set_terms(self, terms)
         return terms
 
@@ -507,7 +496,7 @@ class HyperValue(Record):
     def leading(self) -> tuple[Coefficient, ExponentPair]:
         if not self._store[0]:
             raise ValueError("zero has no leading term")
-        return self.terms[0]
+        return self._coefficient(0), ExponentPair._of(self._store[0][0])
 
     def sign(self) -> int:
         cs = self._store[1]
@@ -1033,6 +1022,16 @@ _set_terms = HyperValue._terms.__set__
 HyperValue._fields = HyperValue.__match_args__ = ("ctx", "terms", "truncated")
 
 
+def _items(x: HyperValue) -> Iterable[tuple[_Key, Coefficient]]:
+    """x's (magnitude key, coefficient) pairs, largest first, whole key
+    entries as ints: the store's one reader outside the arithmetic.  An
+    exact coefficient becomes a Fraction only when its pair is reached."""
+    keys, cs, den = x._store
+    if den is None:
+        return zip(keys, cs)
+    return ((key, Fraction(n, den)) for key, n in zip(keys, cs))
+
+
 def _reduced(n: int, den: int) -> tuple[int, int]:
     """n / den in lowest terms, den > 0."""
     g = math.gcd(n, den)
@@ -1046,16 +1045,21 @@ def _check_power_bits(n: int, d: int, k: int) -> None:
     size = max(n.bit_length(), d.bit_length())
     bits = k * size
     if size > 1 and bits > _POW_BITS_CAP:
+        try:
+            about = f"about {bits}"
+        except ValueError:  # a count past the int-to-str limit
+            about = f"more than 10^{sys.get_int_max_str_digits()}"
         raise ResourceLimit(
-            f"the coefficient of this power would take about {bits} bits,"
+            f"the coefficient of this power would take {about} bits,"
             f" past the {_POW_BITS_CAP}-bit cap"
         )
 
 
 def _coeff_power(c: Coefficient, k: int) -> Coefficient:
     """c**k for an int k, c nonzero when k < 0: an exact c is refused as
-    _check_power_bits says; a Decimal is rounded once, under the ambient
-    context."""
+    _check_power_bits says; a Decimal is Decimal's power under the ambient
+    context, rounded once but not always correctly (5.262780317**2 at 10
+    digits is 27.69685666, one unit below the 27.69685667 of c*c)."""
     if isinstance(c, Fraction):
         _check_power_bits(c.numerator, c.denominator, abs(k))
     return c**k
@@ -1073,9 +1077,9 @@ def _hyperinteger_obstruction(x: HyperValue, i: int) -> str | None:
     keys, cs, den = x._store
     minus_b, a = keys[i]
     if minus_b.denominator != 1 or a.denominator != 1:
-        return f"non-integer exponents {_format_monomial(ExponentPair._of(keys[i]))}"
+        return f"non-integer exponents {_format_monomial(keys[i])}"
     if minus_b < 0 or a < 0:
-        return f"mixed-scale monomial {_format_monomial(ExponentPair._of(keys[i]))}"
+        return f"mixed-scale monomial {_format_monomial(keys[i])}"
     d = _denominator_of(cs[i]) if den is None else den // math.gcd(cs[i], den)
     if minus_b > 0:
         if d is None or _ten_power(d) is None:
@@ -1145,18 +1149,24 @@ def format_coeff(c: Coefficient) -> str:
     """Text of one coefficient; refuses an integer past Python's int-to-str limit."""
     if isinstance(c, Decimal) and c.is_zero():
         c = c.copy_abs()  # -0 prints as 0
+    return _text(c, "a coefficient")
+
+
+def _text(x, what: str) -> str:
+    """str(x), refused with ResourceLimit when an integer in it is past
+    Python's int-to-str limit; what names x in the refusal."""
     try:
-        return str(c)
+        return str(x)
     except ValueError as exc:  # only the digit limit makes str() of a number fail
         raise ResourceLimit(
-            f"a coefficient with more than {sys.get_int_max_str_digits()}"
+            f"{what} with more than {sys.get_int_max_str_digits()}"
             " digits is too large to print"
         ) from exc
 
 
-def _format_monomial(pair: ExponentPair) -> str:
-    # the key's entries print as pair.b and pair.a do, whole ones as ints
-    minus_b, a = pair._key
+def _format_monomial(key: _Key) -> str:
+    """Text of the monomial with magnitude key (-b, a); '' for the unit."""
+    minus_b, a = key
     parts = []
     if minus_b != 0:
         parts.append("eps" if minus_b == -1 else f"eps^{-minus_b}")
@@ -1169,27 +1179,26 @@ def format_value(x: HyperValue) -> str:
     """Canonical text: terms largest-first, e.g. '1 - eps' or '2*H + 1'.
 
     The printed form re-parses to the same value in the shell language.
+    The terms are read off the store one by one, so a coefficient past
+    the print limit is refused before the next one is reduced.
     """
-    if not x.terms:
-        return "0"
     chunks: list[str] = []
-    for i, (c, pair) in enumerate(x.terms):
+    for key, c in _items(x):
         negative = c < 0
         mag = c.copy_abs() if isinstance(c, Decimal) else abs(c)
-        mono = _format_monomial(pair)
+        mono = _format_monomial(key)
         if mono and mag == 1:
             body = mono
         elif mono:
             body = f"{format_coeff(mag)}*{mono}"
         else:
             body = format_coeff(mag)
-        if i == 0:
-            chunks.append(f"-{body}" if negative else body)
+        if chunks:
+            body = f"- {body}" if negative else f"+ {body}"
         elif negative:
-            chunks.append(f"- {body}")
-        else:
-            chunks.append(f"+ {body}")
-    return " ".join(chunks)
+            body = f"-{body}"
+        chunks.append(body)
+    return " ".join(chunks) if chunks else "0"
 
 
 # --- JSON round trip -----------------------------------------------------------------
@@ -1199,20 +1208,13 @@ def to_json(x: HyperValue) -> dict:
     return {
         "truncated": x.truncated,
         "terms": [
-            {"c": format_coeff(c), "b": str(pair.b), "a": str(pair.a)}
-            for c, pair in x.terms
+            {"c": format_coeff(c), "b": str(-minus_b), "a": str(a)}
+            for (minus_b, a), c in _items(x)
         ],
     }
 
 
 def from_json(ctx: NumContext, data: dict) -> HyperValue:
-    terms = []
-    for item in data["terms"]:
-        if ctx.mode == "exact":
-            c: Coefficient = Fraction(item["c"])
-        else:
-            c = Decimal(item["c"])
-        pair = ExponentPair(Fraction(item["b"]), Fraction(item["a"]))
-        terms.append((c, pair))
-    out = ctx.from_terms(terms, truncated=bool(data["truncated"]))
-    return out
+    kind = Fraction if ctx.mode == "exact" else Decimal
+    terms = [(kind(t["c"]), ExponentPair(t["b"], t["a"])) for t in data["terms"]]
+    return ctx.from_terms(terms, bool(data["truncated"]))

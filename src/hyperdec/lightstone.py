@@ -41,12 +41,12 @@ from .errors import (
     UnsupportedNotation,
 )
 from .hyperfield import (
-    ExponentPair,
     HyperValue,
     NumContext,
-    UNIT_PAIR,
     _format_monomial,
+    _items,
     _ten_power,
+    _text,
     format_coeff,
     nines,
     nines_hyper,
@@ -116,7 +116,7 @@ def _digit(coeffs: _Coeffs, m: int, j: int, flagged: bool) -> int:
     for (b, h), c in coeffs.items():
         if b < m and h > 0:
             raise FloorUndecidable(
-                f"mixed-scale monomial {_format_monomial(ExponentPair(b, -h))}"
+                f"mixed-scale monomial {_format_monomial((-b, -h))}"
             )
         if b == m and h < 0 and not _place_floor(c, j - 1, 1)[1]:
             raise FloorUndecidable(
@@ -148,8 +148,7 @@ def _tail_run(r: Fraction):
 
 
 def _grid_check(x: HyperValue) -> None:
-    for _, pair in x.terms:
-        minus_b, a = pair._key  # whole exponents are ints there
+    for (minus_b, a), _ in _items(x):
         if minus_b.denominator != 1 or a.denominator != 1:
             raise PositionOutOfModel(
                 "fractional exponents sit off the decimal grid"
@@ -232,8 +231,7 @@ def _unit_interval_check(y: HyperValue) -> None:
 def _coeffs(x: HyperValue) -> _Coeffs:
     """Coefficients keyed by depth (b, -a), the reverse of magnitude order."""
     out = {}
-    for c, pair in x.terms:
-        minus_b, a = pair._key  # whole exponents are ints there
+    for (minus_b, a), c in _items(x):
         if minus_b.denominator != 1 or a.denominator != 1:
             raise PositionOutOfModel("fractional exponents have no decimal digit places")
         out[-minus_b, -a] = Fraction(c)
@@ -300,13 +298,13 @@ def _digits(coeffs: _Coeffs, m: int, lo: int, hi: int, flagged: bool) -> str:
             )
         if s < 0:
             z -= 1
-    return str(z % 10**count).zfill(count)
+    return _text(z % 10**count, "a digit string").zfill(count)
 
 
 def _render_block(coeffs: _Coeffs, m: int, window: int, flagged: bool) -> str:
     _shallower_check(coeffs, m)
     c = coeffs.get((m, 0), Fraction(0))
-    width = len(str(int(abs(c)))) if abs(c) >= 1 else 1
+    width = len(_text(int(abs(c)), "a digit string")) if abs(c) >= 1 else 1
     j_lo = min(-window, -(width + 1))
 
     # the digits end at the first place where c*10^j is whole, unless the
@@ -391,7 +389,7 @@ def parse(ctx: NumContext, text: str) -> HyperValue:
     if not block_texts:
         if repeat:
             base += Fraction(int(frac_digits[-1]), 9) * Fraction(1, 10**length)
-        value = ctx.from_terms([(base, UNIT_PAIR)])
+        value = ctx.constant(base)
         return -value if negative else value
 
     gap, digits, hat_idx = _parse_block(block_texts[0])
@@ -414,9 +412,7 @@ def parse(ctx: NumContext, text: str) -> HyperValue:
                 "a prefix repeat cannot meet a block with absolute places"
             )
         tau_coeff += digits[0] * Fraction(10) ** anchor
-    value = ctx.from_terms(
-        [(base, UNIT_PAIR), (tau_coeff, ExponentPair(1, 0))]
-    )
+    value = ctx.constant(base) + ctx.monomial(tau_coeff, 1, 0)
     return -value if negative else value
 
 

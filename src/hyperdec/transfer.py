@@ -61,11 +61,10 @@ from .errors import (
 from .hyperfield import (
     HyperValue,
     NumContext,
-    UNIT_PAIR,
-    ExponentPair,
     _POW10_CAP,
     _coeff_power,
     _decimal_ctx,
+    _items,
 )
 
 
@@ -564,24 +563,22 @@ def _pow10_value(w: HyperValue) -> HyperValue:
     ctx = w.ctx
     if w.truncated:
         raise DomainError("pow10 exponent carries truncation; refusing")
-    k = Fraction(0)
-    finite_terms = []
-    for c, pair in w.terms:
-        if pair == ExponentPair(0, 1):
+    k, j = Fraction(0), ctx.coeff(0)
+    for key, c in _items(w):
+        if key == (0, 1):
             k = Fraction(c)
-        elif pair.is_infinite:
+        elif key == (0, 0):
+            j = c
+        elif key > (0, 0):
             raise DomainError(
                 "pow10 exponent must have the shape k*H + finite; "
-                f"found a term at eps^{pair.b}*H^{pair.a}"
+                f"found a term at eps^{-key[0]}*H^{key[1]}"
             )
-        else:
-            finite_terms.append((c, pair))
     if k.denominator != 1:
         raise DomainError("pow10 needs an integer coefficient on H")
-    rest = ctx.from_terms(finite_terms)
-    tail = rest.infinitesimal_part()
+    tail = w.infinitesimal_part()
     with ctx.arith():
-        scale = _ten_to(ctx, rest.coefficient_at(UNIT_PAIR), tail.is_zero)
+        scale = _ten_to(ctx, j, tail.is_zero)
         grid = ctx.monomial(scale, -int(k), 0)
         if tail.is_zero:
             return grid
@@ -889,14 +886,14 @@ class SeqLimit(Record):
     """Outcome of reading a sequence off at an infinite index.
 
     outcome is "converges" (with value), "diverges" (with sign) or
-    "indeterminate" (with note, the text of the refusal kept in error);
+    "indeterminate" (with note, the text of the refusal at the index);
     cross_check_agrees is None when the second infinite index was not
-    read or could not be evaluated.
+    read or could not be evaluated.  An expression's lim(...) makes no
+    report: it is st(body(H)), one eval_star, which refuses as it does.
     """
 
-    __slots__ = ("outcome", "value", "sign", "cross_check_agrees", "note", "error")
-    _hidden = ("error",)
-    _defaults = {"value": None, "sign": None, "cross_check_agrees": None, "note": "", "error": None}
+    __slots__ = ("outcome", "value", "sign", "cross_check_agrees", "note")
+    _defaults = {"value": None, "sign": None, "cross_check_agrees": None, "note": ""}
 
 
 def limit_seq(f: FuncExpr, ctx: NumContext) -> SeqLimit:
@@ -910,9 +907,7 @@ def limit_seq(f: FuncExpr, ctx: NumContext) -> SeqLimit:
     try:
         v = eval_star(f, first)
     except HyperError as exc:
-        # kept without its frames: a deep fold's would outlive the report
-        exc.__traceback__ = exc.__cause__ = exc.__context__ = None
-        return SeqLimit(outcome="indeterminate", note=str(exc), error=exc)
+        return SeqLimit(outcome="indeterminate", note=str(exc))
     if v.is_finite:
         value, sign = v.standard_part(), None
     else:

@@ -428,6 +428,8 @@ _BIT_CAP = "the coefficient of this power would take about 700000000 bits"
 _NEWTON_CAP = "the iterate at step 9 has more than 4300 digits and is too large to print"
 _PRINT_CAP = "a coefficient with more than 4300 digits is too large to print"
 _QUOTIENT_CAP = "the coefficients of this quotient would pass the 4194304-bit cap"
+_LITERAL_CAP = "a number literal with more than 4300 digits is too large to read"
+_DIGITS_CAP = "a digit string with more than 4300 digits is too large to print"
 
 # Hostile CLI lines: deep nesting, huge powers, huge results and huge
 # context flags.  Each row is (argv, exit code, text): the start of the
@@ -472,6 +474,25 @@ HOSTILE_LINES = [
                  id="classify-float-inverse-past-the-bit-cap"),
     pytest.param(("st", "1/(2 + 1/2^30000*eps)"), 0, "1/2",
                  id="st-exact-inverse-under-the-bit-cap"),
+    # the printer refuses at the first coefficient past the print cap
+    pytest.param(("eval", "(3/7+eps)^100000"), 1, _PRINT_CAP,
+                 id="eval-exact-binomial-power-past-the-print-cap"),
+    # Python's int-to-str limit, met while reading or printing a number
+    pytest.param(("eval", "7" * 5000), 1, _LITERAL_CAP, id="eval-5000-digit-literal"),
+    pytest.param(("eval", "7" * 5000 + ".5"), 1, _LITERAL_CAP,
+                 id="eval-5000-digit-decimal-literal"),
+    pytest.param(("eval", "2^2^2^2^2^2"), 1,
+                 "the coefficient of this power would take more than 10^4300 bits",
+                 id="eval-power-tower-with-an-unprintable-bit-count"),
+    pytest.param(("lightstone", "1/3", "--window", "5000"), 1, _DIGITS_CAP,
+                 id="lightstone-window-5000"),
+    pytest.param(("eval", "1/3", "--lightstone", "--window", "5000"), 1, _DIGITS_CAP,
+                 id="eval-lightstone-window-5000"),
+    pytest.param(("lightstone", "2^20000*eps"), 1, _DIGITS_CAP,
+                 id="lightstone-block-coefficient-past-the-print-cap"),
+    pytest.param(("newton", "1-1/x", "--x0", "1/2", "--steps", "3", "--display", "5000"), 1,
+                 "a display with more than 4300 digits is too large to print",
+                 id="newton-display-5000"),
 ]
 
 
@@ -482,7 +503,7 @@ def test_hostile_line_answers_or_refuses_at_once(capsys, argv, want_code, text, 
     code, out, err = run(capsys, *argv, *json_flag)
     assert time.perf_counter() - start < 2
     assert code == want_code
-    assert "Traceback" not in out + err
+    assert "Traceback" not in out + err and "Exceeds the limit" not in out + err
     if json_flag:
         payload = json.loads(out)
         assert (payload["ok"], err) == (code == 0, "")
@@ -541,12 +562,12 @@ def test_power_fuzz_answers_or_refuses_at_once(capsys):
 
 
 def test_repl_refuses_a_deep_line_and_goes_on(capsys, monkeypatch):
-    feed = iter(["(" * 200 + "1" + ")" * 200, "1 + 1", ":q"])
+    feed = iter(["(" * 200 + "1" + ")" * 200, "1 + 1", "7" * 5000, "2 + 2", ":q"])
     monkeypatch.setattr("builtins.input", lambda prompt="": next(feed))
     assert run_cli(["repl"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == "2\n"
-    assert captured.err == f"error: {_TOO_DEEP}\n"
+    assert captured.out == "2\n4\n"
+    assert captured.err == f"error: {_TOO_DEEP}\nerror: {_LITERAL_CAP}\n"
 
 
 def test_large_coefficient_below_the_limit_prints(capsys):

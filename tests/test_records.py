@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import hyperdec
-from hyperdec.errors import ContextMismatch, DomainError, InvalidScale, PositionOutOfModel
+from hyperdec.errors import ContextMismatch, InvalidScale, PositionOutOfModel
 from hyperdec.expr import Command, Token, _tokenize, parse_command, parse_expr
 from hyperdec.hypercalc import CheckRow
 from hyperdec.hyperfield import HyperValue, NumContext
@@ -184,10 +184,12 @@ def test_signatures_and_defaults():
     scene = MicroscopeScene(CTX.constant(1), CTX.tau(), ())
     assert (scene.fmt, scene.caption) == ("svg", ())
     # a hidden field is keyword-only, has its default and stays out of ==, hash and repr
-    refusal = DomainError("no")
-    report = SeqLimit("indeterminate", note="no", error=refusal)
-    assert report.error is refusal and SeqLimit("converges", 1).error is None
-    assert report == SeqLimit("indeterminate", note="no") and "error" not in repr(report)
+    node = Sub(Var("y"), Const(1), span=(3, 8))
+    assert node.span == (3, 8) and Sub(Var("y"), Const(1)).span == (0, 0)
+    assert node == Sub(Var("y"), Const(1)) and hash(node) == hash(Sub(Var("y"), Const(1)))
+    assert "span" not in repr(node) and "span" not in Sub._fields
+    with pytest.raises(TypeError):
+        Sub(Var("y"), Const(1), (3, 8))
     with pytest.raises(TypeError):
         SeqLimit()
     with pytest.raises(TypeError):

@@ -228,17 +228,27 @@ class NumContext(Record):
 
     # --- coefficient plumbing ---------------------------------------------
     def coeff(self, v: CoeffLike) -> Coefficient:
-        """Coerce v into this context's coefficient type."""
+        """Coerce v into this context's coefficient type; an infinity or a
+        NaN, as a float, a Decimal or a string, is refused in both modes."""
         if self.mode == "exact":
-            return v if isinstance(v, Fraction) else Fraction(v)
-        if isinstance(v, Decimal) and not v.is_finite():
-            raise ValueError(f"non-finite coefficient {v}")
-        with self.arith():
-            if isinstance(v, Decimal):
+            if isinstance(v, Fraction):
+                return v
+            try:
+                return Fraction(v)
+            except (OverflowError, ValueError):
+                _refuse_non_finite(v)
+                raise
+        if isinstance(v, Decimal):
+            if not v.is_finite():
+                raise ValueError(f"non-finite coefficient {v}")
+            with self.arith():
                 return +v
+        with self.arith():
             if isinstance(v, Fraction):
                 return Decimal(v.numerator) / Decimal(v.denominator)
-            return +Decimal(v)
+            if isinstance(v, int):
+                return +Decimal(v)
+        return self.coeff(Decimal(v))  # a float or a string, checked as a Decimal
 
     def arith(self):
         """Context manager under which coefficient arithmetic runs."""
@@ -294,7 +304,24 @@ class NumContext(Record):
 
 def _ratio(c: CoeffLike) -> tuple[int, int]:
     """An exact coefficient as its numerator and positive denominator."""
-    return (c if isinstance(c, (int, Fraction)) else Fraction(c)).as_integer_ratio()
+    if isinstance(c, (int, Fraction)):
+        return c.as_integer_ratio()
+    try:
+        return Fraction(c).as_integer_ratio()
+    except (OverflowError, ValueError):
+        _refuse_non_finite(c)
+        raise
+
+
+def _refuse_non_finite(v) -> None:
+    """Refuse v, which Fraction could not read, if it is an infinity or a
+    NaN; anything else keeps the caller's error."""
+    try:
+        d = Decimal(v)
+    except ArithmeticError:  # not a number at all
+        return
+    if not d.is_finite():
+        raise ValueError(f"non-finite coefficient {d}") from None
 
 
 _set_max_terms = NumContext.max_terms.__set__

@@ -4,10 +4,13 @@ A finite value whose terms sit on integer powers of eps has decimal
 digits at three kinds of places: the standard fractional positions
 1, 2, 3, ..., and for each block m >= 1 the positions m*H + j around the
 m-th infinite stretch.  One engine reads every digit off the
-coefficients: ``render`` prints the prefix and one segment per block,
-``digit_at`` reads one place, and the tests keep two field floors per
-place as its oracle.  At place m*H + j a term c * eps**b * H**a of x in
-[0, 1) falls under one rule:
+coefficients, each taken once as its lowest-terms int pair (n, d), with
+int arithmetic only: ``render`` prints the prefix and one segment per
+block, a run of empty blocks as one segment repeated; ``digits_at``
+reads place after place, making the checks no offset changes once per
+block; the tests keep two field floors per place as its oracle.  At
+place m*H + j a term c * eps**b * H**a of x in [0, 1) falls under one
+rule:
 - b > m, or b == m and a < 0: the deeper tail, told by its first sign;
 - a == 0, b <= m: a block coefficient; the digit is that of c_m * 10^j,
   from just below when that is whole and the tail is negative;
@@ -58,7 +61,9 @@ ELLIPSIS = "…"
 
 _BLOCK_CAP = 40
 
-_Coeffs = dict[tuple[int, int], Fraction]
+_Ratio = tuple[int, int]  # lowest-terms numerator, positive denominator
+_Coeffs = dict[tuple[int, int], _Ratio]
+_ZERO = (0, 1)
 
 
 class Position(Record):
@@ -98,53 +103,55 @@ def digit_at(x: HyperValue, position) -> int:
 
 
 def digits_at(x: HyperValue, positions) -> list[int]:
-    """digit_at of x at each place in turn, with the checks on x as a
-    whole made once; the first refusal is the one digit_at would give."""
-    out = []
-    coeffs = None
+    """digit_at of x at each place in turn.  The checks on x as a whole
+    run once, and those of a block that no offset changes (mixed-scale
+    terms, shallower blocks, the deeper tail's sign) once per block; the
+    first refusal is the one digit_at gives in position order."""
+    out, coeffs, blocks = [], None, {}
     for position in positions:
         pos = _as_position(position)
+        m, j = pos.block, pos.offset
         if coeffs is None:
             coeffs = _coeffs(x)
             _unit_interval_check(x)
-        out.append(_digit(coeffs, pos.block, pos.offset, x.truncated))
+        block = blocks.get(m)
+        if block is None:
+            mixed = [(-b, -h) for b, h in coeffs if b < m and h > 0]
+            if mixed:
+                raise FloorUndecidable(f"mixed-scale monomial {_format_monomial(mixed[0])}")
+            scaled = [c for (b, h), c in coeffs.items() if b == m and h < 0]
+            block = scaled, coeffs.get((m, 0), _ZERO), _deeper_sign(coeffs, m)
+        for c in block[0]:
+            if not _place_floor(c, j - 1, 1)[1]:
+                raise FloorUndecidable(
+                    f"coefficient {Fraction(*c)} of a power of H times 10^{j - 1} is not whole"
+                )
+        if m not in blocks:
+            _shallower_check(coeffs, m)
+            blocks[m] = block
+        out.append(_place_floor(block[1], j, 1, block[2], x.truncated)[0])
     return out
-
-
-def _digit(coeffs: _Coeffs, m: int, j: int, flagged: bool) -> int:
-    """The digit at place m*H + j, or the refusal of a term rule."""
-    for (b, h), c in coeffs.items():
-        if b < m and h > 0:
-            raise FloorUndecidable(
-                f"mixed-scale monomial {_format_monomial((-b, -h))}"
-            )
-        if b == m and h < 0 and not _place_floor(c, j - 1, 1)[1]:
-            raise FloorUndecidable(
-                f"coefficient {c} of a power of H times 10^{j - 1} is not whole"
-            )
-    _shallower_check(coeffs, m)
-    return int(_digits(coeffs, m, j, j, flagged))
 
 
 # --------------------------------------------------------------------------
 # rendering
 # --------------------------------------------------------------------------
 
-def _tail_run(r: Fraction):
+def _tail_run(r: _Ratio):
     """(u, d) with the digits of r constant at d from position u+1 on.
 
-    Exists iff the denominator divides 9 * 10^u for some u; d is then a
-    single digit 0..8 (a rational's own expansion never ends in all 9s).
-    Returns None when there is no single-digit tail.
+    Exists iff r's denominator divides 9 * 10^u for some u; d is then
+    nine times the fractional part of r * 10^u, a single digit 0..8 (a
+    rational's own expansion never ends in all 9s).  Returns None when
+    there is no single-digit tail.
     """
-    u = _ten_power(r.denominator // math.gcd(r.denominator, 9))
+    n, den = r
+    u = _ten_power(den // math.gcd(den, 9))
     if u is None:
         return None
-    shifted = r * 10**u
-    frac = shifted - math.floor(shifted)
-    d = frac * 9
-    assert d.denominator == 1 and 0 <= d <= 8
-    return (u, int(d))
+    d, rest = divmod(n * pow(10, u, den) % den * 9, den)
+    assert rest == 0 and 0 <= d <= 8
+    return (u, d)
 
 
 def _grid_check(x: HyperValue) -> None:
@@ -172,25 +179,24 @@ def render(x: HyperValue, window: int = 3) -> str:
     _grid_check(x)
     if x.is_zero:
         return "0"
-    sign = MINUS if x.sign() < 0 else ""
-    y0 = -x if x.sign() < 0 else x
-    n = int(y0.floor().standard_part())
+    negative = x.sign() < 0
+    sign = MINUS if negative else ""
+    y = -x if negative else x
+    n = int(y.floor().standard_part())
     whole = format_coeff(n) if n else ""
-    y = y0 - n
-    if y.is_zero:
+    if n and (y := y - n).is_zero:
         return f"{sign}{whole}"
+    _unit_interval_check(y)
     coeffs = _coeffs(y)
-    blocks_max = max(coeffs)[0]
-    r = coeffs.get((0, 0), Fraction(0))
+    r = coeffs.get((0, 0), _ZERO)
     tail = _tail_run(r)
 
-    if blocks_max == 0:
+    if max(coeffs)[0] == 0:
         if tail is None:
             raise UnsupportedNotation(
-                f"{r} has no terminating or single-repeating-digit "
+                f"{Fraction(*r)} has no terminating or single-repeating-digit "
                 "expansion; this notation cannot spell it"
             )
-        _unit_interval_check(y)
         u, d = tail
         if d == 0:
             body = _digits(coeffs, 0, 1, u, y.truncated)
@@ -199,28 +205,24 @@ def render(x: HyperValue, window: int = 3) -> str:
         body = _digits(coeffs, 0, 1, length, y.truncated)
         return f"{sign}{whole}.{body}{ELLIPSIS}"
 
-    _unit_interval_check(y)
     if tail is None or tail[1] != 0:
         # the block digits would need the full expansion of r, and r is
         # not a power-of-ten multiple: the floor at place H refuses
         _shallower_check(coeffs, 1)
-    u, _ = tail
-    length = max(window, u)
-    body = _digits(coeffs, 0, 1, length, y.truncated)
-    ellipsis = False
-    if len(body) >= 3 and len(set(body[-3:])) == 1:
-        last = int(body[-1])
-        scaled = r * 10**length
-        if _deeper_sign(coeffs, 0) < 0 and scaled.denominator == 1:
-            ellipsis = last == 9
-        elif last <= 8:
-            ellipsis = scaled - math.floor(scaled) == Fraction(last, 9)
-    parts = "".join(
-        ";" + _render_block(coeffs, m, window, y.truncated)
-        for m in range(1, blocks_max + 1)
-    )
-    dots = ELLIPSIS if ellipsis else ""
-    return f"{sign}{whole}.{body}{dots}{parts}"
+    # r * 10^u is whole: the prefix's last digits repeat past the window
+    # iff they are the 0s of a positive deeper tail or the 9s of a negative one
+    body = _digits(coeffs, 0, 1, max(window, tail[0]), y.truncated)
+    run = "9" if _deeper_sign(coeffs, 0) < 0 else "0"
+    dots = ELLIPSIS if body[-3:] == run * 3 else ""
+    parts, done = [], 0
+    for m, _ in coeffs:
+        if m > done + 1:  # the empty blocks done+1 .. m-1 print alike
+            empty = _render_block(coeffs, done + 1, window, y.truncated)
+            parts.append(f";{empty}" * (m - done - 1))
+        if m:
+            parts.append(f";{_render_block(coeffs, m, window, y.truncated)}")
+        done = m
+    return f"{sign}{whole}.{body}{dots}{''.join(parts)}"
 
 
 def _unit_interval_check(y: HyperValue) -> None:
@@ -229,21 +231,22 @@ def _unit_interval_check(y: HyperValue) -> None:
 
 
 def _coeffs(x: HyperValue) -> _Coeffs:
-    """Coefficients keyed by depth (b, -a), the reverse of magnitude order."""
+    """Coefficients as lowest-terms int pairs keyed by depth (b, -a), the
+    reverse of magnitude order, so the keys come in ascending order."""
     out = {}
     for (minus_b, a), c in _items(x):
         if minus_b.denominator != 1 or a.denominator != 1:
             raise PositionOutOfModel("fractional exponents have no decimal digit places")
-        out[-minus_b, -a] = Fraction(c)
+        out[-minus_b, -a] = c.as_integer_ratio()
     return out
 
 
 def _deeper_sign(coeffs: _Coeffs, m: int) -> int:
     """Sign of the first term deeper than block m, 0 if none."""
-    deeper = [k for k in coeffs if k > (m, 0)]
-    if not deeper:
-        return 0
-    return 1 if coeffs[min(deeper)] > 0 else -1
+    for key, (n, _) in coeffs.items():
+        if key > (m, 0):
+            return 1 if n > 0 else -1
+    return 0
 
 
 def _shallower_check(coeffs: _Coeffs, m: int) -> None:
@@ -253,15 +256,21 @@ def _shallower_check(coeffs: _Coeffs, m: int) -> None:
     H**a at place m*H + j, a multiple of ten only when 10^H absorbs the
     denominator of c.
     """
-    for k in sorted(coeffs):
-        if k < (m, 0) and _ten_power(coeffs[k].denominator) is None:
+    for key, c in coeffs.items():
+        if key >= (m, 0):
+            return
+        if _ten_power(c[1]) is None:
             raise FloorUndecidable(
-                f"coefficient {coeffs[k]} not a power-of-ten multiple"
+                f"coefficient {Fraction(*c)} not a power-of-ten multiple"
             )
 
 
-def _place_floor(c: Fraction, e: int, count: int) -> tuple[int, bool]:
-    """(floor(c * 10^e) mod 10^count, whether c * 10^e is whole).
+def _place_floor(
+    c: _Ratio, e: int, count: int, tail: int = 0, flagged: bool = False
+) -> tuple[int, bool]:
+    """(floor(c * 10^e + t) mod 10^count, whether c * 10^e is whole), for
+    an infinitesimal t of sign tail; a flagged value's whole c * 10^e
+    with no tail is refused, as the sign below it is unknown.
 
     With n/d = c and M = d * 10^count, n * 10^e = q*M + r gives the floor
     q * 10^count + r // d, whole iff d divides r; for e >= 0, r comes from
@@ -269,70 +278,60 @@ def _place_floor(c: Fraction, e: int, count: int) -> tuple[int, bool]:
     numerator below 8^-e < 10^-e puts c * 10^e in (-1, 1), so its floor
     is 0 or -1; a larger numerator makes 10^-e no longer than it is.
     """
-    num, den = c.numerator, c.denominator
-    if e < 0:
-        if abs(num).bit_length() <= -3 * e:
-            return (-1 if num < 0 else 0) % 10**count, num == 0
-        den *= 10**-e
-        e = 0
-    mod = den * 10**count
-    r = num * pow(10, e, mod) % mod
-    return r // den, r % den == 0
+    num, den = c
+    if e < 0 and abs(num).bit_length() <= -3 * e:
+        z, whole = -1 if num < 0 else 0, num == 0
+    else:
+        den *= 10 ** max(-e, 0)
+        mod = den * 10**count
+        r = num * pow(10, max(e, 0), mod) % mod
+        z, whole = r // den, r % den == 0
+    if whole:
+        if tail == 0 and flagged:
+            raise FloorUndecidable(
+                "integer standard part with a truncated tail of unknown sign"
+            )
+        if tail < 0:
+            z -= 1
+    return z % 10**count, whole
 
 
 def _digits(coeffs: _Coeffs, m: int, lo: int, hi: int, flagged: bool) -> str:
     """Digits at places m*H + lo .. m*H + hi of an on-grid y in [0, 1).
 
     Shallower terms only add multiples of ten there, so with Z the floor
-    of c_m * 10^hi (one less when that is a whole number and the deeper
-    tail is negative) the digit at m*H + j is (Z // 10^(hi-j)) % 10.
+    of c_m * 10^hi plus the deeper tail, the digit at m*H + j is
+    (Z // 10^(hi-j)) % 10.
     """
-    c = coeffs.get((m, 0), Fraction(0))
-    s = _deeper_sign(coeffs, m)
     count = hi - lo + 1
-    z, whole = _place_floor(c, hi, count)
-    if whole:
-        if s == 0 and flagged:
-            raise FloorUndecidable(
-                "integer standard part with a truncated tail of unknown sign"
-            )
-        if s < 0:
-            z -= 1
-    return _text(z % 10**count, "a digit string").zfill(count)
+    z, _ = _place_floor(
+        coeffs.get((m, 0), _ZERO), hi, count, _deeper_sign(coeffs, m), flagged
+    )
+    return _text(z, "a digit string").zfill(count)
 
 
 def _render_block(coeffs: _Coeffs, m: int, window: int, flagged: bool) -> str:
     _shallower_check(coeffs, m)
-    c = coeffs.get((m, 0), Fraction(0))
-    width = len(_text(int(abs(c)), "a digit string")) if abs(c) >= 1 else 1
+    n, d = coeffs.get((m, 0), _ZERO)
+    width = len(_text(abs(n) // d, "a digit string")) if abs(n) >= d else 1
     j_lo = min(-window, -(width + 1))
 
     # the digits end at the first place where c*10^j is whole, unless the
     # deeper tail is negative and turns what follows into a run of 9s
-    j_hi = _ten_power(c.denominator)
-    open_ended = (
-        j_hi is None or j_hi > _BLOCK_CAP or _deeper_sign(coeffs, m) < 0
-    )
+    j_hi = _ten_power(d)
+    open_ended = j_hi is None or j_hi > _BLOCK_CAP or _deeper_sign(coeffs, m) < 0
     if open_ended:
         j_hi = _BLOCK_CAP
 
     digits = _digits(coeffs, m, j_lo, j_hi, flagged)
-    run = 1
     # collapse the repeated stretch, but never past the place m*H digit:
     # everything after the anchor is positional
-    limit = -j_lo + 1
-    while run < limit and run < len(digits) and digits[run] == digits[0]:
-        run += 1
+    run = min(-j_lo + 1, len(digits) - len(digits.lstrip(digits[0])))
     visible = digits[run - 1 :]
-    hat_idx = -j_lo - (run - 1)  # index of the place m*H digit in visible
-    use_hat = not (j_hi == 0 and hat_idx == len(visible) - 1 and len(visible) > 1)
-    chars = []
-    for i, v in enumerate(visible):
-        chars.append(v)
-        if use_hat and i == hat_idx:
-            chars.append(HAT)
-    tail_dots = ELLIPSIS if open_ended else ""
-    return ELLIPSIS + "".join(chars) + tail_dots
+    hat = -j_lo - (run - 1) + 1  # just after the place m*H digit
+    if not (j_hi == 0 and hat == len(visible) and hat > 1):
+        visible = visible[:hat] + HAT + visible[hat:]
+    return ELLIPSIS + visible + (ELLIPSIS if open_ended else "")
 
 
 # --------------------------------------------------------------------------

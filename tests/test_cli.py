@@ -493,6 +493,8 @@ HOSTILE_LINES = [
     pytest.param(("newton", "1-1/x", "--x0", "1/2", "--steps", "3", "--display", "5000"), 1,
                  "a display with more than 4300 digits is too large to print",
                  id="newton-display-5000"),
+    # 999,999 empty blocks before the last: about 7 MB of output
+    pytest.param(("lightstone", "eps^1000000/4"), 0, ".000…;…0̂;…0̂;", id="lightstone-a-million-blocks"),
 ]
 
 

@@ -182,6 +182,32 @@ def test_context_validation():
         NumContext(mode="symbolic")
 
 
+NON_FINITE = ["Infinity", "-inf", " NaN ", "sNaN", float("inf"), float("-inf"),
+              float("nan"), Decimal("Infinity"), Decimal("-Infinity"), Decimal("NaN")]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("v", NON_FINITE, ids=repr)
+def test_non_finite_coefficients_are_refused(mode, v):
+    ctx = NumContext(mode=mode)
+    want = f"non-finite coefficient {Decimal(v)}"
+    for make in (ctx.coeff, ctx.constant, lambda c: ctx.monomial(c, 1, 0),
+                 lambda c: ctx.from_terms([(c, ExponentPair(0, 0))])):
+        with pytest.raises(ValueError) as info:
+            make(v)
+        assert str(info.value) == want
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_finite_coefficients_still_read(mode):
+    ctx = NumContext(mode=mode)
+    for v in (7, Fraction(3, 4), Decimal("0.25"), 0.5, "2.5", "1e3"):
+        assert ctx.constant(v).standard_part() == Fraction(v)
+    with pytest.raises((ValueError, ArithmeticError)) as info:
+        ctx.constant("abc")  # not a number: the reader's own error stands
+    assert "non-finite" not in str(info.value)
+
+
 def test_zero_merge_drops_term():
     x = val((2, 1, 0), (-2, 1, 0), (1, 0, 0))
     assert as_map(x) == {UNIT_PAIR: Fraction(1)}
@@ -1358,7 +1384,7 @@ def test_terms_are_built_once_and_round_trip():
 def test_only_hyperfield_reads_terms_or_names_a_pair():
     """The rest of the package reads values through hyperfield's store
     reader or public calls: no module but hyperfield reads `.terms` or
-    names ExponentPair or UNIT_PAIR."""
+    `._store`, or names ExponentPair or UNIT_PAIR."""
     found = []
     for path in sorted(Path(hf.__file__).parent.glob("*.py")):
         if path.name == "hyperfield.py":
@@ -1372,8 +1398,8 @@ def test_only_hyperfield_reads_terms_or_names_a_pair():
                 name = node.name
             else:
                 continue
-            if name in ("terms", "ExponentPair", "UNIT_PAIR") and (
-                name != "terms" or isinstance(node, ast.Attribute)
+            if name in ("terms", "_store", "ExponentPair", "UNIT_PAIR") and (
+                name not in ("terms", "_store") or isinstance(node, ast.Attribute)
             ):
                 found.append(f"{path.name}:{node.lineno}: {name}")
     assert found == []

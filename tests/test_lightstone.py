@@ -483,6 +483,10 @@ def test_digits_at_matches_digit_at_place_by_place():
             positions = [(m, j) for j in rng.sample(range(1 if m == 0 else -4, 26), 5)]
             if rng.random() < 0.2:
                 positions = [p[1] if m == 0 else Position(*p) for p in positions]
+            if rng.random() < 0.3:
+                # visit blocks 0-3 in a random order, then come back to block m
+                order = rng.sample(range(4), 4)
+                positions[2:2] = [(b, rng.randrange(1 if b == 0 else -4, 26)) for b in order]
             if rng.random() < 0.2:
                 positions.insert(rng.randrange(0, 6), rng.choice([0, (-1, 2), "first"]))
             want = _refusal(place_by_place, x, positions)

@@ -1,9 +1,18 @@
 """Command-line front end.
 
-One subcommand per library operation.  Exit codes: 0 on success, 1
-when the math refuses (undecidable floor, non-finite standard part,
-and the rest of the domain errors), 2 on usage or syntax problems.
---json switches every subcommand to a stable envelope:
+One subcommand per library operation, all run by one runner.  A
+subcommand that takes an expression declares how its text is read: as a
+value (eval, st, classify, lightstone, digits) or as a checked function
+of --var (deriv, lim, limfun, ucheck, evt, newton).  The runner reads it
+and hands the value or the function to the subcommand's handler, which
+parses nothing itself.
+
+Exit codes: 0 on success, 1 when the math refuses (undecidable floor,
+non-finite standard part, and the rest of the domain errors), 2 on usage
+or syntax problems.  run_cli and the repl share one refusal map: a
+ParseError or a ValueError exits 2, any other HyperError 1, and a
+RecursionError is refused as a ResourceLimit.  --json switches every
+subcommand to a stable envelope, written by one writer:
 {"ok": bool, "value": ..., "lightstone": ..., "flags": {"truncated": bool}}.
 """
 
@@ -12,6 +21,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from typing import Any, NamedTuple, Optional, Sequence
 
 from .errors import HyperError, ParseError, ResourceLimit
 from .expr import eval_command, parse_command, parse_expr, to_function
@@ -54,52 +64,59 @@ def _position(text: str):
         ) from exc
 
 
+def _value(src: str, ctx: NumContext):
+    return eval_command(parse_command(src), ctx)
+
+
+def _read_value(args, ctx: NumContext):
+    return _value(args.expr, ctx)
+
+
+def _read_function(args, ctx: NumContext):
+    return to_function(parse_expr(args.expr), args.var)
+
+
 def _standard_point(src: str, ctx: NumContext):
-    value = eval_command(parse_command(src), ctx)
+    value = _value(src, ctx)
     if not (value.is_finite and value.infinitesimal_part().is_zero):
         raise ParseError(f"{src!r} is not a standard point")
     return value.standard_part()
 
 
-class _Result:
+class _Result(NamedTuple):
     """Lines for the terminal plus a payload for --json."""
 
-    def __init__(self, value=None, lightstone=None, truncated=False, lines=()):
-        self.value = value
-        self.lightstone = lightstone
-        self.truncated = truncated
-        self.lines = list(lines)
+    value: Any = None
+    lightstone: Optional[str] = None
+    truncated: bool = False
+    lines: Sequence[str] = ()
 
 
 # --------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each gets the expression read as its subcommand
+# declares (None when it takes none), the arguments and the context
 # --------------------------------------------------------------------------
 
-def _cmd_eval(args, ctx: NumContext) -> _Result:
-    v = eval_command(parse_command(args.expr), ctx)
+def _cmd_eval(v, args, ctx: NumContext) -> _Result:
     text = format_value(v)
-    lines = [text]
-    rendered = None
-    if args.lightstone:
-        rendered = render(v, window=args.window)
-        lines.append(rendered)
-        lines.append(f"compare to 1: {v.compare(1).name.capitalize()}")
+    if not args.lightstone:
+        return _Result(value=text, truncated=v.truncated, lines=[text])
+    rendered = render(v, window=args.window)
+    compared = f"compare to 1: {v.compare(1).name.capitalize()}"
     return _Result(
         value=text,
         lightstone=rendered,
         truncated=v.truncated,
-        lines=lines,
+        lines=[text, rendered, compared],
     )
 
 
-def _cmd_st(args, ctx: NumContext) -> _Result:
-    v = eval_command(parse_command(args.expr), ctx)
+def _cmd_st(v, args, ctx: NumContext) -> _Result:
     s = format_coeff(v.standard_part())
     return _Result(value=s, truncated=v.truncated, lines=[s])
 
 
-def _cmd_classify(args, ctx: NumContext) -> _Result:
-    v = eval_command(parse_command(args.expr), ctx)
+def _cmd_classify(v, args, ctx: NumContext) -> _Result:
     kind, sign = v.classify()
     text = f"{kind.value} (sign {sign})"
     return _Result(
@@ -109,34 +126,30 @@ def _cmd_classify(args, ctx: NumContext) -> _Result:
     )
 
 
-def _cmd_lightstone(args, ctx: NumContext) -> _Result:
-    v = eval_command(parse_command(args.expr), ctx)
+def _cmd_lightstone(v, args, ctx: NumContext) -> _Result:
     text = render(v, window=args.window)
     return _Result(
         value=text, lightstone=text, truncated=v.truncated, lines=[text]
     )
 
 
-def _cmd_digits(args, ctx: NumContext) -> _Result:
-    v = eval_command(parse_command(args.expr), ctx)
-    rows = {}
-    lines = []
-    for pos, d in zip(args.positions, digits_at(v, args.positions)):
-        key = f"{pos[0]}:{pos[1]}" if isinstance(pos, tuple) else str(pos)
-        rows[key] = d
-        lines.append(f"{key}: {d}")
-    return _Result(value=rows, truncated=v.truncated, lines=lines)
+def _cmd_digits(v, args, ctx: NumContext) -> _Result:
+    digits = digits_at(v, args.positions)
+    keys = [f"{p[0]}:{p[1]}" if isinstance(p, tuple) else str(p) for p in args.positions]
+    return _Result(
+        value=dict(zip(keys, digits)),
+        truncated=v.truncated,
+        lines=[f"{key}: {d}" for key, d in zip(keys, digits)],
+    )
 
 
-def _cmd_deriv(args, ctx: NumContext) -> _Result:
-    f = to_function(parse_expr(args.expr), args.var)
+def _cmd_deriv(f, args, ctx: NumContext) -> _Result:
     point = _standard_point(args.at, ctx)
     text = format_coeff(derivative(f, point, ctx))
     return _Result(value=text, lines=[text])
 
 
-def _cmd_lim(args, ctx: NumContext) -> _Result:
-    f = to_function(parse_expr(args.expr), args.var)
+def _cmd_lim(f, args, ctx: NumContext) -> _Result:
     r = limit_seq(f, ctx)
     payload = {"outcome": r.outcome}
     if r.outcome == "converges":
@@ -153,8 +166,7 @@ def _cmd_lim(args, ctx: NumContext) -> _Result:
     return _Result(value=payload, lines=[line])
 
 
-def _cmd_limfun(args, ctx: NumContext) -> _Result:
-    f = to_function(parse_expr(args.expr), args.var)
+def _cmd_limfun(f, args, ctx: NumContext) -> _Result:
     point = _standard_point(args.at, ctx)
     r = limit_fun(f, point, ctx)
     if r.outcome == "limit":
@@ -175,29 +187,23 @@ def _cmd_limfun(args, ctx: NumContext) -> _Result:
     )
 
 
-def _cmd_ucheck(args, ctx: NumContext) -> _Result:
-    f = to_function(parse_expr(args.expr), args.var)
+def _cmd_ucheck(f, args, ctx: NumContext) -> _Result:
     r = uniform_continuity_probe(f, ctx)
     payload = {"verdict": r.verdict, "note": r.note}
-    lines = [r.verdict]
-    if r.verdict == "fail":
-        payload["witness_x"] = format_value(r.witness_x)
-        payload["witness_y"] = format_value(r.witness_y)
-        gap_st = None if r.gap_standard is None else format_coeff(r.gap_standard)
-        payload["gap_standard"] = gap_st
-        lines.append(
-            f"witness: x = {payload['witness_x']},"
-            f" y = {payload['witness_y']}"
-        )
-        gap = "infinite" if gap_st is None else f"st {gap_st}"
-        lines.append(f"value gap: {format_value(r.gap)} ({gap})")
-    else:
-        lines.append(r.note)
-    return _Result(value=payload, lines=lines)
+    if r.verdict != "fail":
+        return _Result(value=payload, lines=[r.verdict, r.note])
+    x, y = format_value(r.witness_x), format_value(r.witness_y)
+    gap_st = None if r.gap_standard is None else format_coeff(r.gap_standard)
+    payload.update(witness_x=x, witness_y=y, gap_standard=gap_st)
+    gap = "infinite" if gap_st is None else f"st {gap_st}"
+    return _Result(value=payload, lines=[
+        r.verdict,
+        f"witness: x = {x}, y = {y}",
+        f"value gap: {format_value(r.gap)} ({gap})",
+    ])
 
 
-def _cmd_evt(args, ctx: NumContext) -> _Result:
-    f = to_function(parse_expr(args.expr), args.var)
+def _cmd_evt(f, args, ctx: NumContext) -> _Result:
     r = evt_demo(f, ctx, n=args.grid, doublings=args.doublings)
     lines = []
     rows = []
@@ -213,8 +219,7 @@ def _cmd_evt(args, ctx: NumContext) -> _Result:
     )
 
 
-def _cmd_newton(args, ctx: NumContext) -> _Result:
-    f = to_function(parse_expr(args.expr), args.var)
+def _cmd_newton(f, args, ctx: NumContext) -> _Result:
     trace = newton_trace(
         f, args.x0, args.steps,
         precision=args.prec, display_digits=args.display,
@@ -236,14 +241,10 @@ def _cmd_newton(args, ctx: NumContext) -> _Result:
         report = _check_trace(trace)
         payload["check"] = report.to_json()
         for row in report.rows:
-            lines.append(
-                f"check n={row.n}: 1-x = {row.margin_lt1}"
-                + (
-                    f", step = {row.margin_monotone}, headroom = {row.mvt_margin}"
-                    if row.margin_monotone is not None
-                    else ""
-                )
-            )
+            line = f"check n={row.n}: 1-x = {row.margin_lt1}"
+            if row.margin_monotone is not None:
+                line += f", step = {row.margin_monotone}, headroom = {row.mvt_margin}"
+            lines.append(line)
         if report.boundary:
             lines.append(
                 "boundary cases: "
@@ -252,7 +253,7 @@ def _cmd_newton(args, ctx: NumContext) -> _Result:
     return _Result(value=payload, lines=lines)
 
 
-def _cmd_microscope(args, ctx: NumContext) -> _Result:
+def _cmd_microscope(_, args, ctx: NumContext) -> _Result:
     if args.preset:
         scene = preset_scene(args.preset, ctx, fmt=args.format)
     else:
@@ -265,12 +266,10 @@ def _cmd_microscope(args, ctx: NumContext) -> _Result:
             label, _, src = spec_text.partition("=")
             if not src:
                 raise ParseError(f"--point wants label=expr, got {spec_text!r}")
-            points.append(
-                (label.strip(), eval_command(parse_command(src), ctx))
-            )
+            points.append((label.strip(), _value(src, ctx)))
         scene = MicroscopeScene(
-            center=eval_command(parse_command(args.center), ctx),
-            scale=eval_command(parse_command(args.scale), ctx),
+            center=_value(args.center, ctx),
+            scale=_value(args.scale, ctx),
             points=tuple(points),
             fmt=args.format,
         )
@@ -283,30 +282,24 @@ def _cmd_microscope(args, ctx: NumContext) -> _Result:
     return _Result(value=doc, lines=[doc.rstrip("\n")])
 
 
-def _cmd_repl(args, ctx: NumContext) -> _Result:
-    lines_out = []
-    prompt = "hyperdec> "
+def _cmd_repl(_, args, ctx: NumContext) -> _Result:
+    """Evaluate line after line; a refusal is printed as run_cli prints
+    it in text mode, and the loop goes on."""
     while True:
         try:
-            line = input(prompt)
+            line = input("hyperdec> ").strip()
         except EOFError:
             break
-        line = line.strip()
-        if not line:
-            continue
         if line in (":q", ":quit", "exit"):
             break
-        try:
-            v = eval_command(parse_command(line), ctx)
-            text = format_value(v)
-            if v.truncated:
-                text += "  [truncated]"
-            print(text)
-        except (HyperError, ValueError) as exc:  # what run_cli refuses, too
-            print(f"error: {exc}", file=sys.stderr)
-        except RecursionError:
-            print(f"error: {_TOO_DEEP}", file=sys.stderr)
-    return _Result(value=None, lines=[])
+        if line:
+            _attempt(False, _print_value, line, ctx)
+    return _Result()
+
+
+def _print_value(src: str, ctx: NumContext) -> None:
+    v = _value(src, ctx)
+    print(format_value(v) + ("  [truncated]" if v.truncated else ""))
 
 
 # --------------------------------------------------------------------------
@@ -344,82 +337,69 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate an expression")
-    p.add_argument("expr")
+    def command(name, help, handler, read=None):
+        """Register a subcommand; read, _read_value or _read_function,
+        gives it an expr positional and says how the runner reads it."""
+        p = sub.add_parser(name, parents=[common], help=help)
+        if read is not None:
+            p.add_argument("expr")
+        p.set_defaults(handler=handler, read=read)
+        return p
+
+    p = command("eval", "evaluate an expression", _cmd_eval, _read_value)
     p.add_argument("--lightstone", action="store_true",
                    help="also print the extended decimal and a comparison to 1")
     p.add_argument("--window", type=int, default=3)
-    p.set_defaults(handler=_cmd_eval)
 
-    p = sub.add_parser("st", parents=[common], help="standard part")
-    p.add_argument("expr")
-    p.set_defaults(handler=_cmd_st)
+    command("st", "standard part", _cmd_st, _read_value)
 
-    p = sub.add_parser("classify", parents=[common],
-                       help="infinitesimal, appreciable, or infinite")
-    p.add_argument("expr")
-    p.set_defaults(handler=_cmd_classify)
+    command("classify", "infinitesimal, appreciable, or infinite",
+            _cmd_classify, _read_value)
 
-    p = sub.add_parser("lightstone", parents=[common],
-                       help="extended decimal rendering")
-    p.add_argument("expr")
+    p = command("lightstone", "extended decimal rendering",
+                _cmd_lightstone, _read_value)
     p.add_argument("--window", type=int, default=3)
-    p.set_defaults(handler=_cmd_lightstone)
 
-    p = sub.add_parser("digits", parents=[common],
-                       help="digits at standard or block places")
-    p.add_argument("expr")
+    p = command("digits", "digits at standard or block places",
+                _cmd_digits, _read_value)
     p.add_argument("positions", nargs="+", type=_position,
                    metavar="POS", help="'3' or 'block:offset' like '1:0'")
-    p.set_defaults(handler=_cmd_digits)
 
-    p = sub.add_parser("deriv", parents=[common],
-                       help="slope at a point: st of the quotient at an infinitesimal offset")
-    p.add_argument("expr")
+    p = command("deriv",
+                "slope at a point: st of the quotient at an infinitesimal offset",
+                _cmd_deriv, _read_function)
     p.add_argument("--at", required=True, help="expansion point")
     p.add_argument("--var", default="x")
-    p.set_defaults(handler=_cmd_deriv)
 
-    p = sub.add_parser("lim", parents=[common],
-                       help="sequence limit read off at an infinite index")
-    p.add_argument("expr")
+    p = command("lim", "sequence limit read off at an infinite index",
+                _cmd_lim, _read_function)
     p.add_argument("--var", default="n")
-    p.set_defaults(handler=_cmd_lim)
 
-    p = sub.add_parser("limfun", parents=[common],
-                       help="two-sided function limit at a point")
-    p.add_argument("expr")
+    p = command("limfun", "two-sided function limit at a point",
+                _cmd_limfun, _read_function)
     p.add_argument("--at", required=True)
     p.add_argument("--var", default="x")
-    p.set_defaults(handler=_cmd_limfun)
 
-    p = sub.add_parser("ucheck", parents=[common],
-                       help="uniform continuity probe")
-    p.add_argument("expr")
+    p = command("ucheck", "uniform continuity probe", _cmd_ucheck, _read_function)
     p.add_argument("--var", default="x")
-    p.set_defaults(handler=_cmd_ucheck)
 
-    p = sub.add_parser("evt", parents=[common],
-                       help="grid maximum with doubling resolution")
-    p.add_argument("expr")
+    p = command("evt", "grid maximum with doubling resolution",
+                _cmd_evt, _read_function)
     p.add_argument("--var", default="x")
     p.add_argument("--grid", type=int, default=64)
     p.add_argument("--doublings", type=int, default=3)
-    p.set_defaults(handler=_cmd_evt)
 
-    p = sub.add_parser("newton", parents=[common],
-                       help="climbing Newton iteration with truncating display")
-    p.add_argument("expr")
+    p = command("newton", "climbing Newton iteration with truncating display",
+                _cmd_newton, _read_function)
     p.add_argument("--x0", required=True, type=_rational)
     p.add_argument("--steps", required=True, type=int)
     p.add_argument("--display", type=int, default=6)
     p.add_argument("--var", default="x")
     p.add_argument("--check", action="store_true",
                    help="verify the per-step invariants")
-    p.set_defaults(handler=_cmd_newton)
 
-    p = sub.add_parser("microscope", parents=[common],
-                       help="number line at infinitesimal magnification")
+    p = command("microscope", "number line at infinitesimal magnification",
+                _cmd_microscope)
     p.add_argument("--preset", choices=("triple", "slope"))
     p.add_argument("--center")
     p.add_argument("--scale")
@@ -427,58 +407,56 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="label=expr (repeatable)")
     p.add_argument("--format", choices=("svg", "ascii"), default="svg")
     p.add_argument("--out", help="write to a file instead of stdout")
-    p.set_defaults(handler=_cmd_microscope)
 
-    p = sub.add_parser("repl", parents=[common], help="interactive loop")
-    p.set_defaults(handler=_cmd_repl)
+    command("repl", "interactive loop", _cmd_repl)
 
     return parser
 
 
 def run_cli(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    try:
-        # NumContext refuses a --prec or --terms below range with ValueError
-        if args.max_terms > _MAX_TERMS:
-            raise ValueError(f"term budget must be at most {_MAX_TERMS}")
-        if args.prec > _MAX_PREC:
-            raise ValueError(f"precision must be at most {_MAX_PREC} digits")
-        ctx = NumContext(mode=args.mode, prec=args.prec, max_terms=args.max_terms)
-        result = args.handler(args, ctx)
-    except ParseError as exc:
-        return _fail(args, exc, 2)
-    except HyperError as exc:
-        return _fail(args, exc, 1)
-    except RecursionError:  # parsing and to_function recurse outside any fold
-        return _fail(args, ResourceLimit(_TOO_DEEP), 1)
-    except ValueError as exc:
-        return _fail(args, exc, 2)
-    if args.json:
-        print(json.dumps({
-            "ok": True,
-            "value": result.value,
-            "lightstone": result.lightstone,
-            "flags": {"truncated": result.truncated},
-        }, ensure_ascii=False))
-    else:
+    code, result = _attempt(args.json, _run, args)
+    if code == 0 and args.json:
+        _envelope(True, value=result.value, lightstone=result.lightstone,
+                  flags={"truncated": result.truncated})
+    elif code == 0:
         for line in result.lines:
             print(line)
-    return 0
+    return code
 
 
-def _fail(args, exc: Exception, code: int) -> int:
-    if getattr(args, "json", False):
-        print(json.dumps({
-            "ok": False,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }, ensure_ascii=False))
+def _run(args) -> _Result:
+    # NumContext refuses a --prec or --terms below range with ValueError
+    if args.max_terms > _MAX_TERMS:
+        raise ValueError(f"term budget must be at most {_MAX_TERMS}")
+    if args.prec > _MAX_PREC:
+        raise ValueError(f"precision must be at most {_MAX_PREC} digits")
+    ctx = NumContext(mode=args.mode, prec=args.prec, max_terms=args.max_terms)
+    subject = args.read(args, ctx) if args.read else None
+    return args.handler(subject, args, ctx)
+
+
+def _attempt(json_out: bool, call, *call_args):
+    """(0, call(*call_args)), or (exit code, None) with the refusal written
+    out: a ParseError or a ValueError exits 2, any other HyperError 1."""
+    try:
+        return 0, call(*call_args)
+    except RecursionError:  # parsing and to_function recurse outside any fold
+        exc = ResourceLimit(_TOO_DEEP)
+    except (HyperError, ValueError) as refusal:
+        exc = refusal
+    if json_out:
+        _envelope(False, error={"type": type(exc).__name__, "message": str(exc)})
     else:
         print(f"error: {exc}", file=sys.stderr)
-    return code
+    return (2 if isinstance(exc, (ParseError, ValueError)) else 1), None
+
+
+def _envelope(ok: bool, **fields) -> None:
+    print(json.dumps({"ok": ok, **fields}, ensure_ascii=False))
 
 
 def main() -> None:

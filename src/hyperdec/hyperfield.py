@@ -40,7 +40,7 @@ import math
 import sys
 from contextlib import nullcontext
 from decimal import Context as _DecimalContext
-from decimal import Decimal, ROUND_FLOOR, localcontext
+from decimal import Decimal, InvalidOperation, ROUND_FLOOR, localcontext
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, total_ordering
@@ -229,7 +229,9 @@ class NumContext(Record):
     # --- coefficient plumbing ---------------------------------------------
     def coeff(self, v: CoeffLike) -> Coefficient:
         """Coerce v into this context's coefficient type; an infinity or a
-        NaN, as a float, a Decimal or a string, is refused in both modes."""
+        NaN, as a float, a Decimal or a string, is refused in both modes.
+        Float mode reads a decimal literal as Decimal does and any other
+        string as exact mode does, rounded once."""
         if self.mode == "exact":
             if isinstance(v, Fraction):
                 return v
@@ -248,7 +250,11 @@ class NumContext(Record):
                 return Decimal(v.numerator) / Decimal(v.denominator)
             if isinstance(v, int):
                 return +Decimal(v)
-        return self.coeff(Decimal(v))  # a float or a string, checked as a Decimal
+        try:
+            d = Decimal(v)  # a float or a decimal literal, checked as a Decimal
+        except InvalidOperation:  # any other string reads as exact mode reads it
+            return self.coeff(Fraction(v))
+        return self.coeff(d)
 
     def arith(self):
         """Context manager under which coefficient arithmetic runs."""

@@ -34,6 +34,7 @@ is the classical reading (".999…" parses to 1).
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 from ._record import Record
@@ -41,6 +42,7 @@ from .errors import (
     FloorUndecidable,
     NotFinite,
     PositionOutOfModel,
+    ResourceLimit,
     UnsupportedNotation,
 )
 from .hyperfield import (
@@ -348,13 +350,14 @@ def parse(ctx: NumContext, text: str) -> HyperValue:
     Accepts the exact output of render plus ASCII conveniences: "..." for
     the ellipsis, "^" after a digit for the place mark, "-" for the sign.
     One block at most; strings whose digit places cannot be pinned down
-    raise UnsupportedNotation.
+    raise UnsupportedNotation, and a digit run past Python's int-to-str
+    limit raises ResourceLimit.
     """
     s = text.strip().replace("...", ELLIPSIS)
     macro = _MACRO.fullmatch(s)
     if macro:
         arg = macro.group(1)
-        return nines_hyper(ctx) if arg == "H" else nines(ctx, int(arg))
+        return nines_hyper(ctx) if arg == "H" else nines(ctx, _run(arg))
     negative = s.startswith(("-", MINUS))
     if negative:
         s = s[1:]
@@ -374,45 +377,54 @@ def parse(ctx: NumContext, text: str) -> HyperValue:
     int_digits, frac_digits, head_dots = match.groups()
     if match.group(2) is None and block_texts:
         raise UnsupportedNotation("a block needs a decimal point in front")
-    n = int(int_digits) if int_digits else 0
     frac_digits = frac_digits or ""
     repeat = bool(head_dots)
     if repeat and not frac_digits:
         raise UnsupportedNotation("a repeat mark needs a digit before it")
 
-    length = len(frac_digits)
-    base = Fraction(n)
-    for i, ch in enumerate(frac_digits, start=1):
-        base += Fraction(int(ch), 10**i)
+    unit = 10 ** len(frac_digits)  # of the last prefix place
+    base = Fraction(_run(int_digits) * unit + _run(frac_digits), unit)
 
     if not block_texts:
         if repeat:
-            base += Fraction(int(frac_digits[-1]), 9) * Fraction(1, 10**length)
+            base += Fraction(int(frac_digits[-1]), 9 * unit)
         value = ctx.constant(base)
         return -value if negative else value
 
     gap, digits, hat_idx = _parse_block(block_texts[0])
     anchor = hat_idx if hat_idx is not None else len(digits) - 1
-    tau_coeff = Fraction(0)
-    for i in range(1, len(digits)):
-        tau_coeff += digits[i] * Fraction(10) ** (anchor - i)
+    # digit i of the block sits at place H - anchor + i, so a run that ends
+    # with the block reads as one int times 10^(anchor + 1 - len(digits))
+    last_weight = Fraction(10) ** (anchor + 1 - len(digits))
     if gap:
-        g = digits[0]
+        g = int(digits[0])
         if repeat and int(frac_digits[-1]) != g:
             raise UnsupportedNotation(
                 "the prefix repeat digit conflicts with the block run digit"
             )
         # g fills every place from the end of the prefix through H - anchor
-        base += Fraction(g, 9) * Fraction(1, 10**length)
-        tau_coeff -= Fraction(g, 9) * Fraction(10) ** anchor
+        base += Fraction(g, 9 * unit)
+        tau_coeff = _run(digits[1:]) * last_weight - Fraction(g, 9) * 10**anchor
     else:
         if repeat:
             raise UnsupportedNotation(
                 "a prefix repeat cannot meet a block with absolute places"
             )
-        tau_coeff += digits[0] * Fraction(10) ** anchor
+        tau_coeff = _run(digits) * last_weight
     value = ctx.constant(base) + ctx.monomial(tau_coeff, 1, 0)
     return -value if negative else value
+
+
+def _run(digits: str) -> int:
+    """A run of decimal digits as one int, 0 when empty; a run past
+    Python's int-to-str limit is refused as too large to read."""
+    try:
+        return int(digits) if digits else 0
+    except ValueError as exc:  # only the digit limit fails a digit run
+        raise ResourceLimit(
+            f"a digit run with more than {sys.get_int_max_str_digits()}"
+            " digits is too large to read"
+        ) from exc
 
 
 def _parse_block(text: str):
@@ -429,8 +441,8 @@ def _parse_block(text: str):
     digits = []
     hat_idx = None
     for ch in text:
-        if ch.isdigit():
-            digits.append(int(ch))
+        if ch.isdecimal():
+            digits.append(ch)
         elif ch in (HAT, "^"):
             if not digits:
                 raise UnsupportedNotation("place mark with no digit before it")
@@ -441,4 +453,4 @@ def _parse_block(text: str):
             raise UnsupportedNotation(f"unexpected character {ch!r} in block")
     if not digits:
         raise UnsupportedNotation("a block needs at least one digit")
-    return gap, digits, hat_idx
+    return gap, "".join(digits), hat_idx

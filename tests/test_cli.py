@@ -697,6 +697,32 @@ def test_repl(capsys, monkeypatch):
     assert captured.err == "error: coefficient 1/3 of a power of H is not an integer\n"
 
 
+def test_repl_json_closes_with_the_envelope(capsys, monkeypatch):
+    feed = iter(["1 - eps", ":q"])
+    monkeypatch.setattr("builtins.input", lambda prompt="": next(feed))
+    assert run_cli(["repl", "--json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        '1 - eps\n{"ok": true, "value": null, "lightstone": null, "flags": {"truncated": false}}\n'
+    )
+    assert captured.err == ""
+
+
+def test_repl_refuses_each_line_as_eval_does(capsys, monkeypatch):
+    lines = ["1 +", "foo(1)", "floor(H/3)", "(" * 200 + "1" + ")" * 200, "7" * 5000]
+    want = []
+    for line in lines:
+        code, out, err = run(capsys, "eval", line)
+        assert code in (1, 2) and out == "" and err.startswith("error: "), line
+        want.append(err)
+    feed = iter([*lines, ":q"])
+    monkeypatch.setattr("builtins.input", lambda prompt="": next(feed))
+    assert run_cli(["repl"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines(keepends=True) == want
+
+
 def test_cli_determinism(capsys):
     a = run(capsys, "microscope", "--preset", "slope", "--format", "svg")
     b = run(capsys, "microscope", "--preset", "slope", "--format", "svg")

@@ -34,8 +34,8 @@ def replay(argv: list) -> dict:
     return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-def _recorded() -> list:
-    with TRANSCRIPT.open(encoding="utf-8") as fh:
+def _recorded(golden: Path = TRANSCRIPT) -> list:
+    with golden.open(encoding="utf-8") as fh:
         return [json.loads(line) for line in fh]
 
 
@@ -46,11 +46,14 @@ def test_transcript_replays_byte_for_byte():
     assert not changed, f"{len(changed)} lines differ; first: {changed[0]}"
 
 
-if __name__ == "__main__":
-    cli = argparse.ArgumentParser(description="Re-record or check the CLI transcript.")
+def check_or_record(golden: Path, replay=replay) -> None:
+    """The command-line entry of a replay file: with --check, replay every
+    line of golden and exit 1 at the first that differs; without it,
+    re-record every line."""
+    cli = argparse.ArgumentParser(description=f"Re-record or check {golden.name}.")
     cli.add_argument("--check", action="store_true",
                      help="replay every line and rewrite nothing")
-    recorded = _recorded()
+    recorded = _recorded(golden)
     if cli.parse_args().check:
         for n, rec in enumerate(recorded, start=1):
             if (got := replay(rec["argv"])) != rec:
@@ -59,6 +62,10 @@ if __name__ == "__main__":
         print(f"{len(recorded)}/{len(recorded)} lines replay byte for byte")
         sys.exit(0)
     records = [replay(rec["argv"]) for rec in recorded]
-    with TRANSCRIPT.open("w", encoding="utf-8") as fh:
+    with golden.open("w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+
+
+if __name__ == "__main__":
+    check_or_record(TRANSCRIPT)

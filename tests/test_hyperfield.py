@@ -203,9 +203,17 @@ def test_finite_coefficients_still_read(mode):
     ctx = NumContext(mode=mode)
     for v in (7, Fraction(3, 4), Decimal("0.25"), 0.5, "2.5", "1e3"):
         assert ctx.constant(v).standard_part() == Fraction(v)
-    with pytest.raises((ValueError, ArithmeticError)) as info:
-        ctx.constant("abc")  # not a number: the reader's own error stands
-    assert "non-finite" not in str(info.value)
+    for text in ("abc", "1/3x", "3/4e2", "1/-3"):  # not a number: both modes refuse alike
+        with pytest.raises(ValueError) as info:
+            ctx.constant(text)
+        assert str(info.value) == f"Invalid literal for Fraction: {text!r}"
+
+
+@pytest.mark.parametrize("text", ["1/3", "-22/7", " 6/4 ", "2.5", "-1.25E+2", "0." + "3" * 60])
+def test_float_strings_read_as_exact_ones_rounded_once(text):
+    n, d = NumContext().coeff(text).as_integer_ratio()
+    ctx = NumContext(mode="float")
+    assert ctx.constant(text) == ctx.constant(n) / d
 
 
 def test_zero_merge_drops_term():

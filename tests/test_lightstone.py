@@ -8,6 +8,7 @@ floor machinery under test.
 """
 
 import random
+import time
 from fractions import Fraction
 from math import floor as rfloor
 
@@ -19,6 +20,7 @@ from hyperdec.errors import (
     HyperError,
     NotFinite,
     PositionOutOfModel,
+    ResourceLimit,
     TruncationAmbiguous,
     UnsupportedNotation,
 )
@@ -115,16 +117,32 @@ def test_digit_off_grid():
         digit_at(half_power, (1, 0))
 
 
+FLOAT = NumContext(mode="float")
+
+
 def test_digit_of_scaled_unit_is_undecidable():
-    # the units digit of H is not pinned by this representation
-    x = CTX.omega() * CTX.tau()
-    with pytest.raises(FloorUndecidable):
-        digit_at(x, (1, 0))
+    for ctx in (CTX, FLOAT):
+        # the units digit of H is not pinned by this representation
+        x = ctx.omega() * ctx.tau()
+        with pytest.raises(FloorUndecidable) as info:
+            digit_at(x, (1, 0))
+        assert str(info.value) == "coefficient 1 of a power of H times 10^-1 is not whole"
+        # place 2H + 1 fails two checks: the H-scaled term of block 2 comes
+        # first, before the shallower 1/3 of block 1
+        x = ctx.constant(Fraction(1, 3)) * ctx.tau() + ctx.constant(Fraction(1, 7)) * ctx.tau(2) * ctx.omega()
+        seventh = "1/7" if ctx.mode == "exact" else str(Fraction(ctx.coeff(Fraction(1, 7))))
+        for read in (lambda: digit_at(x, (2, 1)), lambda: digits_at(x, [(2, 1), (2, 2)])):
+            with pytest.raises(FloorUndecidable) as info:
+                read()
+            assert str(info.value) == f"coefficient {seventh} of a power of H times 10^0 is not whole"
 
 
 def test_digit_of_non_ten_smooth_block():
-    with pytest.raises(FloorUndecidable):
+    with pytest.raises(FloorUndecidable) as info:
         digit_at(Fraction(1, 3) * TAU, (2, 0))
+    assert str(info.value) == "coefficient 1/3 not a power-of-ten multiple"
+    # a float coefficient is a decimal, so the same block has digits
+    assert digit_at(FLOAT.constant(Fraction(1, 3)) * FLOAT.tau(), (2, 0)) == 0
 
 
 # ---------------------------------------------------------------- render
@@ -275,6 +293,26 @@ def test_parse_rejections():
         parse(CTX, "5;…01")
     with pytest.raises(UnsupportedNotation):
         parse(CTX, "")
+    for text in HOSTILE_STRINGS:  # each digit run is read once, up to the limit
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimit) as info:
+            parse(CTX, text)
+        assert time.perf_counter() - start < 2, text[:20]
+        assert str(info.value) == "a digit run with more than 4300 digits is too large to read"
+
+
+HOSTILE_STRINGS = [
+    "." + "7" * 16000,
+    "1" * 5000 + ".5",
+    "nines(" + "9" * 5000 + ")",
+    ".25;…0̂" + "7" * 16000,
+]
+
+
+def test_long_digit_runs_below_the_limit_parse():
+    assert parse(CTX, "." + "7" * 4000) == c(Fraction(int("7" * 4000), 10**4000))
+    # 7s from place 2 through H - 1, then 1 at place H: 7/90 + 1/5 - 61/9 eps
+    assert parse(CTX, ".2;…" + "7" * 4000 + "1") == c(Fraction(5, 18)) - Fraction(61, 9) * TAU
 
 
 def test_parse_repeat_shorthand_is_exact():

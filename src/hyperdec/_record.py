@@ -9,12 +9,16 @@ fields are, the hash is that of the listed fields' tuple and the repr
 shows them as keyword arguments, as the generated methods of a frozen
 dataclass do.  Slots named in ``_hidden`` (a node's source span) are
 left out of all three; the classes that hide one take it by keyword
-only in their own ``__init__``.
+only.
 
-Classes on hot paths write their own ``__init__``, ``__eq__`` and
-``__hash__``; the generic ``__init__`` here takes the listed fields
-positionally or by keyword, with defaults from ``_defaults``, and then
-runs ``_validate``.
+The generic ``__init__`` here takes the listed fields positionally or by
+keyword, with defaults from ``_defaults``, and then runs ``_validate``.
+``_setters`` holds each class's slot setters in field order, for the
+positional fast path of ``FuncExpr``, which builds every expression node.
+HyperValue, NumContext, Token and Position, built once per operation,
+token or digit place, and ``Const``, which converts its value, write
+their own ``__init__``; HyperValue and NumContext their own ``__eq__``
+and ``__hash__`` too.
 """
 
 _set = object.__setattr__
@@ -25,6 +29,7 @@ class Record:
     _hidden: tuple = ()
     _defaults: dict = {}
     _fields: tuple = ()
+    _setters: tuple = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -35,6 +40,7 @@ class Record:
             if name not in cls._hidden
         )
         cls.__match_args__ = cls._fields
+        cls._setters = tuple([getattr(cls, name).__set__ for name in cls._fields])
 
     def __init__(self, *args, **kwargs) -> None:
         fields = self._fields

@@ -1,14 +1,15 @@
 """Expression language over hyperreal values.
 
-Tokenizer, recursive-descent parser, canonical printer and evaluator.
-The parser builds the function trees of ``transfer`` directly, plus four
-value-only nodes defined here: Unit (H, eps), HyperCall (st, floor, abs,
-nines), Power (a power other than 10^w or b^k with an integer literal k)
-and LimSeq.  ``evaluate`` runs ``transfer._fold``, the one walk over
-these trees, through the fold entry of a hypervalue backend that adds
-an environment of names and the value-only nodes.  ``to_function``
-checks that a tree is a standard function of one variable and returns
-it.
+One-pass regex tokenizer, recursive-descent parser, canonical printer
+and evaluator.  The parser builds the function trees of ``transfer``
+directly, plus four value-only nodes declared here by their fields, which
+``FuncExpr``'s one constructor sets: Unit (H, eps), HyperCall (st, floor,
+abs, nines), Power (a power other than 10^w or b^k with an integer
+literal k) and LimSeq.  ``evaluate`` runs ``transfer._fold``, the one
+walk over these trees, through the fold entry of a hypervalue backend
+that adds an environment of names and the value-only nodes.
+``to_function`` checks that a tree is a standard function of one
+variable and returns it.
 
 Precedence, loosest to tightest: + -, * /, unary minus, ^ (right
 associative; the exponent position accepts a sign, so 2^-3 parses and
@@ -32,7 +33,7 @@ from ._record import Record
 from .errors import DomainError, ParseError, ResourceLimit, UnknownIdentifier
 from .hyperfield import HyperValue, NumContext, _ten_power, nines, nines_hyper
 from .transfer import Add, Const, Div, FuncExpr, Mul, NamedConst, Neg, Pow10, PowInt, Sub, Var
-from .transfer import _set_span, eval_star
+from .transfer import eval_star
 
 # --------------------------------------------------------------------------
 # tokens
@@ -45,6 +46,7 @@ _TOKEN_RE = re.compile(
   | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<arrow>->)
   | (?P<op>[-+*/^(),=])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -68,14 +70,12 @@ _set_pos = Token.pos.__set__
 
 def _tokenize(src: str) -> list:
     out = []
-    i = 0
-    while i < len(src):
-        m = _TOKEN_RE.match(src, i)
-        if m is None:
-            raise ParseError(f"unexpected character {src[i]!r}", (i, i + 1))
-        if m.lastgroup != "ws":
-            out.append(Token(m.lastgroup, m.group(), i))
-        i = m.end()
+    for m in _TOKEN_RE.finditer(src):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.span())
+        if kind != "ws":
+            out.append(Token(kind, m.group(), m.start()))
     out.append(Token("end", "", len(src)))
     return out
 
@@ -95,44 +95,17 @@ class HyperCall(FuncExpr):
 
     __slots__ = ("func", "arg")
 
-    def __init__(self, func: str, arg: FuncExpr, *, span: tuple = (0, 0)) -> None:
-        _set_func(self, func)
-        _set_arg(self, arg)
-        _set_span(self, span)
-
-
-_set_func = HyperCall.func.__set__
-_set_arg = HyperCall.arg.__set__
-
 
 class Power(FuncExpr):
     """base^exponent, where the exponent must evaluate to a standard integer."""
 
     __slots__ = ("base", "exponent")
 
-    def __init__(self, base: FuncExpr, exponent: FuncExpr, *, span: tuple = (0, 0)) -> None:
-        _set_base(self, base)
-        _set_exponent(self, exponent)
-        _set_span(self, span)
-
-
-_set_base = Power.base.__set__
-_set_exponent = Power.exponent.__set__
-
 
 class LimSeq(FuncExpr):
     """lim(var -> inf, body), the limit of the sequence body(var)."""
 
     __slots__ = ("var", "body")
-
-    def __init__(self, var: str, body: FuncExpr, *, span: tuple = (0, 0)) -> None:
-        _set_var(self, var)
-        _set_body(self, body)
-        _set_span(self, span)
-
-
-_set_var = LimSeq.var.__set__
-_set_body = LimSeq.body.__set__
 
 
 class Command(Record):

@@ -26,11 +26,11 @@ lcm of the two denominators, a product and a quotient run on the
 numerators, and order, floor and standard part are read off the key
 lists (the first key where two values differ; infinite terms first, then
 the unit) without building a difference or part value.  The printers,
-Lightstone and the power-of-ten rule read it through `_items`, and the
-other modules through public calls.  `terms`, the (coefficient,
-ExponentPair) tuple, is only the view for callers outside the package,
-built on first read and kept; the constructor normalizes its terms as
-`from_terms` does.
+Lightstone and the power-of-ten rule read it through `_items` (or
+`_keys`, when the keys alone will do), and the other modules through
+public calls.  `terms`, the (coefficient, ExponentPair) tuple, is only
+the view for callers outside the package, built on first read and kept;
+the constructor normalizes its terms as `from_terms` does.
 """
 
 from __future__ import annotations
@@ -237,6 +237,8 @@ class NumContext(Record):
                 return v
             try:
                 return Fraction(v)
+            except ZeroDivisionError:  # "n/0"
+                raise ValueError(f"Invalid literal for Fraction: {v!r}") from None
             except (OverflowError, ValueError):
                 _refuse_non_finite(v)
                 raise
@@ -253,7 +255,7 @@ class NumContext(Record):
         try:
             d = Decimal(v)  # a float or a decimal literal, checked as a Decimal
         except InvalidOperation:  # any other string reads as exact mode reads it
-            return self.coeff(Fraction(v))
+            return self.coeff(_EXACT.coeff(v))
         return self.coeff(d)
 
     def arith(self):
@@ -312,11 +314,7 @@ def _ratio(c: CoeffLike) -> tuple[int, int]:
     """An exact coefficient as its numerator and positive denominator."""
     if isinstance(c, (int, Fraction)):
         return c.as_integer_ratio()
-    try:
-        return Fraction(c).as_integer_ratio()
-    except (OverflowError, ValueError):
-        _refuse_non_finite(c)
-        raise
+    return _EXACT.coeff(c).as_integer_ratio()
 
 
 def _refuse_non_finite(v) -> None:
@@ -333,6 +331,7 @@ def _refuse_non_finite(v) -> None:
 _set_max_terms = NumContext.max_terms.__set__
 _set_mode = NumContext.mode.__set__
 _set_prec = NumContext.prec.__set__
+_EXACT = NumContext()  # its coeff reads every coefficient string, in both modes
 
 
 class Ordering(Enum):
@@ -549,7 +548,7 @@ class HyperValue(Record):
         i = 0
         while i < len(keys) and keys[i] >= (0, 0):
             i += 1
-        return _value(self.ctx, keys[i:], cs[i:], den, False)
+        return _value(self.ctx, keys[i:], cs[i:], den, self.truncated)
 
     # --- arithmetic -----------------------------------------------------------
     def _check(self, other: "HyperValue") -> None:
@@ -1063,6 +1062,11 @@ def _items(x: HyperValue) -> Iterable[tuple[_Key, Coefficient]]:
     if den is None:
         return zip(keys, cs)
     return ((key, Fraction(n, den)) for key, n in zip(keys, cs))
+
+
+def _keys(x: HyperValue) -> tuple:
+    """x's magnitude keys, largest first, whole key entries as ints."""
+    return x._store[0]
 
 
 def _reduced(n: int, den: int) -> tuple[int, int]:

@@ -50,6 +50,7 @@ from .hyperfield import (
     NumContext,
     _format_monomial,
     _items,
+    _keys,
     _ten_power,
     _text,
     format_coeff,
@@ -115,7 +116,8 @@ def digits_at(x: HyperValue, positions) -> list[int]:
         m, j = pos.block, pos.offset
         if coeffs is None:
             coeffs = _coeffs(x)
-            _unit_interval_check(x)
+            if x.sign() < 0 or not (x < x.ctx.constant(1)):
+                raise PositionOutOfModel("digit_at needs 0 <= x < 1")
         block = blocks.get(m)
         if block is None:
             mixed = [(-b, -h) for b, h in coeffs if b < m and h > 0]
@@ -157,7 +159,7 @@ def _tail_run(r: _Ratio):
 
 
 def _grid_check(x: HyperValue) -> None:
-    for (minus_b, a), _ in _items(x):
+    for minus_b, a in _keys(x):
         if minus_b.denominator != 1 or a.denominator != 1:
             raise PositionOutOfModel(
                 "fractional exponents sit off the decimal grid"
@@ -188,8 +190,7 @@ def render(x: HyperValue, window: int = 3) -> str:
     whole = format_coeff(n) if n else ""
     if n and (y := y - n).is_zero:
         return f"{sign}{whole}"
-    _unit_interval_check(y)
-    coeffs = _coeffs(y)
+    coeffs = _coeffs(y)  # y = |x| - floor(|x|) lies in [0, 1)
     r = coeffs.get((0, 0), _ZERO)
     tail = _tail_run(r)
 
@@ -225,11 +226,6 @@ def render(x: HyperValue, window: int = 3) -> str:
             parts.append(f";{_render_block(coeffs, m, window, y.truncated)}")
         done = m
     return f"{sign}{whole}.{body}{dots}{''.join(parts)}"
-
-
-def _unit_interval_check(y: HyperValue) -> None:
-    if y.sign() < 0 or not (y < y.ctx.constant(1)):
-        raise PositionOutOfModel("digit_at needs 0 <= x < 1")
 
 
 def _coeffs(x: HyperValue) -> _Coeffs:

@@ -48,7 +48,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-from ._record import Record, _set
+from ._record import Record
 from .errors import (
     DivisionByZero,
     DomainError,
@@ -75,28 +75,39 @@ from .hyperfield import (
 class FuncExpr(Record):
     """Base class for expression nodes.
 
-    span is the (start, end) character range of the node in the text it
-    was parsed from, a keyword-only argument of every node kept for error
-    messages and left out of equality, hash and repr.
+    Every node but Const declares only its ``__slots__``, and a
+    ``_validate`` if it checks a field: this one constructor takes the
+    fields positionally or by keyword and runs ``_validate``.  span is the
+    (start, end) character range of the node in the text it was parsed
+    from, a keyword-only argument of every node kept for error messages
+    and left out of equality, hash and repr.
     """
 
     __slots__ = ("span",)
     _hidden = ("span",)
 
-    def __init__(self, *, span: tuple = (0, 0)) -> None:
+    def __init__(self, *args, span: tuple = (0, 0), **kwargs) -> None:
         _set_span(self, span)
+        if kwargs or len(args) != len(self._setters):
+            # keywords, defaults and arity errors
+            Record.__init__(self, *args, **kwargs)
+            return
+        for setter, value in zip(self._setters, args):
+            setter(self, value)
+        self._validate()
 
     def with_span(self, span: tuple) -> "FuncExpr":
         """This node with another source span."""
-        node = object.__new__(self.__class__)
-        for field in self._fields:
-            _set(node, field, getattr(self, field))
-        _set_span(node, span)
-        return node
+        return self.__class__(*self._astuple(), span=span)
 
     def children(self) -> tuple:
         """The subtrees right under this node."""
-        return tuple([v for v in self._astuple() if isinstance(v, FuncExpr)])
+        out = []
+        for field in self._fields:  # a loop, cheaper than a comprehension's frame
+            value = getattr(self, field)
+            if isinstance(value, FuncExpr):
+                out.append(value)
+        return tuple(out)
 
 
 _set_span = FuncExpr.span.__set__
@@ -107,20 +118,10 @@ class _Named(FuncExpr):
 
     __slots__ = ("name",)
 
-    def __init__(self, name: str, *, span: tuple = (0, 0)) -> None:
-        _set_name(self, name)
-        _set_span(self, span)
-
-
-_set_name = _Named.name.__set__
-
 
 class Var(_Named):
     __slots__ = ()
-
-    def __init__(self, name: str = "x", *, span: tuple = (0, 0)) -> None:
-        _set_name(self, name)
-        _set_span(self, span)
+    _defaults = {"name": "x"}
 
 
 class Const(FuncExpr):
@@ -139,37 +140,19 @@ class NamedConst(_Named):
 
     __slots__ = ()
 
-    def __init__(self, name: str, *, span: tuple = (0, 0)) -> None:
-        if name not in ("pi", "e", "ln10"):
-            raise ValueError(f"unknown constant {name!r}")
-        _set_name(self, name)
-        _set_span(self, span)
+    def _validate(self) -> None:
+        if self.name not in ("pi", "e", "ln10"):
+            raise ValueError(f"unknown constant {self.name!r}")
 
 
 class Neg(FuncExpr):
     __slots__ = ("operand",)
-
-    def __init__(self, operand: FuncExpr, *, span: tuple = (0, 0)) -> None:
-        _set_operand(self, operand)
-        _set_span(self, span)
-
-
-_set_operand = Neg.operand.__set__
 
 
 class _Binary(FuncExpr):
     """A node with two operands: Add, Sub, Mul and Div."""
 
     __slots__ = ("left", "right")
-
-    def __init__(self, left: FuncExpr, right: FuncExpr, *, span: tuple = (0, 0)) -> None:
-        _set_left(self, left)
-        _set_right(self, right)
-        _set_span(self, span)
-
-
-_set_left = _Binary.left.__set__
-_set_right = _Binary.right.__set__
 
 
 class Add(_Binary):
@@ -193,16 +176,9 @@ class PowInt(FuncExpr):
 
     __slots__ = ("base", "power")
 
-    def __init__(self, base: FuncExpr, power: int, *, span: tuple = (0, 0)) -> None:
-        if not isinstance(power, int):
+    def _validate(self) -> None:
+        if not isinstance(self.power, int):
             raise ValueError("power must be a plain integer")
-        _set_base(self, base)
-        _set_power(self, power)
-        _set_span(self, span)
-
-
-_set_base = PowInt.base.__set__
-_set_power = PowInt.power.__set__
 
 
 class Pow10(FuncExpr):
@@ -214,25 +190,11 @@ class Pow10(FuncExpr):
 
     __slots__ = ("exponent",)
 
-    def __init__(self, exponent: FuncExpr, *, span: tuple = (0, 0)) -> None:
-        _set_exponent(self, exponent)
-        _set_span(self, span)
-
-
-_set_exponent = Pow10.exponent.__set__
-
 
 class _Elementary(FuncExpr):
     """An elementary function of one argument: Exp, Log, Sin, Cos, Sqrt."""
 
     __slots__ = ("arg",)
-
-    def __init__(self, arg: FuncExpr, *, span: tuple = (0, 0)) -> None:
-        _set_arg(self, arg)
-        _set_span(self, span)
-
-
-_set_arg = _Elementary.arg.__set__
 
 
 class Exp(_Elementary):
@@ -262,17 +224,17 @@ def const(v) -> Const:
     return Const(Fraction(v))
 
 
+_ARITHMETIC = {Var, Const, Neg, Add, Sub, Mul, Div, PowInt}
+
+
 def is_arithmetic(f: FuncExpr) -> bool:
     """True when f uses only field operations and rational constants."""
-    if isinstance(f, (Var, Const)):
-        return True
-    if isinstance(f, (Add, Sub, Mul, Div)):
-        return is_arithmetic(f.left) and is_arithmetic(f.right)
-    if isinstance(f, PowInt):
-        return is_arithmetic(f.base)
-    if isinstance(f, Neg):
-        return is_arithmetic(f.operand)
-    return False
+    if f.__class__ not in _ARITHMETIC:
+        return False
+    for child in f.children():
+        if not is_arithmetic(child):
+            return False
+    return True
 
 
 def symbolic_derivative(f: FuncExpr) -> FuncExpr:

@@ -203,7 +203,7 @@ def test_finite_coefficients_still_read(mode):
     ctx = NumContext(mode=mode)
     for v in (7, Fraction(3, 4), Decimal("0.25"), 0.5, "2.5", "1e3"):
         assert ctx.constant(v).standard_part() == Fraction(v)
-    for text in ("abc", "1/3x", "3/4e2", "1/-3"):  # not a number: both modes refuse alike
+    for text in ("abc", "1/3x", "3/4e2", "1/-3", "1/0"):  # not a number: both modes refuse alike
         with pytest.raises(ValueError) as info:
             ctx.constant(text)
         assert str(info.value) == f"Invalid literal for Fraction: {text!r}"
@@ -917,6 +917,19 @@ def test_standard_part_examples():
     assert CTX.tau().standard_part() == 0
     with pytest.raises(NotFinite):
         CTX.omega().standard_part()
+
+
+def test_infinitesimal_part_keeps_the_truncated_flag():
+    x = 1 / (1 - CTX.tau())    # 1 + eps + ... + eps^15, and a dropped tail
+    part = x.infinitesimal_part()
+    assert x.truncated and part.truncated
+    kept = sum((CTX.tau(k) for k in range(1, 16)), CTX.zero())
+    assert part == CTX.from_terms(kept.terms, truncated=True)
+    # the true part is larger than the kept sum: neither may read EQUAL
+    for v in (part, x - 1):
+        with pytest.raises(TruncationAmbiguous):
+            v.compare(kept)
+    assert not CTX.constant(1).infinitesimal_part().truncated
 
 
 def test_approx_eq_examples():

@@ -241,6 +241,21 @@ def test_render_refusals():
         render(CTX.omega() * TAU)
 
 
+def test_render_reads_the_coefficients_once(monkeypatch):
+    reads, items = [], lightstone._items
+
+    def counted(x):
+        reads.append(x)
+        return items(x)
+
+    monkeypatch.setattr(lightstone, "_items", counted)
+    three_terms = c(Fraction(1, 4)) + Fraction(37, 100) * TAU - CTX.tau(2)
+    for x in [three_terms, c(Fraction(21, 4)), c(5) - TAU, c(5)] + [x for x, _ in PINNED]:
+        reads.clear()
+        render(x)
+        assert len(reads) == (x != x.floor()), render(x)
+
+
 # ---------------------------------------------------------------- parse
 
 def test_parse_standard_readings():

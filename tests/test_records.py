@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import hyperdec
-from hyperdec.errors import ContextMismatch, InvalidScale, PositionOutOfModel
+from hyperdec.errors import ContextMismatch, InvalidScale, ParseError, PositionOutOfModel
 from hyperdec.expr import Command, Token, _tokenize, parse_command, parse_expr
 from hyperdec.hypercalc import CheckRow
 from hyperdec.hyperfield import HyperValue, NumContext
@@ -23,6 +23,7 @@ from hyperdec.transfer import (
     Add,
     Const,
     Exp,
+    FuncExpr,
     NamedConst,
     PowInt,
     SeqLimit,
@@ -138,6 +139,16 @@ def test_values_contexts_and_tokens_compare_by_fields():
     assert one != 1
     assert _tokenize("x+1") == [Token("name", "x", 0), Token("op", "+", 1),
                                 Token("num", "1", 2), Token("end", "", 3)]
+    assert _tokenize(" lim(n->inf,\t.5) ") == [
+        Token("name", "lim", 1), Token("op", "(", 4), Token("name", "n", 5),
+        Token("arrow", "->", 6), Token("name", "inf", 8), Token("op", ",", 11),
+        Token("num", ".5", 13), Token("op", ")", 15), Token("end", "", 17)]
+    # a character no token takes, after whitespace or outside ASCII
+    for src, bad, at in (("x +  $", "$", 5), ("x ≤ 1", "≤", 2), ("\té", "é", 1)):
+        with pytest.raises(ParseError) as info:
+            _tokenize(src)
+        assert str(info.value) == f"unexpected character {bad!r} (at {at}..{at + 1})"
+        assert info.value.span == (at, at + 1)
 
 
 @pytest.mark.parametrize("record, field", [
@@ -208,7 +219,9 @@ def test_const_coerces_its_value():
 
 @pytest.mark.parametrize("build, error, message", [
     (lambda: NamedConst("tau"), ValueError, "unknown constant 'tau'"),
+    (lambda: NamedConst(name="tau"), ValueError, "unknown constant 'tau'"),
     (lambda: PowInt(Var(), 2.0), ValueError, "power must be a plain integer"),
+    (lambda: PowInt(base=Var(), power=2.0), ValueError, "power must be a plain integer"),
     (lambda: PowInt(Var(), Fraction(2)), ValueError, "power must be a plain integer"),
     (lambda: Position(-1, 0), PositionOutOfModel, "block index must be nonnegative"),
     (lambda: Position(0, 0), PositionOutOfModel,
@@ -227,3 +240,63 @@ def test_construction_refusals_keep_type_and_message(build, error, message):
     with pytest.raises(error) as info:
         build()
     assert type(info.value) is error and str(info.value) == message
+
+
+def _node_kinds() -> list:
+    kinds, todo = set(), [FuncExpr]
+    while todo:
+        kind = todo.pop()
+        todo.extend(kind.__subclasses__())
+        if kind.__module__.startswith("hyperdec.") and not kind.__name__.startswith("_"):
+            kinds.add(kind)
+    kinds.discard(FuncExpr)
+    return sorted(kinds, key=lambda kind: kind.__name__)
+
+
+NODE_KINDS = _node_kinds()
+# a valid value for each node field name
+FIELD_VALUES = {
+    "name": "e", "value": Fraction(1, 3), "operand": Var("y"), "left": Var("y"),
+    "right": Const(2), "base": Var("y"), "power": 3, "exponent": Var("y"),
+    "arg": Var("y"), "func": "st", "var": "n", "body": Var("n"),
+}
+
+
+def test_every_node_kind_is_listed():
+    assert len(NODE_KINDS) == 19
+    assert {kind.__name__ for kind in NODE_KINDS} >= {"Var", "Const", "Unit", "LimSeq"}
+
+
+@pytest.mark.parametrize("kind", NODE_KINDS, ids=lambda kind: kind.__name__)
+def test_node_constructor_contract(kind):
+    args = tuple(FIELD_VALUES[field] for field in kind._fields)
+    node = kind(*args, span=(2, 7))
+    by_keyword = kind(**dict(zip(kind._fields, args)))
+    assert node == by_keyword and hash(node) == hash(by_keyword)
+    assert repr(node) == repr(by_keyword)
+    assert node.span == (2, 7) and by_keyword.span == (0, 0)
+    moved = node.with_span((4, 5))
+    assert type(moved) is kind and moved == node and moved.span == (4, 5)
+    assert repr(moved) == repr(node) and node.span == (2, 7)
+    clone = pickle.loads(pickle.dumps(node))
+    assert clone == node and repr(clone) == repr(node) and clone.span == (2, 7)
+    with pytest.raises(TypeError):
+        kind(*args, Var())
+    with pytest.raises(TypeError):
+        kind(*args, (2, 7))
+    if kind is Var:    # the one field with a default
+        assert kind() == Var("x")
+    else:
+        with pytest.raises(TypeError):
+            kind(*args[:-1])
+
+
+@pytest.mark.parametrize("node, field, bad, message", [
+    (NamedConst("pi"), "name", "tau", "unknown constant 'tau'"),
+    (PowInt(Var(), 2), "power", 2.0, "power must be a plain integer"),
+])
+def test_with_span_reruns_the_checks(node, field, bad, message):
+    object.__setattr__(node, field, bad)    # past the constructor's checks
+    with pytest.raises(ValueError) as info:
+        node.with_span((1, 2))
+    assert str(info.value) == message

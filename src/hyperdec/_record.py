@@ -13,12 +13,15 @@ only.
 
 The generic ``__init__`` here takes the listed fields positionally or by
 keyword, with defaults from ``_defaults``, and then runs ``_validate``.
-``_setters`` holds each class's slot setters in field order, for the
-positional fast path of ``FuncExpr``, which builds every expression node.
-HyperValue, NumContext, Token and Position, built once per operation,
-token or digit place, and ``Const``, which converts its value, write
-their own ``__init__``; HyperValue and NumContext their own ``__eq__``
-and ``__hash__`` too.
+It costs about a microsecond a record, which is nothing for a record
+built once per command line or per digit place, as NumContext and
+Position are.  ``_setters`` holds each class's slot setters in field
+order, for the positional fast path of ``FuncExpr``, which builds every
+expression node.  Four classes write their own ``__init__``, each for a
+reason: HyperValue, built once per operation, with its own ``__eq__``
+and ``__hash__``; Token, built about twenty times per command line,
+where the generic path more than doubles its cost; ``Const``, which
+converts its value; and ``FuncExpr``, the fast path above.
 """
 
 _set = object.__setattr__

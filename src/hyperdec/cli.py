@@ -10,9 +10,10 @@ parses nothing itself.
 Exit codes: 0 on success, 1 when the math refuses (undecidable floor,
 non-finite standard part, and the rest of the domain errors), 2 on usage
 or syntax problems.  run_cli and the repl share one refusal map: a
-ParseError or a ValueError exits 2, any other HyperError 1, and a
-RecursionError is refused as a ResourceLimit.  --json switches every
-subcommand to a stable envelope, written by one writer:
+ParseError or a ValueError exits 2, any other HyperError 1.  The library
+refuses a tree nested too deeply with ResourceLimit itself, so the map
+sees no other error.  --json switches every subcommand, and each repl
+line, to a stable envelope, written by one writer:
 {"ok": bool, "value": ..., "lightstone": ..., "flags": {"truncated": bool}}.
 """
 
@@ -23,20 +24,13 @@ import sys
 from fractions import Fraction
 from typing import Any, NamedTuple, Optional, Sequence
 
-from .errors import HyperError, ParseError, ResourceLimit
+from .errors import HyperError, ParseError
 from .expr import eval_command, parse_command, parse_expr, to_function
 from .hyperfield import NumContext, format_coeff, format_value
 from .hypercalc import _check_trace, newton_trace
 from .lightstone import digits_at, render
 from .microscope import MicroscopeScene, microscope, preset_scene
-from .transfer import (
-    _TOO_DEEP,
-    derivative,
-    evt_demo,
-    limit_fun,
-    limit_seq,
-    uniform_continuity_probe,
-)
+from .transfer import derivative, evt_demo, limit_fun, limit_seq, uniform_continuity_probe
 
 
 # exp of a three-term increment at 256 terms and exp(1) at 5000 digits each
@@ -283,8 +277,9 @@ def _cmd_microscope(_, args, ctx: NumContext) -> _Result:
 
 
 def _cmd_repl(_, args, ctx: NumContext) -> _Result:
-    """Evaluate line after line; a refusal is printed as run_cli prints
-    it in text mode, and the loop goes on."""
+    """Evaluate line after line; each answer or refusal is printed as
+    eval prints it, in text or --json, and the loop goes on.  In text a
+    truncated value is marked."""
     while True:
         try:
             line = input("hyperdec> ").strip()
@@ -293,13 +288,17 @@ def _cmd_repl(_, args, ctx: NumContext) -> _Result:
         if line in (":q", ":quit", "exit"):
             break
         if line:
-            _attempt(False, _print_value, line, ctx)
+            code, result = _attempt(args.json, _repl_line, line, ctx)
+            if code == 0:
+                _show(args.json, result)
     return _Result()
 
 
-def _print_value(src: str, ctx: NumContext) -> None:
+def _repl_line(src: str, ctx: NumContext) -> _Result:
     v = _value(src, ctx)
-    print(format_value(v) + ("  [truncated]" if v.truncated else ""))
+    text = format_value(v)
+    marked = text + ("  [truncated]" if v.truncated else "")
+    return _Result(value=text, truncated=v.truncated, lines=[marked])
 
 
 # --------------------------------------------------------------------------
@@ -419,12 +418,8 @@ def run_cli(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     code, result = _attempt(args.json, _run, args)
-    if code == 0 and args.json:
-        _envelope(True, value=result.value, lightstone=result.lightstone,
-                  flags={"truncated": result.truncated})
-    elif code == 0:
-        for line in result.lines:
-            print(line)
+    if code == 0:
+        _show(args.json, result)
     return code
 
 
@@ -444,15 +439,21 @@ def _attempt(json_out: bool, call, *call_args):
     out: a ParseError or a ValueError exits 2, any other HyperError 1."""
     try:
         return 0, call(*call_args)
-    except RecursionError:  # parsing and to_function recurse outside any fold
-        exc = ResourceLimit(_TOO_DEEP)
-    except (HyperError, ValueError) as refusal:
-        exc = refusal
+    except (HyperError, ValueError) as exc:
+        if json_out:
+            _envelope(False, error={"type": type(exc).__name__, "message": str(exc)})
+        else:
+            print(f"error: {exc}", file=sys.stderr)
+        return (2 if isinstance(exc, (ParseError, ValueError)) else 1), None
+
+
+def _show(json_out: bool, result: _Result) -> None:
     if json_out:
-        _envelope(False, error={"type": type(exc).__name__, "message": str(exc)})
+        _envelope(True, value=result.value, lightstone=result.lightstone,
+                  flags={"truncated": result.truncated})
     else:
-        print(f"error: {exc}", file=sys.stderr)
-    return (2 if isinstance(exc, (ParseError, ValueError)) else 1), None
+        for line in result.lines:
+            print(line)
 
 
 def _envelope(ok: bool, **fields) -> None:

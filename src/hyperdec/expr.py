@@ -6,10 +6,13 @@ directly, plus four value-only nodes declared here by their fields, which
 ``FuncExpr``'s one constructor sets: Unit (H, eps), HyperCall (st, floor,
 abs, nines), Power (a power other than 10^w or b^k with an integer
 literal k) and LimSeq.  ``evaluate`` runs ``transfer._fold``, the one
-walk over these trees, through the fold entry of a hypervalue backend
+evaluator of these trees, through the fold entry of a hypervalue backend
 that adds an environment of names and the value-only nodes.
-``to_function`` checks that a tree is a standard function of one
-variable and returns it.
+``to_function`` checks, over ``FuncExpr.walk``, that a tree is a
+standard function of one variable and returns it.  Of the checks and
+evaluations here, only the parser and the fold recurse once per nesting
+level, and each refuses text or a tree nested past the interpreter's
+recursion limit with ResourceLimit.  The printer recurses too.
 
 Precedence, loosest to tightest: + -, * /, unary minus, ^ (right
 associative; the exponent position accepts a sign, so 2^-3 parses and
@@ -24,14 +27,13 @@ reproduces the tree exactly.
 
 import functools
 import re
-import sys
 from fractions import Fraction
 from typing import Optional
 
 from . import transfer
 from ._record import Record
 from .errors import DomainError, ParseError, ResourceLimit, UnknownIdentifier
-from .hyperfield import HyperValue, NumContext, _ten_power, nines, nines_hyper
+from .hyperfield import HyperValue, NumContext, _read, _ten_power, nines, nines_hyper
 from .transfer import Add, Const, Div, FuncExpr, Mul, NamedConst, Neg, Pow10, PowInt, Sub, Var
 from .transfer import eval_star
 
@@ -226,14 +228,9 @@ class _Parser:
         span = (tok.pos, tok.pos + len(tok.text))
         if tok.kind == "num":
             self.take()
-            try:  # int() is cheaper than Fraction's string parser, and exact
-                value = Fraction(tok.text) if "." in tok.text else int(tok.text)
-            except ValueError as exc:  # only the digit limit fails a digit string
-                raise ResourceLimit(
-                    f"a number literal with more than {sys.get_int_max_str_digits()}"
-                    " digits is too large to read"
-                ) from exc
-            return Const(value, span=span)
+            # int() is cheaper than Fraction's string parser, and exact
+            convert = Fraction if "." in tok.text else int
+            return Const(_read(convert, tok.text, "a number literal"), span=span)
         if tok.kind == "name":
             if tok.text == "lim":
                 return self.limit()
@@ -292,7 +289,12 @@ class _Parser:
 
 
 def parse_command(src: str) -> Command:
-    return _Parser(src).command()
+    """The command in src; text nested past the interpreter's recursion
+    limit, which the descent follows, is refused with ResourceLimit."""
+    try:
+        return _Parser(src).command()
+    except RecursionError as exc:
+        raise ResourceLimit(transfer._TOO_DEEP) from exc
 
 
 def parse_expr(src: str) -> FuncExpr:
@@ -470,26 +472,20 @@ def to_function(tree: FuncExpr, var: str = "x") -> FuncExpr:
     """
     if var in _BUILTINS:
         raise ParseError(f"{var!r} is reserved")
-    _check_function(tree, var)
+    for f in tree.walk():  # the first offending node, parents first
+        if isinstance(f, Var):
+            if f.name != var:
+                raise UnknownIdentifier(
+                    f"unknown name {f.name!r} (the variable here is {var!r})", f.span
+                )
+        elif isinstance(f, Unit):
+            raise DomainError(f"{f.name} is a hyperreal value, not a standard"
+                              " function term; evaluate it instead")
+        elif isinstance(f, HyperCall):
+            raise DomainError(f"{f.func} is not a pointwise standard function")
+        elif isinstance(f, Power):
+            raise DomainError("function exponents must be integer literals"
+                              " (or the base must be 10)")
+        elif isinstance(f, LimSeq):
+            raise DomainError("a sequence limit is not a pointwise function")
     return tree
-
-
-def _check_function(f: FuncExpr, var: str) -> None:
-    if isinstance(f, Var):
-        if f.name != var:
-            raise UnknownIdentifier(
-                f"unknown name {f.name!r} (the variable here is {var!r})", f.span
-            )
-    elif isinstance(f, Unit):
-        raise DomainError(f"{f.name} is a hyperreal value, not a standard"
-                          " function term; evaluate it instead")
-    elif isinstance(f, HyperCall):
-        raise DomainError(f"{f.func} is not a pointwise standard function")
-    elif isinstance(f, Power):
-        raise DomainError("function exponents must be integer literals"
-                          " (or the base must be 10)")
-    elif isinstance(f, LimSeq):
-        raise DomainError("a sequence limit is not a pointwise function")
-    else:
-        for child in f.children():
-            _check_function(child, var)

@@ -202,29 +202,15 @@ class NumContext(Record):
     """
 
     __slots__ = ("max_terms", "mode", "prec")
+    _defaults = {"max_terms": 16, "mode": "exact", "prec": 50}
 
-    def __init__(self, max_terms: int = 16, mode: str = "exact", prec: int = 50) -> None:
-        if max_terms < 2:
+    def _validate(self) -> None:
+        if self.max_terms < 2:
             raise ValueError("term budget must be at least 2")
-        if mode not in ("exact", "float"):
-            raise ValueError(f"unknown mode {mode!r}")
-        if prec < 10:
+        if self.mode not in ("exact", "float"):
+            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.prec < 10:
             raise ValueError("precision must be at least 10 digits")
-        _set_max_terms(self, max_terms)
-        _set_mode(self, mode)
-        _set_prec(self, prec)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (
-                self.max_terms == other.max_terms
-                and self.mode == other.mode
-                and self.prec == other.prec
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.max_terms, self.mode, self.prec))
 
     # --- coefficient plumbing ---------------------------------------------
     def coeff(self, v: CoeffLike) -> Coefficient:
@@ -328,9 +314,6 @@ def _refuse_non_finite(v) -> None:
         raise ValueError(f"non-finite coefficient {d}") from None
 
 
-_set_max_terms = NumContext.max_terms.__set__
-_set_mode = NumContext.mode.__set__
-_set_prec = NumContext.prec.__set__
 _EXACT = NumContext()  # its coeff reads every coefficient string, in both modes
 
 
@@ -1198,6 +1181,19 @@ def _text(x, what: str) -> str:
         raise ResourceLimit(
             f"{what} with more than {sys.get_int_max_str_digits()}"
             " digits is too large to print"
+        ) from exc
+
+
+def _read(convert, text: str, what: str):
+    """convert(text) for a digit string, refused with ResourceLimit when
+    its digits are past Python's str-to-int limit; what names text in
+    the refusal."""
+    try:
+        return convert(text)
+    except ValueError as exc:  # only the digit limit fails a digit string
+        raise ResourceLimit(
+            f"{what} with more than {sys.get_int_max_str_digits()}"
+            " digits is too large to read"
         ) from exc
 
 

@@ -34,7 +34,6 @@ is the classical reading (".999…" parses to 1).
 
 import math
 import re
-import sys
 from fractions import Fraction
 
 from ._record import Record
@@ -42,7 +41,6 @@ from .errors import (
     FloorUndecidable,
     NotFinite,
     PositionOutOfModel,
-    ResourceLimit,
     UnsupportedNotation,
 )
 from .hyperfield import (
@@ -51,6 +49,7 @@ from .hyperfield import (
     _format_monomial,
     _items,
     _keys,
+    _read,
     _ten_power,
     _text,
     format_coeff,
@@ -74,19 +73,13 @@ class Position(Record):
 
     __slots__ = ("block", "offset")
 
-    def __init__(self, block: int, offset: int) -> None:
-        if block < 0:
+    def _validate(self) -> None:
+        if self.block < 0:
             raise PositionOutOfModel("block index must be nonnegative")
-        if block == 0 and offset < 1:
+        if self.block == 0 and self.offset < 1:
             raise PositionOutOfModel(
                 "standard positions count fractional places and start at 1"
             )
-        _set_block(self, block)
-        _set_offset(self, offset)
-
-
-_set_block = Position.block.__set__
-_set_offset = Position.offset.__set__
 
 
 def _as_position(position) -> Position:
@@ -414,13 +407,7 @@ def parse(ctx: NumContext, text: str) -> HyperValue:
 def _run(digits: str) -> int:
     """A run of decimal digits as one int, 0 when empty; a run past
     Python's int-to-str limit is refused as too large to read."""
-    try:
-        return int(digits) if digits else 0
-    except ValueError as exc:  # only the digit limit fails a digit run
-        raise ResourceLimit(
-            f"a digit run with more than {sys.get_int_max_str_digits()}"
-            " digits is too large to read"
-        ) from exc
+    return _read(int, digits, "a digit run") if digits else 0
 
 
 def _parse_block(text: str):

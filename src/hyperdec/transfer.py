@@ -8,7 +8,9 @@ Every backend is bound to a NumContext and enters through its ``fold``,
 which runs the walk under the context's arithmetic and is the one
 boundary where a float result past the decimal exponent range, or a
 tree nested past the interpreter's recursion limit, is refused with
-ResourceLimit.  The backend supplies the rest: the point, the variable,
+ResourceLimit.  The fold recurses once per nesting level; every other
+check of a tree (``is_arithmetic``, ``expr.to_function``) goes through
+``FuncExpr.walk``, which keeps its own stack.  The backend supplies the rest: the point, the variable,
 rational and named constants, the zero check on divisors, powers (an
 exact one under the bit cap HyperValue keeps), powers of ten, the
 elementary functions and any other node.  ``expr`` parses to these
@@ -100,14 +102,20 @@ class FuncExpr(Record):
         """This node with another source span."""
         return self.__class__(*self._astuple(), span=span)
 
-    def children(self) -> tuple:
-        """The subtrees right under this node."""
-        out = []
-        for field in self._fields:  # a loop, cheaper than a comprehension's frame
-            value = getattr(self, field)
-            if isinstance(value, FuncExpr):
-                out.append(value)
-        return tuple(out)
+    def walk(self):
+        """The nodes of this tree, parents first and left to right.
+
+        The walk keeps its own stack, so a tree of any depth walks
+        without recursion.
+        """
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            for field in reversed(node._fields):
+                value = getattr(node, field)
+                if isinstance(value, FuncExpr):
+                    stack.append(value)
 
 
 _set_span = FuncExpr.span.__set__
@@ -229,12 +237,7 @@ _ARITHMETIC = {Var, Const, Neg, Add, Sub, Mul, Div, PowInt}
 
 def is_arithmetic(f: FuncExpr) -> bool:
     """True when f uses only field operations and rational constants."""
-    if f.__class__ not in _ARITHMETIC:
-        return False
-    for child in f.children():
-        if not is_arithmetic(child):
-            return False
-    return True
+    return all(node.__class__ in _ARITHMETIC for node in f.walk())
 
 
 def symbolic_derivative(f: FuncExpr) -> FuncExpr:
@@ -593,7 +596,8 @@ def _fold(f: FuncExpr, x, num):
     return num.other(f, x)
 
 
-# the refusal of a tree too deep to walk: the fold recurses per nesting level
+# the refusal of a tree too deep to walk: the fold, and expr's parser,
+# recurse per nesting level
 _TOO_DEEP = "the expression nests too deeply to evaluate"
 
 

@@ -423,6 +423,7 @@ def test_float_overflow_is_a_resource_limit(capsys, argv):
 
 
 _SUM_OF_XS = "+".join(["x"] * 1200)
+_SUM_OF_NS = "+".join(["n"] * 1200)
 _TOO_DEEP = "the expression nests too deeply to evaluate"
 _BIT_CAP = "the coefficient of this power would take about 700000000 bits"
 _NEWTON_CAP = "the iterate at step 9 has more than 4300 digits and is too large to print"
@@ -434,7 +435,8 @@ _DIGITS_CAP = "a digit string with more than 4300 digits is too large to print"
 # Hostile CLI lines: deep nesting, huge powers, huge results and huge
 # context flags.  Each row is (argv, exit code, text): the start of the
 # error message, or a piece of the answer on exit 0.  Exit 1 is a
-# ResourceLimit, exit 2 a usage error.
+# ResourceLimit, exit 2 a usage error.  A limit or a probe over a tree
+# too deep to fold answers with the verdict the library gives for it.
 HOSTILE_LINES = [
     pytest.param(("eval", "(" * 200 + "1" + ")" * 200), 1, _TOO_DEEP,
                  id="eval-200-nested-parens"),
@@ -442,8 +444,12 @@ HOSTILE_LINES = [
                  id="eval-sum-of-1200-terms"),
     pytest.param(("deriv", _SUM_OF_XS, "--at", "1"), 1, _TOO_DEEP,
                  id="deriv-sum-of-1200-terms"),
-    pytest.param(("limfun", _SUM_OF_XS, "--at", "1"), 1, _TOO_DEEP,
+    pytest.param(("limfun", _SUM_OF_XS, "--at", "1"), 0,
+                 f"x = 1 + (eps): evaluation failed ({_TOO_DEEP})",
                  id="limfun-sum-of-1200-terms"),
+    pytest.param(("lim", _SUM_OF_NS), 0, _TOO_DEEP, id="lim-sum-of-1200-terms"),
+    pytest.param(("ucheck", _SUM_OF_XS), 0, f"evaluation failed near 0: {_TOO_DEEP}",
+                 id="ucheck-sum-of-1200-terms"),
     pytest.param(("evt", "x^100000000"), 1, _BIT_CAP, id="evt-exact-huge-power"),
     pytest.param(("evt", "10^(5000*x)", "--mode", "float"), 0,
                  "1.0000000000000000000000000000000000000000000000000E+5000",
@@ -697,30 +703,47 @@ def test_repl(capsys, monkeypatch):
     assert captured.err == "error: coefficient 1/3 of a power of H is not an integer\n"
 
 
+_SESSION_ENVELOPE = (
+    '{"ok": true, "value": null, "lightstone": null, "flags": {"truncated": false}}\n'
+)
+
+
 def test_repl_json_closes_with_the_envelope(capsys, monkeypatch):
-    feed = iter(["1 - eps", ":q"])
+    # each line prints the envelope eval --json prints for it
+    lines = ["1 - eps", "1/(1-eps)", "floor(H/3)"]
+    want = [run(capsys, "eval", line, "--json")[1] for line in lines]
+    assert want[0] == (
+        '{"ok": true, "value": "1 - eps", "lightstone": null, "flags": {"truncated": false}}\n'
+    )
+    assert json.loads(want[1])["flags"] == {"truncated": True}
+    assert json.loads(want[2])["ok"] is False
+    feed = iter([*lines, ":q"])
     monkeypatch.setattr("builtins.input", lambda prompt="": next(feed))
     assert run_cli(["repl", "--json"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == (
-        '1 - eps\n{"ok": true, "value": null, "lightstone": null, "flags": {"truncated": false}}\n'
-    )
-    assert captured.err == ""
+    assert (captured.out, captured.err) == ("".join(want) + _SESSION_ENVELOPE, "")
 
 
 def test_repl_refuses_each_line_as_eval_does(capsys, monkeypatch):
     lines = ["1 +", "foo(1)", "floor(H/3)", "(" * 200 + "1" + ")" * 200, "7" * 5000]
-    want = []
-    for line in lines:
-        code, out, err = run(capsys, "eval", line)
-        assert code in (1, 2) and out == "" and err.startswith("error: "), line
-        want.append(err)
-    feed = iter([*lines, ":q"])
-    monkeypatch.setattr("builtins.input", lambda prompt="": next(feed))
-    assert run_cli(["repl"]) == 0
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines(keepends=True) == want
+    for json_flag in ((), ("--json",)):
+        want_out = want_err = ""
+        for line in lines:
+            code, out, err = run(capsys, "eval", line, *json_flag)
+            if json_flag:
+                assert json.loads(out)["ok"] is False and err == "", line
+            else:
+                assert out == "" and err.startswith("error: "), line
+            assert code in (1, 2), line
+            want_out += out
+            want_err += err
+        if json_flag:
+            want_out += _SESSION_ENVELOPE
+        feed = iter([*lines, ":q"])
+        monkeypatch.setattr("builtins.input", lambda prompt="": next(feed))
+        assert run_cli(["repl", *json_flag]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (want_out, want_err)
 
 
 def test_cli_determinism(capsys):

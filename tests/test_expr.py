@@ -1,8 +1,12 @@
 """Expression language tests: parsing to function trees, printing,
 evaluation, and the check that a tree is a one-variable function."""
 
+import ast
+import functools
 import random
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,11 +16,13 @@ from hyperdec.errors import (
     DivisionByZero,
     DomainError,
     ExactTranscendental,
+    HyperError,
     ParseError,
     ResourceLimit,
     UnknownIdentifier,
 )
 from hyperdec.expr import (
+    Command,
     HyperCall,
     LimSeq,
     Power,
@@ -29,6 +35,7 @@ from hyperdec.expr import (
     print_expr,
     to_function,
 )
+from hyperdec.hypercalc import newton_trace, theorem_check
 from hyperdec.hyperfield import NumContext, nines_hyper
 from hyperdec.transfer import (
     Add,
@@ -295,6 +302,116 @@ def test_a_tree_too_deep_to_evaluate_is_refused_with_a_typed_error():
     deep = parse_expr("+".join(["1"] * 1200))
     with pytest.raises(ResourceLimit, match="^the expression nests too deeply to evaluate$"):
         evaluate(deep, NumContext())
+
+
+def test_walk_goes_parents_first_and_left_to_right():
+    tree = parse_expr("-(a + b)*exp(c)")
+    assert [print_expr(node) for node in tree.walk()] == [
+        "-(a + b) * exp(c)", "-(a + b)", "a + b", "a", "b", "exp(c)", "c",
+    ]
+
+
+@pytest.mark.parametrize("src, error, span", [
+    ("y + st(x)", UnknownIdentifier, (0, 1)),
+    ("st(y) + y", DomainError, None),
+    ("x*H + y", DomainError, None),
+    ("x + (y + z)", UnknownIdentifier, (5, 6)),
+])
+def test_to_function_refuses_the_first_offending_node(src, error, span):
+    with pytest.raises(error) as info:
+        to_function(parse_expr(src))
+    assert getattr(info.value, "span", None) == span
+
+
+# ---------------------------------------------------------------- deep trees
+
+DEEP = 1200
+_X = Var("x")
+DEEP_TREES = {
+    "add-chain": functools.reduce(Add, [_X] * DEEP),
+    "neg-chain": functools.reduce(lambda f, _: Neg(f), range(DEEP), _X),
+}
+DEEP_TEXTS = {
+    "nested-parens": "(" * 300 + "x" + ")" * 300,
+    "neg-chain": "-(" * 300 + "x" + ")" * 300,
+    "power-chain": "2^" * 300 + "2",
+}
+TREE_ENTRIES = {
+    "to_function": to_function,
+    "is_arithmetic": transfer.is_arithmetic,
+    "evaluate": lambda f: evaluate(f, CTX, {"x": 1}),
+    "eval_star": lambda f: transfer.eval_star(f, CTX.constant(1) + CTX.tau()),
+    "eval_real": lambda f: transfer.eval_real(f, Fraction(1), CTX),
+    "derivative": lambda f: transfer.derivative(f, Fraction(1), CTX),
+    "limit_seq": lambda f: transfer.limit_seq(f, CTX),
+    "limit_fun": lambda f: transfer.limit_fun(f, Fraction(1), CTX),
+    "uniform_continuity_probe": lambda f: transfer.uniform_continuity_probe(f, CTX),
+    "evt_demo": lambda f: transfer.evt_demo(f, CTX),
+    "newton_trace": lambda f: newton_trace(f, Fraction(1, 2), 3),
+    "theorem_check": lambda f: theorem_check(f, Fraction(1, 2), 3),
+}
+
+
+def test_to_function_names_the_unknown_leaf_of_a_tree_too_deep_to_fold():
+    with pytest.raises(UnknownIdentifier) as info:
+        to_function(parse_expr("+".join(["y"] * DEEP)))
+    assert info.value.span == (0, 1)
+
+
+def answer_or_refusal(call, arg):
+    """call(arg) or its HyperError, within the hostile-line budget; a
+    RecursionError or any other error fails the test."""
+    start = time.perf_counter()
+    try:
+        out = call(arg)
+    except HyperError as exc:
+        out = exc
+    assert time.perf_counter() - start < 2
+    return out
+
+
+@pytest.mark.parametrize("entry", TREE_ENTRIES)
+@pytest.mark.parametrize("name", DEEP_TREES)
+def test_every_tree_entry_answers_or_refuses_a_deep_tree(name, entry):
+    answer_or_refusal(TREE_ENTRIES[entry], DEEP_TREES[name])
+
+
+@pytest.mark.parametrize("name", DEEP_TEXTS)
+def test_deep_text_parses_or_refuses_and_its_tree_is_answered(name):
+    src = DEEP_TEXTS[name]
+    assert isinstance(answer_or_refusal(parse_command, src), (Command, HyperError))
+    tree = answer_or_refusal(parse_expr, src)
+    if isinstance(tree, HyperError):
+        assert isinstance(tree, ResourceLimit)
+        return
+    answer_or_refusal(TREE_ENTRIES["evaluate"], tree)
+    if not isinstance(answer_or_refusal(to_function, tree), HyperError):
+        for call in TREE_ENTRIES.values():
+            answer_or_refusal(call, tree)
+
+
+def test_only_the_fold_and_the_parser_catch_a_recursion_error():
+    """The two recursive walks over user trees turn RecursionError into
+    ResourceLimit themselves; no other code catches it, or a base class
+    of it, so every other tree walk must not recurse."""
+    wide = {"RecursionError", "RuntimeError", "Exception", "BaseException"}
+
+    def catchers(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}"
+            if isinstance(child, ast.ExceptHandler) and (
+                child.type is None
+                or wide & {n.id for n in ast.walk(child.type) if isinstance(n, ast.Name)}
+            ):
+                yield scope
+            yield from catchers(child, inner)
+
+    found = []
+    for path in sorted(Path(transfer.__file__).parent.glob("*.py")):
+        found.extend(catchers(ast.parse(path.read_text(encoding="utf-8")), path.stem))
+    assert sorted(found) == ["expr.parse_command", "transfer._Backend.fold"]
 
 
 def test_negation_stays_exact_at_rational_points():

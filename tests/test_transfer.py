@@ -449,15 +449,11 @@ def slope_or_refusal(f, x0, ctx=EXACT, route=derivative):
 
 
 def has_x(f):
-    if isinstance(f, Var):
-        return True
-    return any(has_x(g) for g in f.children())
+    return any(isinstance(g, Var) for g in f.walk())
 
 
 def pow10_moves_with_x(f):
-    if isinstance(f, Pow10) and has_x(f.exponent):
-        return True
-    return any(pow10_moves_with_x(g) for g in f.children())
+    return any(isinstance(g, Pow10) and has_x(g.exponent) for g in f.walk())
 
 
 def slope_error(got, want):

@@ -7,6 +7,17 @@ of --var (deriv, lim, limfun, ucheck, evt, newton).  The runner reads it
 and hands the value or the function to the subcommand's handler, which
 parses nothing itself.
 
+A command line is read once.  When its first word names a subcommand,
+run_cli reads the rest through that subcommand's table, built from the
+subparser's own actions: exact --long options, each value after '=' or
+as the next word when that does not start with '-', store, store_true
+and append actions, one unbroken block of positionals, values converted
+by the action's type and checked against its choices, and every required
+option present.  Any other line goes to argparse, so every help screen
+and usage error is argparse's own: -h, abbreviations, '--', a value
+starting with '-' as its own word, positionals split by an option, a bad
+int or choice, a missing option, a flag given a value.
+
 Exit codes: 0 on success, 1 when the math refuses (undecidable floor,
 non-finite standard part, and the rest of the domain errors), 2 on usage
 or syntax problems.  run_cli and the repl share one refusal map: a
@@ -306,11 +317,12 @@ def _repl_line(src: str, ctx: NumContext) -> _Result:
 # --------------------------------------------------------------------------
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument tree, built on first use and shared by later calls.
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The argument tree and each subcommand's table, built on first use
+    and shared by later calls.
 
-    parse_args keeps its results in a fresh Namespace per call, so one
-    tree serves any number of command lines.
+    parse_args and the tables keep their results in a fresh Namespace per
+    call, so one tree serves any number of command lines.
     """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -409,14 +421,118 @@ def _build_parser() -> argparse.ArgumentParser:
 
     command("repl", "interactive loop", _cmd_repl)
 
-    return parser
+    return parser, {name: _table(p, {sub.dest: name}) for name, p in sub.choices.items()}
+
+
+class _Table(NamedTuple):
+    """What a plain command line after a subcommand's name can hold."""
+
+    options: dict       # exact long option string -> its action
+    positionals: tuple  # in order; only the last may take nargs="+"
+    required: tuple     # option actions that must be present
+    defaults: dict      # dest -> value before any argument is read
+
+
+# the actions a plain line may use; -h, --help and any other kind go to argparse
+_PLAIN = (argparse._StoreAction, argparse._StoreTrueAction, argparse._AppendAction)
+
+
+def _table(parser: argparse.ArgumentParser, top: dict) -> Optional[_Table]:
+    """parser's own argument table, read off its actions and set_defaults,
+    or None when it declares a form the table does not read.  top holds
+    what the top-level parser sets: the subcommand's name."""
+    options, positionals, required, own = {}, [], [], {}
+    for action in parser._actions:
+        # argparse gives a dest the default of its first action
+        if argparse.SUPPRESS not in (action.dest, action.default):
+            own.setdefault(action.dest, action.default)
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if type(action) not in _PLAIN or action.nargs not in (None, 0, "+"):
+            return None
+        if not action.option_strings:
+            if positionals and positionals[-1].nargs == "+":
+                return None
+            positionals.append(action)
+            continue
+        if action.nargs == "+":
+            return None
+        options.update((s, action) for s in action.option_strings if s.startswith("--"))
+        if action.required:
+            required.append(action)
+    for dest, value in parser._defaults.items():
+        own.setdefault(dest, value)
+    return _Table(options, tuple(positionals), tuple(required), {**top, **own})
+
+
+def _convert(action: argparse.Action, text: str):
+    value = text if action.type is None else action.type(text)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"{value!r} is not a choice")
+    return value
+
+
+def _read_plain(table: _Table, argv: list) -> Optional[argparse.Namespace]:
+    """The Namespace parse_args builds for argv, the words after a
+    subcommand's name, or None for any line but the plain ones the module
+    docstring lists; argparse reads every line this declines."""
+    values = dict(table.defaults)
+    block, closed, seen = [], False, set()
+    tokens = iter(argv)
+    try:
+        for token in tokens:
+            if not token.startswith("-"):
+                if closed:
+                    return None
+                block.append(token)
+                continue
+            closed = bool(block)
+            name, eq, text = token.partition("=")
+            action = table.options.get(name)
+            if action is None:
+                return None
+            seen.add(action)
+            if action.nargs == 0:
+                if eq:
+                    return None
+                values[action.dest] = action.const
+                continue
+            if not eq:
+                # argparse reads a next token starting with '-' as an option
+                text = next(tokens, "-")
+                if text.startswith("-"):
+                    return None
+            value = _convert(action, text)
+            if isinstance(action, argparse._AppendAction):
+                value = [*(values[action.dest] or ()), value]
+            values[action.dest] = value
+        positionals = table.positionals
+        spread = bool(positionals) and positionals[-1].nargs == "+"
+        if len(block) < len(positionals) or (len(block) > len(positionals) and not spread):
+            return None
+        if any(action not in seen for action in table.required):
+            return None
+        for i, action in enumerate(positionals):
+            if action.nargs == "+":
+                values[action.dest] = [_convert(action, text) for text in block[i:]]
+            else:
+                values[action.dest] = _convert(action, block[i])
+    # what argparse's own conversion catches
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        return None
+    return argparse.Namespace(**values)
 
 
 def run_cli(argv=None) -> int:
-    try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    parser, tables = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    table = tables.get(argv[0]) if argv else None
+    args = _read_plain(table, argv[1:]) if table else None
+    if args is None:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     code, result = _attempt(args.json, _run, args)
     if code == 0:
         _show(args.json, result)

@@ -1034,6 +1034,8 @@ def evt_demo(
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    if doublings < 0:
+        raise ValueError("need doublings >= 0")
     if n * 2**doublings > 1_000_000:
         raise ValueError("final grid exceeds 10^6 points")
     # one backend for every grid point; a float one rounds each to prec

@@ -175,6 +175,22 @@ def test_evt_float_negative_zero_prints_as_zero(capsys):
         assert out == "n =       4: argmax 0 value 0\nargmax stabilized\n"
 
 
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--doublings", "-1", "need doublings >= 0"),
+    ("--grid", "0", "need n >= 1"),
+])
+def test_evt_grid_out_of_range_is_a_usage_error(capsys, flag, value, message, json_flag):
+    code, out, err = run(capsys, "evt", "x", flag, value, *json_flag)
+    if json_flag:
+        assert (code, err) == (2, "")
+        assert json.loads(out) == {
+            "ok": False, "error": {"type": "ValueError", "message": message},
+        }
+    else:
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_newton_final_display(capsys):
     code, out, _ = run(
         capsys, "newton", "log(x)", "--x0", "1/2", "--steps", "8",
@@ -611,6 +627,33 @@ def test_context_flag_bounds_are_in_the_help(capsys):
     assert code == 0
     assert "(default 50, at most 5000)" in " ".join(out.split())
     assert "(default 16, at most 256)" in " ".join(out.split())
+
+
+# Lines in forms the subcommand tables leave to argparse, or next to them,
+# with what they printed when argparse read every line, at 120 columns.
+@pytest.mark.parametrize("argv, want", [
+    (("deriv", "x^2", "--at", "-1/2"), (2, "", (
+        "usage: hyperdec deriv [-h] [--mode {exact,float}] [--prec PREC] [--terms TERMS] [--json]"
+        " --at AT [--var VAR] expr\n"
+        "hyperdec deriv: error: argument --at: expected one argument\n"))),
+    (("eval", "1", "--json=1"), (2, "", (
+        "usage: hyperdec eval [-h] [--mode {exact,float}] [--prec PREC] [--terms TERMS] [--json]"
+        " [--lightstone]\n"
+        "                     [--window WINDOW]\n"
+        "                     expr\n"
+        "hyperdec eval: error: argument --json: ignored explicit argument '1'\n"))),
+    (("digits", "1/4", "1", "--json", "2"), (2, "", (
+        "usage: hyperdec [-h] {eval,st,classify,lightstone,digits,deriv,lim,limfun,ucheck,evt,"
+        "newton,microscope,repl} ...\n"
+        "hyperdec: error: unrecognized arguments: 2\n"))),
+    (("eval", "--lig", "1/4"), (0, "1/4\n.25\ncompare to 1: Less\n", "")),
+    (("eval", "--", "1"), (0, "1\n", "")),
+    (("st", "--mode=float", "1/3"), (0, "0." + "3" * 50 + "\n", "")),
+], ids=["negative-looking-value", "flag-with-explicit-argument", "second-positional-block",
+        "abbreviation", "double-dash", "equals-form"])
+def test_edge_forms_print_what_argparse_prints(capsys, monkeypatch, argv, want):
+    monkeypatch.setenv("COLUMNS", "120")
+    assert run(capsys, *argv) == want
 
 
 def test_out_of_range_context_flag_json_envelope(capsys):

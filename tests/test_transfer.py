@@ -1016,6 +1016,13 @@ def test_evt_demo_grid_cap():
         evt_demo(const(0), EXACT, n=1_000_000, doublings=3)
 
 
+@pytest.mark.parametrize("doublings", [-1, -3])
+def test_evt_demo_refuses_negative_doublings(doublings):
+    # it used to return no rows, which printed "argmax stabilized"
+    with pytest.raises(ValueError, match=r"^need doublings >= 0$"):
+        evt_demo(X, EXACT, n=4, doublings=doublings)
+
+
 # ---------------------------------------------------------------- probes
 
 def test_probe_set_validation():
